@@ -11,10 +11,14 @@ of a run at once through numpy; `_run_multi_generic` accepts any weight
 domain through an ops object (used for exact rationals and for affine
 values during the parametric search), batching its comparisons into rounds
 so a comparison resolver can process each parallel round at once.
+
+Every numpy step goes through `_min_in_edges`.  `relax` applies it to
+distance rows alone, from any start rows, and keeps no per-step tables;
+the label engine adds the snapshots and predecessors the hub layer reads.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +36,7 @@ class HopLabels:
     each vertex at step i+1 regardless of improvement, with the attaining
     edge in ``relax_edges``; the cycle detectors use it to examine
     closed-walk values without the zero-weight empty walk shadowing them.
-    Runs that only need distances may leave the last three fields None.
+    Runs that skip the relax rows leave the last two fields None.
     """
 
     __slots__ = ("graph", "source", "steps", "labels", "pred_edges",
@@ -74,90 +78,85 @@ class HopLabels:
         return a < b
 
 
-def _dedup_aux(aux: Sequence[Tuple[int, float]]):
-    """Collapse aux edges to one best (weight, original index) per target."""
-    best: Dict[int, Tuple[float, int]] = {}
-    for j, (t, wt) in enumerate(aux):
-        cur = best.get(t)
-        if cur is None or wt < cur[0]:
-            best[t] = (wt, j)
-    targets = sorted(best)
-    weights = [best[t][0] for t in targets]
-    orig = [best[t][1] for t in targets]
-    return targets, weights, orig
+def _min_in_edges(g: Digraph, cur: np.ndarray, first: bool = False):
+    """One snapshot step's candidates: min over in-edges of cur[:, u] + w(u, v).
+
+    ``cur`` is an (S, n) array of label rows.  Returns ``(red, pos)``, where
+    ``red[:, j]`` is the least candidate into ``dst_with_in[j]`` of
+    `Digraph._in_arrays`.  When ``first`` is set, ``pos[:, j]`` is the
+    sorted-edge position of the first candidate attaining it; in-edges sort
+    by (source vertex, edge index), so ties go to the smallest pair.  ``pos``
+    is meaningful only where ``red`` is finite, and is None otherwise.
+    """
+    src, w, _eidx, seg_starts, _dst, edge_seg = g._in_arrays()
+    cand = cur[:, src] + w
+    red = np.minimum.reduceat(cand, seg_starts, axis=1)
+    if not first:
+        return red, None
+    hit = cand == red[:, edge_seg]
+    pos = np.where(hit, np.arange(len(src)), len(src))
+    return red, np.minimum.reduceat(pos, seg_starts, axis=1)
+
+
+def relax(g: Digraph, rows, steps: int) -> np.ndarray:
+    """Apply ``steps`` snapshot steps to an (S, n) array of start rows.
+
+    Distances only: each step sets every label to the min of itself and its
+    best in-edge candidate, alternating between two buffers.  Entry v of a
+    result row is the least ``row[t] + (weight of a t-to-v walk of at most
+    steps hops)`` over all t, so from a row that is 0 at s and infinite
+    elsewhere it is ``bf_run(g, s, steps)``'s last label row.  The input is
+    not modified.
+    """
+    a = np.array(rows, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != g.n:
+        raise ValueError(f"start rows must have shape (S, {g.n})")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
+    dst = g._in_arrays()[4]
+    b = np.empty_like(a)
+    for _ in range(steps):
+        red, _ = _min_in_edges(g, a)
+        np.copyto(b, a)
+        b[:, dst] = np.minimum(a[:, dst], red)
+        a, b = b, a
+    return a
 
 
 def _bf_run_numpy_batch(
     g: Digraph,
     sources: Sequence[int],
     k: int,
-    aux_targets: Optional[Sequence[int]] = None,
-    aux_weights=None,
-    aux_orig: Optional[Sequence[int]] = None,
-    collect_preds: bool = True,
     collect_relax: bool = True,
 ) -> Dict[int, "HopLabels"]:
-    """All sources advance in lockstep; one vectorized relaxation per step.
-
-    ``aux_targets``/``aux_weights`` add per-run virtual edges source->target
-    (weights row i belongs to sources[i]); their predecessor entries use
-    edge index g.m + aux_orig[j].  Infinite aux weights act as absent.
-    """
+    """All sources advance in lockstep; one vectorized relaxation per step."""
     n = g.n
     S = len(sources)
     if S == 0:
         return {}
-    src, w, eidx, seg_starts, dst_with_in, edge_seg = g._in_arrays()
-    mm = len(src)
+    _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
     src_ids = np.asarray(sources, dtype=np.int64)
 
     labels = np.full((k + 1, S, n), INF)
     labels[0, np.arange(S), src_ids] = 0.0
-    preds = np.full((k, S, n), -1, dtype=np.int64) if collect_preds else None
+    preds = np.full((k, S, n), -1, dtype=np.int64)
     relaxed = np.full((k, S, n), INF) if collect_relax else None
     relax_edges = (np.full((k, S, n), -1, dtype=np.int64)
                    if collect_relax else None)
 
-    have_aux = aux_targets is not None and len(aux_targets) > 0
-    if have_aux:
-        at = np.asarray(aux_targets, dtype=np.int64)
-        aw = np.asarray(aux_weights, dtype=np.float64)
-        if aw.shape != (S, len(at)):
-            raise ValueError("aux weight table must be (sources x targets)")
-        ae = g.m + np.asarray(aux_orig, dtype=np.int64)
-    if mm:
-        positions = np.arange(mm, dtype=np.int64)
-
-    rows = np.arange(S)
     for i in range(k):
         cur = labels[i]
         val = np.full((S, n), INF)
         esel = np.full((S, n), -1, dtype=np.int64)
-        vsrc = np.full((S, n), n, dtype=np.int64)
-        if mm:
-            cand = cur[:, src] + w[None, :]
-            red = np.minimum.reduceat(cand, seg_starts, axis=1)
-            hit = cand == red[:, edge_seg]
-            pos = np.where(hit, positions[None, :], mm)
-            first = np.minimum.reduceat(pos, seg_starts, axis=1)
+        if len(dst_with_in):
+            red, first = _min_in_edges(g, cur, first=True)
             fin = red < INF
-            fc = np.minimum(first, mm - 1)
             val[:, dst_with_in] = red
-            esel[:, dst_with_in] = np.where(fin, eidx[fc], -1)
-            vsrc[:, dst_with_in] = np.where(fin, src[fc], n)
-        if have_aux:
-            a_val = cur[rows, src_ids][:, None] + aw
-            b_val = val[:, at]
-            b_src = vsrc[:, at]
-            better = (a_val < b_val) | (
-                (a_val == b_val) & (src_ids[:, None] < b_src))
-            better &= a_val < INF
-            val[:, at] = np.where(better, a_val, b_val)
-            esel[:, at] = np.where(better, ae[None, :], esel[:, at])
+            esel[:, dst_with_in] = np.where(
+                fin, eidx[np.minimum(first, len(eidx) - 1)], -1)
         improved = val < cur
         labels[i + 1] = np.where(improved, val, cur)
-        if collect_preds:
-            preds[i] = np.where(improved, esel, -1)
+        preds[i] = np.where(improved, esel, -1)
         if collect_relax:
             relaxed[i] = val
             relax_edges[i] = esel
@@ -165,8 +164,7 @@ def _bf_run_numpy_batch(
     out = {}
     for i, s in enumerate(sources):
         out[s] = HopLabels(
-            g, s, k, labels[:, i, :],
-            None if preds is None else preds[:, i, :],
+            g, s, k, labels[:, i, :], preds[:, i, :],
             None if relaxed is None else relaxed[:, i, :],
             None if relax_edges is None else relax_edges[:, i, :])
     return out
@@ -197,7 +195,6 @@ def _run_multi_generic(
     sources: Sequence[int],
     k: int,
     ops,
-    aux_for: Optional[Callable[[int], Sequence[Tuple[int, object]]]] = None,
 ) -> Dict[int, HopLabels]:
     """Sequential reference engine over an arbitrary weight domain.
 
@@ -209,19 +206,7 @@ def _run_multi_generic(
     """
     n = g.n
     inf = ops.INF
-    base_in = g._in_lists()
-    in_lists: Dict[int, Sequence] = {}
-    for s in sources:
-        if aux_for is None:
-            in_lists[s] = base_in
-        else:
-            per = [list(base_in[v]) for v in range(n)]
-            for j, (t, wt) in enumerate(aux_for(s)):
-                if wt == inf:
-                    continue
-                per[t].append((s, wt, g.m + j))
-                per[t].sort(key=lambda it: (it[0], it[2]))
-            in_lists[s] = per
+    in_lists = g._in_lists()
 
     rows = {s: [[inf] * n] for s in sources}
     pred_rows = {s: [] for s in sources}
@@ -234,11 +219,10 @@ def _run_multi_generic(
         folds = []  # [s, v, [(value, eidx, u), ...]]
         for s in sources:
             cur = rows[s][-1]
-            lists = in_lists[s]
             for v in range(n):
                 cands = [
                     (ops.add(cur[u], wt), e, u)
-                    for (u, wt, e) in lists[v]
+                    for (u, wt, e) in in_lists[v]
                     if cur[u] != inf
                 ]
                 if cands:
@@ -300,44 +284,17 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     cur = np.asarray(current, dtype=np.float64)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
-    src, w, eidx, seg_starts, dst_with_in, edge_seg = g._in_arrays()
+    src, _w, _eidx, _seg, dst_with_in, _eseg = g._in_arrays()
     nxt = cur.copy()
     preds: List[Optional[int]] = [None] * g.n
     if len(src) == 0:
         return nxt, preds
-    cand = cur[src] + w
-    red = np.minimum.reduceat(cand, seg_starts)
+    red, first = _min_in_edges(g, cur[None, :], first=True)
+    red, first = red[0], first[0]
     improved = red < cur[dst_with_in]
-    if improved.any():
-        hit = cand == red[edge_seg]
-        pos = np.where(hit, np.arange(len(cand)), len(cand))
-        first = np.minimum.reduceat(pos, seg_starts)
-        nxt[dst_with_in[improved]] = red[improved]
-        for seg_pos in np.nonzero(improved)[0]:
-            preds[int(dst_with_in[seg_pos])] = int(src[first[seg_pos]])
-    return nxt, preds
-
-
-def _bf_step_python(g: Digraph, current, edge_order: Optional[Sequence[int]] = None):
-    """Plain-loop step used to check the vectorized one under shuffled orders."""
-    n = g.n
-    order = list(range(g.m)) if edge_order is None else list(edge_order)
-    best = [INF] * n
-    best_key: List[Tuple[int, int]] = [(n, g.m)] * n
-    for e in order:
-        u, v, w = g.edges[e]
-        if current[u] == INF:
-            continue
-        c = current[u] + w
-        if c < best[v] or (c == best[v] and (u, e) < best_key[v]):
-            best[v] = c
-            best_key[v] = (u, e)
-    nxt = list(current)
-    preds: List[Optional[int]] = [None] * n
-    for v in range(n):
-        if best[v] < current[v]:
-            nxt[v] = best[v]
-            preds[v] = best_key[v][0]
+    nxt[dst_with_in[improved]] = red[improved]
+    for seg_pos in np.nonzero(improved)[0]:
+        preds[int(dst_with_in[seg_pos])] = int(src[first[seg_pos]])
     return nxt, preds
 
 
@@ -374,34 +331,6 @@ def bf_run_multi(
         w, d = host._step_cost()
         meter.parallel_region([(k * w, k * d)] * len(out))
     return out
-
-
-def bf_run_augmented(
-    g: Digraph,
-    source: int,
-    aux: Sequence[Tuple[int, float]],
-    k: int,
-    meter: Optional[CostMeter] = None,
-) -> HopLabels:
-    """Snapshot run on g plus virtual edges source->target for (target, weight) in aux.
-
-    The virtual edges never materialize in g; infinite aux weights are
-    ignored.  Aux predecessor entries use edge indices >= g.m, numbered by
-    position in ``aux``.
-    """
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
-    for (t, _) in aux:
-        if not (0 <= t < g.n):
-            raise ValueError(f"aux target {t} out of range")
-    targets, weights, orig = _dedup_aux(aux)
-    labels = _bf_run_numpy_batch(
-        g, [source], k,
-        aux_targets=targets, aux_weights=[weights], aux_orig=orig)[source]
-    if meter is not None:
-        w, d = g._step_cost()
-        meter.parallel_region([(k * (w + len(targets)), k * (d + 1))])
-    return labels
 
 
 def extract_minimal_path(labels: HopLabels, v: int, h: int) -> Path:

@@ -42,11 +42,15 @@ class Digraph:
     __slots__ = ("n", "edges", "out_adj", "in_adj", "_cache")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int, float]]):
+        self._build(n, tuple((int(u), int(v), w) for (u, v, w) in edges))
+
+    def _build(self, n: int, edges: Tuple[Tuple[int, int, object], ...]) -> None:
+        """Set the vertex count, the edge tuple and both adjacency views."""
         self.n = n
-        self.edges = tuple((int(u), int(v), w) for (u, v, w) in edges)
+        self.edges = edges
         out_adj: List[List[int]] = [[] for _ in range(n)]
         in_adj: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(self.edges):
+        for i, (u, v, _) in enumerate(edges):
             out_adj[u].append(i)
             in_adj[v].append(i)
         self.out_adj = tuple(tuple(a) for a in out_adj)
@@ -74,16 +78,7 @@ class Digraph:
     def _unchecked(cls, n: int, edges: Sequence[Tuple[int, int, object]]) -> "Digraph":
         """Construct without weight validation (exact/affine weight carriers)."""
         g = cls.__new__(cls)
-        g.n = n
-        g.edges = tuple(edges)
-        out_adj: List[List[int]] = [[] for _ in range(n)]
-        in_adj: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(g.edges):
-            out_adj[u].append(i)
-            in_adj[v].append(i)
-        g.out_adj = tuple(tuple(a) for a in out_adj)
-        g.in_adj = tuple(tuple(a) for a in in_adj)
-        g._cache = {}
+        g._build(n, tuple(edges))
         return g
 
     def reverse(self) -> "Digraph":

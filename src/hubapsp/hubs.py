@@ -105,8 +105,7 @@ def _cmp_signs(pairs, ops):
 
 def _run_sources(g, sources, steps, ops, meter, want_relax):
     if ops is None:
-        out = _bf_run_numpy_batch(g, sources, steps,
-                                  collect_preds=True, collect_relax=want_relax)
+        out = _bf_run_numpy_batch(g, sources, steps, collect_relax=want_relax)
         if meter is not None:
             w, d = g._step_cost()
             meter.parallel_region([(steps * w, steps * d)] * len(sources))

@@ -3,8 +3,8 @@
 The pipeline trades depth for work through one knob d: build hub levels up
 to H_d, weight the complete graph on H_d by (d+1)-hop distances, close it
 by repeated min-plus squaring, then lift exact distances back down the
-levels with short label runs that may jump straight to any higher-level
-hub through virtual shortcut edges.  Small d pushes the effort into the
+levels with short label runs whose start rows already hold the known
+distances to every higher-level hub.  Small d pushes the effort into the
 dense closure; large d pushes it into the label runs.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import FrozenSet, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .graph import Digraph, INF
-from .bellman_ford import _bf_run_numpy_batch
+from .bellman_ford import relax
 from .hubs import HubHierarchy, NegativeCycle, build_hub_hierarchy, shortest_negative_cycle
 from .meter import CostMeter, WorkDepthReport
 
@@ -117,11 +117,10 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
     b = len(hubs)
     values = np.full((b, b), INF)
     if b:
-        runs = _bf_run_numpy_batch(g, hubs, d + 1,
-                                   collect_preds=False, collect_relax=False)
         cols = np.asarray(hubs, dtype=np.int64)
-        for i, z in enumerate(hubs):
-            values[i] = runs[z].labels[d + 1][cols]
+        rows = np.full((b, g.n), INF)
+        rows[np.arange(b), cols] = 0.0
+        values = relax(g, rows, d + 1)[:, cols]
         if meter is not None:
             w, dep = g._step_cost()
             meter.parallel_region([((d + 1) * w, (d + 1) * dep)] * b)
@@ -132,35 +131,31 @@ def lift_level(g: Digraph, level: Iterable[int], known: LevelDistances, h: int,
                meter: Optional[CostMeter] = None) -> LevelDistances:
     """Exact distances for a lower hub level from the level above it.
 
-    Each source runs 2h+1 label steps with virtual shortcut edges to every
-    higher-level hub, weighted by the known exact distances; any shortest
-    path longer than that detours onto a hub within its last h hops, so the
-    shortcut plus the tail fits in the step budget.  A reverse-graph pass
-    fills the distances into the level.
+    Each source's start row holds 0 at the source and the known exact
+    distance to every higher-level hub, then takes 2h+1 label steps.  Any
+    shortest path longer than that detours onto a higher-level hub within
+    its last h hops, so the seeded hub plus the tail fits in the step
+    budget.  A reverse-graph pass fills the distances into the level.
     """
     sources = sorted(set(level))
     steps = 2 * h + 1
-    n = g.n
-    targets = list(known.vertices)
-    orig = list(range(len(targets)))
+    S = len(sources)
+    cols = np.asarray(known.vertices, dtype=np.int64)
 
-    def run(host, aux_rows):
-        out = np.full((len(sources), n), INF)
-        if sources:
-            runs = _bf_run_numpy_batch(
-                host, sources, steps,
-                aux_targets=targets, aux_weights=aux_rows, aux_orig=orig,
-                collect_preds=False, collect_relax=False)
-            for i, s in enumerate(sources):
-                out[i] = runs[s].labels[steps]
+    def run(host, seeds):
+        rows = np.full((S, g.n), INF)
+        if S:
+            rows[:, cols] = seeds[:, sources].T
+            rows[np.arange(S), sources] = 0.0
+            rows = relax(host, rows, steps)
             if meter is not None:
                 w, dep = host._step_cost()
                 meter.parallel_region(
-                    [(steps * (w + len(targets)), steps * (dep + 1))] * len(sources))
-        return out
+                    [(steps * w + len(cols), steps * dep + 1)] * S)
+        return rows
 
-    from_hub = run(g, known.to_hub[:, sources].T if sources else None)
-    to_hub = run(g.reverse(), known.from_hub[:, sources].T if sources else None)
+    from_hub = run(g, known.to_hub)
+    to_hub = run(g.reverse(), known.from_hub)
     return LevelDistances(tuple(sources), from_hub, to_hub)
 
 

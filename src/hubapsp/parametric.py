@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bellman_ford import NumberOps, _run_multi_generic, bf_run
+from .bellman_ford import NumberOps, _min_in_edges, _run_multi_generic, bf_run
 from .graph import INF, Digraph, Path, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
@@ -126,21 +126,16 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     n = g.n
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    src, w, eidx, seg_starts, dst_with_in, edge_seg = g._in_arrays()
-    positions = np.arange(src.size)
+    _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
     D = np.full((n + 1, n), INF)
     D[0] = 0.0
     par = np.full((n + 1, n), -1, dtype=np.int64)
     for k in range(1, n + 1):
-        cand = D[k - 1][src] + w
-        red = np.minimum.reduceat(cand, seg_starts)
-        row = np.full(n, INF)
-        row[dst_with_in] = red
-        D[k] = row
-        # First attaining edge in (src, eidx) order; unreachable rows excluded
-        # because inf == inf would otherwise claim a winner.
-        pos = np.where(cand == red[edge_seg], positions, src.size)
-        first = np.minimum.reduceat(pos, seg_starts)
+        red, first = _min_in_edges(g, D[k - 1][None, :], first=True)
+        red, first = red[0], first[0]
+        D[k][dst_with_in] = red
+        # Infinite minima have no attaining edge: inf == inf would
+        # otherwise claim a winner.
         ok = np.isfinite(red)
         par[k][dst_with_in[ok]] = eidx[first[ok]]
 
@@ -211,10 +206,9 @@ def _reduced_graph(tg: TimedDigraph, lam: Real, exact: bool) -> Digraph:
 def _price_function(gl: Digraph, exact: bool) -> Tuple[Real, ...]:
     """Shortest-path prices from a fresh super-source over zero-weight edges.
 
-    A real vertex is appended rather than aux shortcuts reusing an existing
-    vertex, since returning real edges could close spurious cycles.  With no
-    negative cycle the labels are stable by row n, checked exactly: an
-    unchanged row is bit-identical in either engine.
+    A real vertex is appended so both engines run an ordinary single-source
+    label run.  With no negative cycle the labels are stable by row n,
+    checked exactly: an unchanged row is bit-identical in either engine.
     """
     n = gl.n
     zero: Real = Fraction(0) if exact else 0.0

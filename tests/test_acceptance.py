@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import hubapsp.hubs as hubs_mod
-from hubapsp.bellman_ford import _bf_step_python, bf_run, bf_run_multi, bf_step
+from hubapsp.bellman_ford import bf_run, bf_run_multi, bf_step
 from hubapsp.bellman_ford import extract_minimal_path
 from hubapsp.cli import main
 from hubapsp.generate import (
@@ -51,6 +51,7 @@ from hubapsp.parametric import (
     min_ratio_binary_search,
     min_ratio_parametric,
 )
+from reference_step import bf_step_python
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,7 +207,7 @@ def test_criterion_06_snapshot_rows_and_shuffle_invariance(clean_corpus):
             import random as _random
             order = list(range(g.m))
             _random.Random(shuffle_seed).shuffle(order)
-            labels, preds = _bf_step_python(g, row, edge_order=order)
+            labels, preds = bf_step_python(g, row, edge_order=order)
             assert np.array_equal(base_labels, np.asarray(labels)), idx
             assert list(base_preds) == list(preds), idx
     print("criterion 6 (snapshot rows on 200 graphs, shuffle invariance): PASS")

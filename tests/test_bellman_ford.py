@@ -6,16 +6,16 @@ import pytest
 
 from hubapsp.bellman_ford import (
     NumberOps,
-    _bf_step_python,
     _run_multi_generic,
     bf_run,
-    bf_run_augmented,
     bf_run_multi,
     bf_step,
     extract_minimal_path,
+    relax,
 )
 from hubapsp.generate import random_digraph
 from hubapsp.graph import INF, build_graph, hop_limited_oracle
+from reference_step import bf_step_python
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -46,13 +46,13 @@ def test_bf_step_is_order_independent():
     for seed in range(20):
         g = random_digraph(9, 0.35, -4, 8, seed=seed)
         row = [rng.choice([0, 1, 3, INF]) for _ in range(g.n)]
-        base, base_preds = _bf_step_python(g, row, list(range(g.m)))
+        base, base_preds = bf_step_python(g, row, list(range(g.m)))
         nxt, preds = bf_step(g, row)
         assert list(nxt) == list(base)
         assert preds == base_preds
         order = list(range(g.m))
         rng.shuffle(order)
-        shuffled, shuffled_preds = _bf_step_python(g, row, order)
+        shuffled, shuffled_preds = bf_step_python(g, row, order)
         assert shuffled == base
         assert shuffled_preds == base_preds
 
@@ -108,22 +108,12 @@ def test_bf_run_multi_empty_sources():
     assert bf_run_multi(g, [], 2) == {}
 
 
-def test_bf_run_augmented_only_aux_edge():
-    g = build_graph(3, [])
-    lab = bf_run_augmented(g, 0, [(1, 7.0)], 1)
-    assert list(lab.labels[1]) == [0, 7, INF]
-
-
-def test_bf_run_augmented_infinite_aux_is_absent():
-    g = build_graph(2, [])
-    lab = bf_run_augmented(g, 0, [(1, INF)], 2)
-    assert lab.labels[2][1] == INF
-
-
-def test_bf_run_augmented_aux_then_real_edge():
+def test_relax_seeded_row_keeps_seeds_and_extends_them():
     g = build_graph(3, [(1, 2, 1)])
-    lab = bf_run_augmented(g, 0, [(1, 4)], 2)
-    assert lab.labels[2][2] == 5
+    out = relax(g, [[0, 4, INF]], 1)
+    assert list(out[0]) == [0, 4, 5]
+    with pytest.raises(ValueError):
+        relax(g, [[0, 0]], 1)
 
 
 def test_extract_path_on_chain():
