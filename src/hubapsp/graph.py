@@ -126,6 +126,14 @@ class Digraph:
                 src = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=m)
                 dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
                 w = np.fromiter((float(e[2]) for e in self.edges), dtype=np.float64, count=m)
+                # Integers past 2^53 would round; only those whose float
+                # reads that large can be such an integer.
+                for i in np.nonzero(np.abs(w) >= 2.0 ** 53)[0]:
+                    x = self.edges[i][2]
+                    if isinstance(x, (int, np.integer)) and abs(int(x)) > 2 ** 53:
+                        raise ValueError(
+                            f"edge {i}: integer weight {x} exceeds 2^53 and "
+                            "would round in float64")
                 eidx = np.arange(m, dtype=np.int64)
                 order = np.lexsort((eidx, src, dst))
                 src, dst, w, eidx = src[order], dst[order], w[order], eidx[order]

@@ -15,6 +15,16 @@ cycle.  Three routes to the optimum lam* are provided:
   concrete detector as the decision oracle.  All breakpoint arithmetic is
   over exact rationals, so integer instances yield lam* as an exact
   fraction.
+
+Every concrete probe at a rational lam goes through `_probe_exact`.  Scaled
+by D, the lcm of the cost denominators and of lam's denominator times the
+time denominators, the reduced weights D*(w - lam*t) are integers, and the
+float64 numpy engine decides them exactly, with the same tie-breaks as the
+Fraction engine, while every label stays below 2^53.  `_scaled_reduced` checks that
+bound up front; past it (late bisection probes, whose denominators reach
+2^iterations, or float costs with long binary expansions) the probe runs on
+Fractions instead.  Only the one symbolic run over LinearValues needs the
+generic engine unconditionally.
 """
 
 from __future__ import annotations
@@ -92,9 +102,18 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class RatioAnswer:
+    """lam*, a cycle attaining it, and prices proving no cycle does better.
+
+    `oracle_calls` counts the concrete probes the search ran, the final
+    certificate included; `breakpoints` counts the comparisons of the
+    symbolic run that had to be signed at lam*.  Both are deterministic.
+    """
+
     lambda_star: Real
     witness: Path
     certificate: Tuple[Real, ...]
+    oracle_calls: int = 0
+    breakpoints: int = 0
 
 
 def _is_integral(x) -> bool:
@@ -227,19 +246,84 @@ def _price_function(gl: Digraph, exact: bool) -> Tuple[Real, ...]:
     return tuple(float(x) for x in last[:n])
 
 
+# Integers of magnitude up to 2^53 add exactly in float64.
+_EXACT_FLOAT = 2 ** 53
+
+
+def _scaled_reduced(tg: TimedDigraph,
+                    lam: Fraction) -> Optional[Tuple[Digraph, int]]:
+    """(D*(w - lam*t) on integer weights, D), or None past the 2^53 guard.
+
+    D is the lcm of the cost denominators and of lam's denominator times
+    the lcm of the time denominators, so D*w and D*lam*t are integers.  A
+    label of the detector is a walk of at most d hops (d the power of two
+    `shortest_negative_cycle` sweeps to) and a price one of at most n+1, and
+    a candidate adds one edge more, so the scaled run is exact while
+    (max(d, n+1) + 1) * max|D*(w - lam*t)| < 2^53.
+    """
+    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
+    ts = [Fraction(t) for t in tg.times]
+    p, q = lam.numerator, lam.denominator
+    big_d = math.lcm(math.lcm(*(x.denominator for x in ws)),
+                     q * math.lcm(*(y.denominator for y in ts)))
+    scaled = [x.numerator * (big_d // x.denominator)
+              - p * y.numerator * (big_d // (q * y.denominator))
+              for x, y in zip(ws, ts)]
+    n = tg.base.n
+    steps = max(1 << max(1, (n - 1).bit_length()), n + 1)
+    if (steps + 1) * max(map(abs, scaled), default=0) >= _EXACT_FLOAT:
+        return None
+    edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
+    return Digraph._unchecked(n, edges), big_d
+
+
+def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
+                 prices: bool = False):
+    """Decide one rational lam exactly.
+
+    Returns the hop-shortest cycle of the reduced weights w - lam*t whose
+    weight is < 0 (<= 0 when `nonstrict`), with its weight as a Fraction.
+    Without one, returns Feasible prices when `prices` is set, else None.
+    Runs the numpy engine on `_scaled_reduced` weights and maps the results
+    back over D; past its guard, runs the Fraction engine.
+    """
+    scaled = _scaled_reduced(tg, lam)
+    if scaled is None:
+        gl = _reduced_graph(tg, lam, True)
+        cyc = shortest_negative_cycle(gl, nonstrict=nonstrict, ops=NumberOps())
+        if cyc is not None or not prices:
+            return cyc
+        return Feasible(_price_function(gl, True))
+    gs, big_d = scaled
+    cyc = shortest_negative_cycle(gs, nonstrict=nonstrict)
+    if cyc is not None:
+        weight = Fraction(int(cyc.weight), big_d)
+        path = cyc.cycle
+        return NegativeCycle(Path(path.vertices, weight, path.hops, path.edges),
+                             cyc.hops, weight)
+    if not prices:
+        return None
+    return Feasible(tuple(Fraction(int(x), big_d)
+                          for x in _price_function(gs, False)))
+
+
 def evaluate_lambda(tg: TimedDigraph, lam: Real):
     """Probe one lam: Infeasible(cycle) when some cycle ratio beats lam,
     else Feasible(price) with w(e) - lam*t(e) + p(u) - p(v) >= 0 on every edge.
 
     Exact rational arithmetic when lam is an integer or Fraction (costs and
-    times convert exactly whatever their type); float64 otherwise.
+    times convert exactly whatever their type), through `_probe_exact`:
+    scaled integers on the numpy engine while they stay below its 2^53
+    guard, Fractions past it.  float64 otherwise.
     """
-    exact = isinstance(lam, Fraction) or _is_integral(lam)
-    gl = _reduced_graph(tg, lam, exact)
-    cyc = shortest_negative_cycle(gl, ops=NumberOps() if exact else None)
+    if isinstance(lam, Fraction) or _is_integral(lam):
+        out = _probe_exact(tg, Fraction(lam), prices=True)
+        return out if isinstance(out, Feasible) else Infeasible(out)
+    gl = _reduced_graph(tg, lam, False)
+    cyc = shortest_negative_cycle(gl)
     if cyc is not None:
         return Infeasible(cyc)
-    return Feasible(_price_function(gl, exact))
+    return Feasible(_price_function(gl, False))
 
 
 def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
@@ -296,7 +380,9 @@ class _Resolver:
     (is lam* <= x).  A batch of undecided breakpoints is sorted and split by
     bisection on the strict oracle, then at most one nonpos call separates
     "equal to lam*" from "below", so a batch of p costs O(log p) detector
-    runs.  The interval only ever shrinks.
+    runs.  The interval only ever shrinks.  Each detector run is a
+    `_probe_exact` call: scaled integers on the numpy engine under its 2^53
+    guard, Fractions past it.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
@@ -309,6 +395,7 @@ class _Resolver:
         self.candidates = {self.lo, self.hi}
         self._runs: Dict[Tuple[Fraction, bool], Optional[NegativeCycle]] = {}
         self.oracle_calls = 0
+        self.breakpoints = 0
         self.trace = trace
         self._snap()
 
@@ -319,9 +406,7 @@ class _Resolver:
     def detect(self, x: Fraction, nonstrict: bool) -> Optional[NegativeCycle]:
         key = (x, nonstrict)
         if key not in self._runs:
-            gl = _reduced_graph(self.tg, x, True)
-            self._runs[key] = shortest_negative_cycle(
-                gl, nonstrict=nonstrict, ops=NumberOps())
+            self._runs[key] = _probe_exact(self.tg, x, nonstrict)
             self.oracle_calls += 1
         return self._runs[key]
 
@@ -347,6 +432,7 @@ class _Resolver:
     def resolve(self, xs: Sequence[Fraction]) -> List[int]:
         """Signs of x - lam* for each breakpoint, shrinking the interval."""
         self.candidates.update(xs)
+        self.breakpoints += len(xs)
         signs = [self._interval_sign(x) for x in xs]
         pending = sorted({x for x, s in zip(xs, signs) if s is None})
         if pending:
@@ -486,4 +572,5 @@ def min_ratio_parametric(tg: TimedDigraph,
         raise AssertionError("a cycle still beats lam*, selection was wrong")
 
     lam_out: Real = lam if _integral_instance(tg) else float(lam)
-    return RatioAnswer(lam_out, witness, cert.price)
+    return RatioAnswer(lam_out, witness, cert.price,
+                       resolver.oracle_calls + 1, resolver.breakpoints)

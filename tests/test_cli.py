@@ -214,3 +214,17 @@ def test_two_runs_are_byte_identical(tmp_path, argv):
     c2, d2 = run(tmp_path, argv, name="b.txt")
     assert c1 == c2
     assert d1 == d2
+
+
+GOLDEN = DATA / "golden"
+
+
+@pytest.mark.parametrize("method", ["parametric", "binary"])
+@pytest.mark.parametrize("name", ["timed6", "triangle-timed"])
+def test_minratio_matches_golden_document(tmp_path, method, name):
+    # Written by the all-Fraction ratio search; every later engine must
+    # reproduce it byte for byte.
+    code, doc = run(tmp_path, ["minratio", "--method", method,
+                               str(DATA / f"{name}.gr")])
+    assert code == 0
+    assert doc == (GOLDEN / f"minratio-{method}-{name}.txt").read_text()

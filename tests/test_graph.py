@@ -13,6 +13,7 @@ from hubapsp.graph import (
     hop_limited_oracle,
     negative_cycle_hops_oracle,
 )
+from hubapsp.minplus import apsp
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -50,6 +51,18 @@ def test_build_graph_keeps_integer_weights():
     g = build_graph(2, [(0, 1, 5), (1, 0, 2.5)])
     assert g.edges[0][2] == 5 and isinstance(g.edges[0][2], int)
     assert isinstance(g.edges[1][2], float)
+
+
+@pytest.mark.parametrize("w", [2 ** 53 + 1, -(2 ** 53) - 1, 3 ** 40])
+def test_numpy_engine_rejects_integers_past_2_53(w):
+    # float64 would round these (2^53 + 1 reads back as 2^53)
+    with pytest.raises(ValueError, match="2\\^53"):
+        apsp(build_graph(2, [(0, 1, w)]), 1)
+
+
+def test_numpy_engine_keeps_2_53_and_large_floats():
+    assert apsp(build_graph(2, [(0, 1, 2 ** 53)]), 1).dist.values[0, 1] == 2.0 ** 53
+    assert apsp(build_graph(2, [(0, 1, 2.0 ** 60)]), 1).dist.values[0, 1] == 2.0 ** 60
 
 
 def test_reverse_shares_edge_indices():

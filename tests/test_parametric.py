@@ -266,3 +266,27 @@ def test_parametric_on_float_weights():
     ans = min_ratio_parametric(halves)
     assert isinstance(ans.lambda_star, float)
     assert abs(ans.lambda_star - want) <= 1e-9
+
+
+def test_parametric_reports_its_search_cost():
+    tg = random_timed(8, 0.3, -5, 9, seed=2900)
+    first = min_ratio_parametric(tg)
+    again = min_ratio_parametric(tg)
+    assert first.oracle_calls > 0 and first.breakpoints > 0
+    assert (first.oracle_calls, first.breakpoints) == (
+        again.oracle_calls, again.breakpoints)
+    # the counts are trailing defaults: the three-field form still builds
+    plain = RatioAnswer(first.lambda_star, first.witness, first.certificate)
+    assert (plain.oracle_calls, plain.breakpoints) == (0, 0)
+
+
+def test_evaluate_lambda_exact_past_the_float_guard():
+    # a cost above 2^53 forces the Fraction fallback; the probe stays exact
+    big = 2 ** 60
+    tg = build_timed_graph(2, [(0, 1, big, 1), (1, 0, -big - 1, 1)])
+    out = evaluate_lambda(tg, Fraction(-1, 3))
+    assert isinstance(out, Infeasible)
+    assert out.cycle.weight == Fraction(-1, 3)
+    ok = evaluate_lambda(tg, Fraction(-1, 2))
+    assert isinstance(ok, Feasible)
+    _check_certificate(tg, Fraction(-1, 2), ok.price)

@@ -1,20 +1,30 @@
-"""Property tests: exact integer APSP at every d, edge-order invariance, and
-`relax` against the label engine.
+"""Property tests: exact integer APSP at every d, edge-order invariance,
+`relax` against the label engine, and the scaled-integer ratio probe against
+the Fraction engine.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
 w + p(u) - p(v), keep every cycle's weight.
 Examples are derandomized so the suite is reproducible.
 """
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hubapsp.bellman_ford import bf_run_multi, relax
+from hubapsp import parametric
+from hubapsp.bellman_ford import NumberOps, bf_run_multi, relax
+from hubapsp.fileio import parse_graph
 from hubapsp.graph import INF, build_graph, floyd_warshall_oracle
+from hubapsp.hubs import shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
+from hubapsp.parametric import (Feasible, _price_function, _probe_exact,
+                                _reduced_graph, _scaled_reduced,
+                                build_timed_graph, min_ratio_binary_search)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -80,3 +90,84 @@ def test_relax_matches_last_label_row(case, steps, data):
     labels = bf_run_multi(g, sources, steps)
     for i, s in enumerate(sources):
         assert np.array_equal(out[i], labels[s].labels[steps]), s
+
+
+@st.composite
+def timed_graphs(draw):
+    # Integer or dyadic costs and times: both scale exactly to integers.
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    wdiv = draw(st.sampled_from([1, 2]))
+    tdiv = draw(st.sampled_from([1, 2]))
+    arcs = draw(st.lists(st.tuples(vertex, vertex, st.integers(-6, 9),
+                                   st.integers(1, 4)),
+                         min_size=1, max_size=3 * n))
+    return build_timed_graph(n, [(u, v, w / wdiv if wdiv > 1 else w,
+                                  t / tdiv if tdiv > 1 else t)
+                                 for (u, v, w, t) in arcs])
+
+
+BIG = 2 ** 60
+
+
+@st.composite
+def probe_lambdas(draw):
+    # Small denominators always take the scaled path; 2^60 ones trip its
+    # guard unless every reduced weight nearly cancels.
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 12))
+        return Fraction(draw(st.integers(-8 * q, 10 * q)), q), True
+    return Fraction(2 * draw(st.integers(-4 * BIG, 5 * BIG)) + 1, BIG), False
+
+
+@settings(SETTINGS, max_examples=200)
+@given(timed_graphs(), probe_lambdas(), st.booleans())
+def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
+    lam, small = case
+    if small:
+        assert _scaled_reduced(tg, lam) is not None
+    gl = _reduced_graph(tg, lam, True)
+    want = shortest_negative_cycle(gl, nonstrict=nonstrict, ops=NumberOps())
+    got = _probe_exact(tg, lam, nonstrict)
+    assert repr(got) == repr(want)
+    if want is not None:
+        assert isinstance(got.weight, Fraction)
+        assert sum(gl.edges[e][2] for e in got.cycle.edges) == got.weight
+    if not nonstrict:
+        priced = _probe_exact(tg, lam, prices=True)
+        if want is None:
+            want = Feasible(_price_function(gl, True))
+        assert repr(priced) == repr(want)
+
+
+def _fraction_bisection(tg, iterations):
+    ratios = [Fraction(w) / Fraction(t)
+              for (_, _, w), t in zip(tg.base.edges, tg.times)]
+    lo, hi = min(ratios), max(ratios)
+    trace = []
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        gl = _reduced_graph(tg, mid, True)
+        if shortest_negative_cycle(gl, ops=NumberOps()) is not None:
+            hi = mid
+        else:
+            lo = mid
+        trace.append((lo, hi))
+    return trace
+
+
+def test_bisection_past_the_guard_falls_back_to_fractions(monkeypatch):
+    tg = parse_graph(str(Path(__file__).parent / "data" / "timed6.gr"))
+    taken = []
+
+    def spy(tg_, lam):
+        out = _scaled_reduced(tg_, lam)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(parametric, "_scaled_reduced", spy)
+    trace = []
+    min_ratio_binary_search(tg, 60, _trace=trace)
+    assert len(taken) == 60
+    assert taken[0] and not taken[-1]
+    assert trace == _fraction_bisection(tg, 60)
