@@ -58,15 +58,12 @@ class HopLabels:
         """Per-step predecessor vertex ids; -1 where no strict improvement."""
         if self.pred_edges is None:
             raise ValueError("run did not record predecessors")
-        edges = self.graph.edges
         if isinstance(self.pred_edges, np.ndarray):
             out = np.full_like(self.pred_edges, -1)
             mask = self.pred_edges >= 0
-            if mask.any():
-                srcs = np.fromiter((e[0] for e in edges), dtype=np.int64,
-                                   count=len(edges))
-                out[mask] = srcs[self.pred_edges[mask]]
+            out[mask] = self.graph._edge_src()[self.pred_edges[mask]]
             return out
+        edges = self.graph.edges
         return [
             [edges[e][0] if e >= 0 else -1 for e in row]
             for row in self.pred_edges

@@ -89,6 +89,15 @@ class Digraph:
             self._cache["reverse"] = rev
         return rev
 
+    def _edge_src(self) -> np.ndarray:
+        """Source vertex of every edge, as an int64 array in edge order."""
+        src = self._cache.get("edge_src")
+        if src is None:
+            src = np.fromiter((e[0] for e in self.edges), dtype=np.int64,
+                              count=self.m)
+            self._cache["edge_src"] = src
+        return src
+
     # Sorted in-edge views used by the relaxation engines.
 
     def _in_lists(self):
@@ -123,7 +132,7 @@ class Digraph:
                 empty_i = np.empty(0, dtype=np.int64)
                 arrs = (empty_i, np.empty(0), empty_i, empty_i, empty_i, empty_i)
             else:
-                src = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=m)
+                src = self._edge_src()
                 dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
                 w = np.fromiter((float(e[2]) for e in self.edges), dtype=np.float64, count=m)
                 # Integers past 2^53 would round; only those whose float

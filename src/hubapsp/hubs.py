@@ -8,6 +8,11 @@ relaxation steps from the current level expose any negative cycle of at
 most 2h hops before the next level is built.  Iterating to h >= n/2 makes
 the sweep exhaustive, which is how `shortest_negative_cycle` works.
 
+The hub layer works on arrays: `collect_minimal_paths` walks the label
+engine's predecessor tables back for every improving pair at once into one
+(P, h+1) vertex array, and `greedy_hitting_set` runs on a CSR path-vertex
+incidence with numpy coverage counts.
+
 Everything here is deterministic: greedy choices break ties by smallest
 vertex id, sweeps report the smallest qualifying hop count and then the
 smallest hub vertex, and the label engine is schedule-independent.
@@ -17,13 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Collection, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .graph import Digraph, Path, INF, hop_limited_oracle
-from .bellman_ford import (HopLabels, _bf_run_numpy_batch, _run_multi_generic,
-                           extract_minimal_path)
+from .bellman_ford import (HopLabels, NumberOps, _bf_run_numpy_batch,
+                           _run_multi_generic, extract_minimal_path)
 from .meter import CostMeter
 
 
@@ -54,36 +59,59 @@ class HubHierarchy:
         return len(self.levels) - 1
 
 
-def greedy_hitting_set(paths: Sequence[AbstractSet[int]], n: int) -> set:
-    """Pick max-coverage vertices (smallest id on ties) until every set is hit.
+def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
+    """Pick max-coverage vertices (smallest id on ties) until every path is hit.
+
+    ``paths`` is any sequence of vertex collections: sets, tuples, or the
+    rows of a 2-D integer array such as `collect_minimal_paths` returns.
+    Repeated vertices within one member count once.  The members become a
+    deduplicated (path, vertex) incidence with a CSR index by vertex;
+    coverage counts live in one array, each pick is its `argmax` (the
+    first maximum, so the smallest id wins ties), and the newly hit paths'
+    vertices are subtracted with one `bincount`.
 
     Output size obeys ceil((n/s)*(ln k + 1)) for s = smallest set size and
     k = set count: each pick covers at least an s/n fraction of what is
     left, so k*(1-s/n)^i dips below 1 within that many picks.
     """
-    sets = [frozenset(p) for p in paths]
-    if not sets:
+    k = len(paths)
+    if k == 0:
         return set()
-    covering: Dict[int, set] = {}
-    for i, s in enumerate(sets):
-        if not s:
-            raise ValueError(f"path set {i} is empty")
-        for v in s:
-            covering.setdefault(v, set()).add(i)
-    unhit = len(sets)
+    if isinstance(paths, np.ndarray):
+        rows = np.array(paths, dtype=np.int64)
+        pad = int(rows.max(initial=-1)) + 1
+    else:
+        pad = 1 + max((v for p in paths for v in p), default=-1)
+        width = max(map(len, paths))
+        rows = np.array([list(p) + [pad] * (width - len(p)) for p in paths],
+                        dtype=np.int64).reshape(k, width)
+    rows.sort(axis=1)
+    # One row per path, sorted, repeats replaced by the pad id, so every
+    # real entry is one (path, vertex) incidence.
+    dup = rows[:, 1:] == rows[:, :-1]
+    rows[:, 1:][dup] = pad
+    real = rows < pad
+    sizes = real.sum(axis=1)
+    if not sizes.all():
+        raise ValueError(f"path set {int(np.argmin(sizes))} is empty")
+    pid, col = np.nonzero(real)
+    vid = rows[pid, col]
+    by_vertex = pid[np.argsort(vid, kind="stable")]
+    cover = np.bincount(vid, minlength=pad)
+    indptr = np.concatenate(([0], np.cumsum(cover)))
+    hit = np.zeros(k, dtype=bool)
+    unhit = k
     chosen: set = set()
-    order = sorted(covering)
-    while unhit:
-        best = max(order, key=lambda v: (len(covering[v]), -v))
+    while unhit > 0:
+        best = int(np.argmax(cover))
         chosen.add(best)
-        for i in list(covering[best]):
-            for v in sets[i]:
-                if v != best:
-                    covering[v].discard(i)
-            unhit -= 1
-        covering[best].clear()
-    s_min = min(len(s) for s in sets)
-    bound = math.ceil((n / s_min) * (math.log(len(sets)) + 1))
+        cand = by_vertex[indptr[best]:indptr[best + 1]]
+        new = cand[~hit[cand]]
+        hit[new] = True
+        unhit -= len(new)
+        cover -= np.bincount(rows[new].ravel(), minlength=pad + 1)[:pad]
+    s_min = int(sizes.min())
+    bound = math.ceil((n / s_min) * (math.log(k) + 1))
     assert len(chosen) <= bound, "greedy exceeded its coverage bound"
     return chosen
 
@@ -95,12 +123,6 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
     size = min(n, math.ceil(4.0 * (n / h) * math.log(max(n, 2))))
     rng = random.Random(seed)
     return frozenset(rng.sample(range(n), size))
-
-
-def _cmp_signs(pairs, ops):
-    if ops is None:
-        return [(-1 if a < b else (1 if a > b else 0)) for a, b in pairs]
-    return ops.cmp_batch(pairs)
 
 
 def _run_sources(g, sources, steps, ops, meter, want_relax):
@@ -130,7 +152,7 @@ def _sweep_cycle(labels, sources, steps, ops, nonstrict) -> Optional[NegativeCyc
                    if not (ops is None and v == INF)]
         if not present:
             continue
-        signs = _cmp_signs([(v, zero) for _, v in present], ops)
+        signs = (ops or NumberOps).cmp_batch([(v, zero) for _, v in present])
         for (i, value), sg in zip(present, signs):
             if sg < 0 or (nonstrict and sg == 0):
                 z = sources[i]
@@ -157,33 +179,53 @@ def _extract_cycle(lab: HopLabels, z: int, k: int, value, nonstrict) -> Path:
 
 
 def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
-                          *, ops=None, _labels=None) -> List[Path]:
-    """One minimal exactly-h-hop path per improving pair in sorted(H) x V."""
+                          *, ops=None, _labels=None) -> np.ndarray:
+    """Every minimal exactly-h-hop path from a hub, as an int64 (P, h+1) array.
+
+    Row i holds the vertices of one path, from its source hub to its
+    target.  There is one row per improving pair (s, t) in sorted(H) x V,
+    where the h-hop label of t strictly beats the (h-1)-hop one, in
+    (source, target) order; each row is `extract_minimal_path`'s walk.  The
+    numpy engine compares its label table directly; an ops engine signs all
+    pairs in one `cmp_batch`.  Both walk the predecessor edges back h
+    steps for all rows at once.  ``_labels`` is a run of at least h steps
+    over exactly sorted(set(H)), as `extend_hubs` makes one.
+    """
     if h < 1:
         raise ValueError("hop count must be at least 1")
     sources = sorted(set(H))
     if not sources:
-        return []
+        return np.empty((0, h + 1), dtype=np.int64)
     labels = _labels if _labels is not None else _run_sources(
         g, sources, h, ops, None, want_relax=False)
-    out: List[Path] = []
+    first = labels[sources[0]]
     if ops is None:
-        for s in sources:
-            lab = labels[s]
-            improving = np.nonzero(lab.labels[h] < lab.labels[h - 1])[0]
-            for t in improving:
-                out.append(extract_minimal_path(lab, int(t), h))
-        return out
-    pairs = []
-    keys = []
-    for s in sources:
-        lab = labels[s]
-        for t in range(g.n):
-            pairs.append((lab.labels[h][t], lab.labels[h - 1][t]))
-            keys.append((s, t))
-    for (s, t), sg in zip(keys, _cmp_signs(pairs, ops)):
-        if sg < 0:
-            out.append(extract_minimal_path(labels[s], t, h))
+        # Each source's rows are views of the engine's (steps, S, n)
+        # tables, sources in order; read those tables in place.
+        table = first.labels.base
+        preds = first.pred_edges.base
+        if table is None or table.shape[1] != len(sources):
+            raise ValueError("labels must come from one run over exactly these sources")
+        improving = table[h] < table[h - 1]
+    else:
+        pairs = [(labels[s].labels[h][t], labels[s].labels[h - 1][t])
+                 for s in sources for t in range(g.n)]
+        signs = np.asarray(ops.cmp_batch(pairs), dtype=np.int64)
+        improving = (signs < 0).reshape(len(sources), g.n)
+        preds = np.asarray([labels[s].pred_edges[:h] for s in sources],
+                           dtype=np.int64).swapaxes(0, 1)
+    rows, cur = np.nonzero(improving)
+    out = np.empty((len(cur), h + 1), dtype=np.int64)
+    out[:, h] = cur
+    edge_src = g._edge_src()
+    for i in range(h, 0, -1):
+        e = preds[i - 1, rows, cur]
+        if (e < 0).any():
+            raise AssertionError("predecessor chain broken; labels are inconsistent")
+        cur = edge_src[e]
+        out[:, i - 1] = cur
+    if not np.array_equal(cur, np.asarray(sources, dtype=np.int64)[rows]):
+        raise AssertionError("walk did not terminate at the source")
     return out
 
 
@@ -195,8 +237,10 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     Runs 2h label steps from every hub.  The cycle sweep comes first: path
     collection is only guaranteed to produce simple paths when no negative
     cycle of at most h hops exists, and the sweep covering 2h hops restores
-    that invariant for the next level.  Callers must pass a genuine h-hub
-    set; a violated precondition degrades hub quality undetectably.
+    that invariant for the next level.  The (P, h+1) path array from
+    `collect_minimal_paths`, read off those same labels, goes to
+    `greedy_hitting_set` as it is.  Callers must pass a genuine h-hub set;
+    a violated precondition degrades hub quality undetectably.
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
@@ -212,7 +256,7 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     paths = collect_minimal_paths(g, sources, h, ops=ops, _labels=labels)
     if meter is not None:
         meter.parallel_region([(h, h)] * len(paths))
-    level = greedy_hitting_set([set(p.vertices) for p in paths], g.n)
+    level = greedy_hitting_set(paths, g.n)
     if meter is not None:
         depth = math.ceil(math.log2(max(g.n, 2))) ** 2
         meter.record_modeled("hitting-set", len(paths) * h + g.n, depth)

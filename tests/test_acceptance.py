@@ -82,14 +82,6 @@ def clean_corpus():
 
 
 @pytest.fixture(scope="module")
-def hub_corpus():
-    """100 negative-cycle-free digraphs with n in 10..25."""
-    return [negative_cycle_free(10 + (i % 16), 3.0 / (10 + (i % 16)),
-                                -4, 12, seed=44000 + i)
-            for i in range(100)]
-
-
-@pytest.fixture(scope="module")
 def timed_corpus():
     """100 timed digraphs, n in 6..10, integer w in [-3,9], t in {1,2,3}."""
     return [random_timed(6 + (i % 5), 0.35, -3, 9, seed=46000 + i)

@@ -228,3 +228,27 @@ def test_minratio_matches_golden_document(tmp_path, method, name):
                                str(DATA / f"{name}.gr")])
     assert code == 0
     assert doc == (GOLDEN / f"minratio-{method}-{name}.txt").read_text()
+
+
+# d is 8 (64 on ring64, which has paths enough to exercise greedy
+# tie-breaks), cut to n on the smaller graphs, which the CLI requires.
+GRAPH_GOLDEN = [
+    (name, command)
+    for name in ["cycle4", "ring8", "ring64", "timed6", "triangle-neg",
+                 "triangle-timed"]
+    for command in ["hubs", "negcycle", "apsp"]
+]
+HUB_D = {"cycle4": 4, "ring8": 8, "ring64": 64, "timed6": 6,
+         "triangle-neg": 3, "triangle-timed": 3}
+
+
+@pytest.mark.parametrize("name,command", GRAPH_GOLDEN)
+def test_graph_command_matches_golden_document(tmp_path, name, command):
+    # Pinned hub levels, cycles, distances and meter counts: every engine
+    # change must reproduce them byte for byte.
+    argv = {"hubs": ["hubs", "--d", str(HUB_D[name])],
+            "negcycle": ["negcycle"],
+            "apsp": ["apsp", "--d", "2"]}[command]
+    code, doc = run(tmp_path, argv + [str(DATA / f"{name}.gr")])
+    assert code in (0, 1)
+    assert doc == (GOLDEN / f"{command}-{name}.txt").read_text()

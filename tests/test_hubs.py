@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hubapsp.bellman_ford import (NumberOps, _run_multi_generic, bf_run_multi,
+                                  extract_minimal_path)
 from hubapsp.generate import negative_cycle_free, random_digraph, with_negative_cycle
-from hubapsp.graph import build_graph, hop_limited_oracle, negative_cycle_hops_oracle
+from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
+                           negative_cycle_hops_oracle)
 from hubapsp.hubs import (
     HubHierarchy,
     NegativeCycle,
@@ -74,27 +78,58 @@ def test_sample_hubs_deterministic_per_seed():
 
 # ---------------------------------------------------------------- collection
 
+def _walk_weight(g, row):
+    # Cheapest parallel arc per hop: the least weight of the vertex walk.
+    return sum(min(w for (a, b, w) in g.edges if (a, b) == (u, v))
+               for u, v in zip(row[:-1], row[1:]))
+
+
 def test_collect_with_no_hubs():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
-    assert collect_minimal_paths(g, frozenset(), 2) == []
+    out = collect_minimal_paths(g, frozenset(), 2)
+    assert out.shape == (0, 3) and out.dtype == np.int64
 
 
 def test_collect_on_path_graph():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     paths = collect_minimal_paths(g, {0}, 2)
-    assert len(paths) == 1
-    assert paths[0].vertices == (0, 1, 2)
+    assert paths.tolist() == [[0, 1, 2]]
+    assert _walk_weight(g, paths[0]) == 2
 
 
 def test_collect_matches_improvement_predicate():
-    g = build_graph(3, TRIANGLE)
-    paths = collect_minimal_paths(g, {0}, 2)
+    # A parallel arc and a self loop make the walk weight depend on which
+    # arc each hop takes.
+    g = build_graph(3, TRIANGLE + [(0, 1, 5), (1, 1, 2)])
+    paths = collect_minimal_paths(g, {2, 0, 1}, 2)
     d2 = hop_limited_oracle(g, 2)
     d1 = hop_limited_oracle(g, 1)
-    improving = {v for v in range(3) if d2[0, v] < d1[0, v]}
-    assert {p.vertices[-1] for p in paths} == improving
-    for p in paths:
-        assert p.length == d2[0, p.vertices[-1]]
+    improving = [(s, t) for s in range(3) for t in range(3) if d2[s, t] < d1[s, t]]
+    assert [(int(r[0]), int(r[-1])) for r in paths] == improving
+    assert paths.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for row in paths.tolist():
+        assert _walk_weight(g, row) == d2[row[0], row[-1]]
+
+
+@pytest.mark.parametrize("ops", [None, NumberOps()], ids=["numpy", "fraction"])
+def test_collect_rows_are_extracted_paths(hub_corpus, ops):
+    checked = 0
+    for idx, g in enumerate(hub_corpus):
+        if ops is not None:
+            g = Digraph._unchecked(
+                g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
+        sources = list(range(g.n))
+        labels = (bf_run_multi(g, sources, 4) if ops is None
+                  else _run_multi_generic(g, sources, 4, ops))
+        for h in range(1, 5):
+            rows = collect_minimal_paths(g, sources, h, ops=ops)
+            want = [extract_minimal_path(labels[s], t, h).vertices
+                    for s in sources for t in range(g.n)
+                    if labels[s].labels[h][t] < labels[s].labels[h - 1][t]]
+            assert rows.shape == (len(want), h + 1), (idx, h)
+            assert [tuple(r) for r in rows.tolist()] == want, (idx, h)
+            checked += len(want)
+    assert checked >= 1000
 
 
 # ---------------------------------------------------------------- extension

@@ -1,12 +1,14 @@
 """Property tests: exact integer APSP at every d, edge-order invariance,
-`relax` against the label engine, and the scaled-integer ratio probe against
-the Fraction engine.
+`relax` against the label engine, the scaled-integer ratio probe against
+the Fraction engine, and the array greedy hitting set against the set-based
+one.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
 w + p(u) - p(v), keep every cycle's weight.
 Examples are derandomized so the suite is reproducible.
 """
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,11 +22,12 @@ from hubapsp import parametric
 from hubapsp.bellman_ford import NumberOps, bf_run_multi, relax
 from hubapsp.fileio import parse_graph
 from hubapsp.graph import INF, build_graph, floyd_warshall_oracle
-from hubapsp.hubs import shortest_negative_cycle
+from hubapsp.hubs import greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
 from hubapsp.parametric import (Feasible, _price_function, _probe_exact,
                                 _reduced_graph, _scaled_reduced,
                                 build_timed_graph, min_ratio_binary_search)
+from reference_greedy import greedy_hitting_set_sets
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -171,3 +174,29 @@ def test_bisection_past_the_guard_falls_back_to_fractions(monkeypatch):
     assert len(taken) == 60
     assert taken[0] and not taken[-1]
     assert trace == _fraction_bisection(tg, 60)
+
+
+@st.composite
+def tied_families(draw):
+    # Few vertices and small members make many coverage ties per pick.
+    n = draw(st.integers(1, 10))
+    member = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
+    return n, draw(st.lists(member, min_size=1, max_size=30))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(tied_families())
+def test_greedy_matches_set_reference(case):
+    n, members = case
+    want = greedy_hitting_set_sets([set(m) for m in members], n)
+    # As rows of one array, each member is padded by repeating its first
+    # vertex; repeats count once.
+    width = max(len(m) for m in members)
+    rows = np.array([m + m[:1] * (width - len(m)) for m in members])
+    for family in ([set(m) for m in members], [tuple(m) for m in members], rows):
+        got = greedy_hitting_set(family, n)
+        assert got == want
+        assert all(isinstance(v, int) for v in got)
+    assert all(want & set(m) for m in members)
+    s_min = min(len(set(m)) for m in members)
+    assert len(want) <= math.ceil((n / s_min) * (math.log(len(members)) + 1))
