@@ -13,12 +13,15 @@ values during the parametric search), batching its comparisons into rounds
 so a comparison resolver can process each parallel round at once.
 
 Every numpy step goes through `_min_in_edges`.  `relax` applies it to
-distance rows alone, from any start rows, and keeps no per-step tables;
-the label engine adds the snapshots and predecessors the hub layer reads.
+distance rows alone, from any start rows, and keeps no per-step tables.
+Both label engines return one `LabelRun`: the snapshot and predecessor
+tables of all sources plus each source's closed-walk candidates, which the
+hub layer reads whole; ``run[s]`` is the per-source `HopLabels` view.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,52 +30,65 @@ from .meter import CostMeter
 
 
 class HopLabels:
-    """Label snapshots from one source.
+    """Label snapshots from one source: one source's slice of a `LabelRun`.
 
     ``labels`` is a (steps+1, n) table of hop-limited distances.
     ``pred_edges`` row i holds the edge that strictly improved v between
     snapshots i and i+1 (-1 when none); `preds` exposes the same rows as
-    source vertex ids.  ``relaxed`` row i is the best in-edge candidate for
-    each vertex at step i+1 regardless of improvement, with the attaining
-    edge in ``relax_edges``; the cycle detectors use it to examine
-    closed-walk values without the zero-weight empty walk shadowing them.
-    Runs that skip the relax rows leave the last two fields None.
+    source vertex ids.
     """
 
-    __slots__ = ("graph", "source", "steps", "labels", "pred_edges",
-                 "relaxed", "relax_edges", "_cmp")
+    __slots__ = ("graph", "source", "steps", "labels", "pred_edges")
 
-    def __init__(self, graph, source, steps, labels, pred_edges, relaxed,
-                 relax_edges, cmp=None):
+    def __init__(self, graph, source, steps, labels, pred_edges):
         self.graph = graph
         self.source = source
         self.steps = steps
         self.labels = labels
         self.pred_edges = pred_edges
-        self.relaxed = relaxed
-        self.relax_edges = relax_edges
-        self._cmp = cmp
 
     @property
     def preds(self):
         """Per-step predecessor vertex ids; -1 where no strict improvement."""
-        if self.pred_edges is None:
-            raise ValueError("run did not record predecessors")
-        if isinstance(self.pred_edges, np.ndarray):
-            out = np.full_like(self.pred_edges, -1)
-            mask = self.pred_edges >= 0
-            out[mask] = self.graph._edge_src()[self.pred_edges[mask]]
-            return out
-        edges = self.graph.edges
-        return [
-            [edges[e][0] if e >= 0 else -1 for e in row]
-            for row in self.pred_edges
-        ]
+        out = np.full_like(self.pred_edges, -1)
+        mask = self.pred_edges >= 0
+        out[mask] = self.graph._edge_src()[self.pred_edges[mask]]
+        return out
 
-    def _less(self, a, b) -> bool:
-        if self._cmp is not None:
-            return self._cmp(a, b) < 0
-        return a < b
+
+class LabelRun(Mapping):
+    """One lockstep label run from several sources, kept as whole tables.
+
+    ``sources`` is sorted, and axis 1 of every table follows it.
+    ``labels`` is the (steps+1, S, n) snapshot table: float64 from the numpy
+    engine, object from an ops engine.  ``pred_edges`` is the (steps, S, n)
+    int64 table of strictly improving edges (-1 when none).  ``closed`` row
+    i holds each source's best in-edge candidate into itself at step i+1,
+    whether or not it improved, with the attaining edge in ``closed_edges``
+    (-1 when none); the cycle sweep reads closed-walk values there without
+    the zero-weight empty walk shadowing them.  As a mapping, ``run[s]`` is
+    source s's `HopLabels` view.
+    """
+
+    def __init__(self, graph, sources, labels, pred_edges, closed, closed_edges):
+        self.graph = graph
+        self.sources = sources
+        self.labels = labels
+        self.pred_edges = pred_edges
+        self.closed = closed
+        self.closed_edges = closed_edges
+        self._index = {s: i for i, s in enumerate(sources)}
+
+    def __getitem__(self, s) -> HopLabels:
+        i = self._index[s]
+        return HopLabels(self.graph, s, len(self.pred_edges),
+                         self.labels[:, i], self.pred_edges[:, i])
+
+    def __iter__(self):
+        return iter(self.sources)
+
+    def __len__(self):
+        return len(self.sources)
 
 
 def _min_in_edges(g: Digraph, cur: np.ndarray, first: bool = False):
@@ -120,28 +136,24 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     return a
 
 
-def _bf_run_numpy_batch(
-    g: Digraph,
-    sources: Sequence[int],
-    k: int,
-    collect_relax: bool = True,
-) -> Dict[int, "HopLabels"]:
+def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
     """All sources advance in lockstep; one vectorized relaxation per step."""
     n = g.n
-    S = len(sources)
-    if S == 0:
-        return {}
+    srcs = tuple(sorted(set(map(int, sources))))
+    S = len(srcs)
     _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
-    src_ids = np.asarray(sources, dtype=np.int64)
+    rows = np.arange(S)
+    src_ids = np.asarray(srcs, dtype=np.int64)
 
     labels = np.full((k + 1, S, n), INF)
-    labels[0, np.arange(S), src_ids] = 0.0
+    labels[0, rows, src_ids] = 0.0
     preds = np.full((k, S, n), -1, dtype=np.int64)
-    relaxed = np.full((k, S, n), INF) if collect_relax else None
-    relax_edges = (np.full((k, S, n), -1, dtype=np.int64)
-                   if collect_relax else None)
+    closed = np.full((k, S), INF)
+    closed_edges = np.full((k, S), -1, dtype=np.int64)
 
-    for i in range(k):
+    # A run from no sources has empty tables; the hub layer makes one from
+    # every empty level, so skip its steps.
+    for i in range(k if S else 0):
         cur = labels[i]
         val = np.full((S, n), INF)
         esel = np.full((S, n), -1, dtype=np.int64)
@@ -154,17 +166,9 @@ def _bf_run_numpy_batch(
         improved = val < cur
         labels[i + 1] = np.where(improved, val, cur)
         preds[i] = np.where(improved, esel, -1)
-        if collect_relax:
-            relaxed[i] = val
-            relax_edges[i] = esel
-
-    out = {}
-    for i, s in enumerate(sources):
-        out[s] = HopLabels(
-            g, s, k, labels[:, i, :], preds[:, i, :],
-            None if relaxed is None else relaxed[:, i, :],
-            None if relax_edges is None else relax_edges[:, i, :])
-    return out
+        closed[i] = val[rows, src_ids]
+        closed_edges[i] = esel[rows, src_ids]
+    return LabelRun(g, srcs, labels, preds, closed, closed_edges)
 
 
 class NumberOps:
@@ -183,16 +187,8 @@ class NumberOps:
         # comparisons cover the whole domain.
         return [(-1 if a < b else (1 if a > b else 0)) for a, b in pairs]
 
-    def cmp(self, a, b):
-        return self.cmp_batch([(a, b)])[0]
 
-
-def _run_multi_generic(
-    g: Digraph,
-    sources: Sequence[int],
-    k: int,
-    ops,
-) -> Dict[int, HopLabels]:
+def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops) -> LabelRun:
     """Sequential reference engine over an arbitrary weight domain.
 
     Runs all sources in lockstep so each step's comparisons form parallel
@@ -204,18 +200,21 @@ def _run_multi_generic(
     n = g.n
     inf = ops.INF
     in_lists = g._in_lists()
+    srcs = tuple(sorted(set(map(int, sources))))
+    S = len(srcs)
 
-    rows = {s: [[inf] * n] for s in sources}
-    pred_rows = {s: [] for s in sources}
-    relax_rows = {s: [] for s in sources}
-    relax_e_rows = {s: [] for s in sources}
-    for s in sources:
-        rows[s][0][s] = ops.ZERO
+    labels = np.full((k + 1, S, n), inf, dtype=object)
+    preds = np.full((k, S, n), -1, dtype=np.int64)
+    closed = np.full((k, S), inf, dtype=object)
+    closed_edges = np.full((k, S), -1, dtype=np.int64)
+    rows = [[inf] * n for _ in srcs]
+    for j, s in enumerate(srcs):
+        rows[j][s] = ops.ZERO
+        labels[0, j, s] = ops.ZERO
 
-    for _ in range(k):
-        folds = []  # [s, v, [(value, eidx, u), ...]]
-        for s in sources:
-            cur = rows[s][-1]
+    for i in range(k):
+        folds = []  # [j, v, [(value, eidx, u), ...]]
+        for j, cur in enumerate(rows):
             for v in range(n):
                 cands = [
                     (ops.add(cur[u], wt), e, u)
@@ -223,52 +222,41 @@ def _run_multi_generic(
                     if cur[u] != inf
                 ]
                 if cands:
-                    folds.append([s, v, cands])
+                    folds.append([j, v, cands])
         # Tournament rounds across all (source, vertex) pairs at once.
         while True:
             requests = []
             slots = []
             for item in folds:
                 cands = item[2]
-                for j in range(0, len(cands) - 1, 2):
-                    requests.append((cands[j][0], cands[j + 1][0]))
-                    slots.append((item, j))
+                for t in range(0, len(cands) - 1, 2):
+                    requests.append((cands[t][0], cands[t + 1][0]))
+                    slots.append((item, t))
             if not requests:
                 break
             signs = ops.cmp_batch(requests)
-            for (item, j), sg in zip(slots, signs):
+            for (item, t), sg in zip(slots, signs):
                 # Mark the loser; a tie keeps the earlier candidate.
-                item[2][j + (1 if sg <= 0 else 0)] = None
+                item[2][t + (1 if sg <= 0 else 0)] = None
             for item in folds:
                 item[2] = [c for c in item[2] if c is not None]
 
         # Improvement round against the previous snapshot.
-        requests = [(cands[0][0], rows[s][-1][v]) for (s, v, cands) in folds]
+        requests = [(cands[0][0], rows[j][v]) for (j, v, cands) in folds]
         signs = ops.cmp_batch(requests)
 
-        new_rows = {s: list(rows[s][-1]) for s in sources}
-        new_pred = {s: [-1] * n for s in sources}
-        new_relax = {s: [inf] * n for s in sources}
-        new_relax_e = {s: [-1] * n for s in sources}
-        for (s, v, cands), sg in zip(folds, signs):
+        rows = [list(row) for row in rows]
+        for (j, v, cands), sg in zip(folds, signs):
             value, e, _u = cands[0]
-            new_relax[s][v] = value
-            new_relax_e[s][v] = e
+            if v == srcs[j]:
+                closed[i, j] = value
+                closed_edges[i, j] = e
             if sg < 0:
-                new_rows[s][v] = value
-                new_pred[s][v] = e
-        for s in sources:
-            rows[s].append(new_rows[s])
-            pred_rows[s].append(new_pred[s])
-            relax_rows[s].append(new_relax[s])
-            relax_e_rows[s].append(new_relax_e[s])
-
-    cmp = getattr(ops, "cmp", None)
-    return {
-        s: HopLabels(g, s, k, rows[s], pred_rows[s], relax_rows[s],
-                     relax_e_rows[s], cmp=cmp)
-        for s in sources
-    }
+                rows[j][v] = value
+                preds[i, j, v] = e
+        for j, row in enumerate(rows):
+            labels[i + 1, j] = row
+    return LabelRun(g, srcs, labels, preds, closed, closed_edges)
 
 
 def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
@@ -314,16 +302,17 @@ def bf_run_multi(
     k: int,
     direction: str = "forward",
     meter: Optional[CostMeter] = None,
-) -> Dict[int, HopLabels]:
+) -> LabelRun:
     """Independent runs from several sources; reverse direction transposes g.
 
-    Labels of a reverse run read as distances *to* the source in g.
+    Returns one `LabelRun` over the distinct sources; ``run[s]`` is source
+    s's labels.  Labels of a reverse run read as distances *to* the source
+    in g.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError(f"direction must be forward or reverse, got {direction!r}")
     host = g if direction == "forward" else g.reverse()
-    srcs = sorted(set(int(s) for s in sources))
-    out = _bf_run_numpy_batch(host, srcs, k)
+    out = _bf_run_numpy_batch(host, sources, k)
     if meter is not None:
         w, d = host._step_cost()
         meter.parallel_region([(k * w, k * d)] * len(out))
@@ -339,11 +328,7 @@ def extract_minimal_path(labels: HopLabels, v: int, h: int) -> Path:
     """
     if h < 1 or h > labels.steps:
         raise ValueError(f"hop count {h} outside 1..{labels.steps}")
-    if labels.pred_edges is None:
-        raise ValueError("run did not record predecessors")
-    row_h = labels.labels[h]
-    row_p = labels.labels[h - 1]
-    if not labels._less(row_h[v], row_p[v]):
+    if not labels.labels[h][v] < labels.labels[h - 1][v]:
         raise ValueError(f"no minimal {h}-hop path to vertex {v}")
     edges = labels.graph.edges
     verts = [v]

@@ -8,27 +8,30 @@ relaxation steps from the current level expose any negative cycle of at
 most 2h hops before the next level is built.  Iterating to h >= n/2 makes
 the sweep exhaustive, which is how `shortest_negative_cycle` works.
 
-The hub layer works on arrays: `collect_minimal_paths` walks the label
-engine's predecessor tables back for every improving pair at once into one
+The hub layer works on the tables of the engines' `LabelRun`: the sweep
+reads one (2h, S) array of closed-walk values, `collect_minimal_paths`
+walks the predecessor table back for every improving pair at once into one
 (P, h+1) vertex array, and `greedy_hitting_set` runs on a CSR path-vertex
-incidence with numpy coverage counts.
+incidence with numpy coverage counts.  Greedy and sampled levels share the
+label run and the sweep; they differ only in how they pick the next level.
 
 Everything here is deterministic: greedy choices break ties by smallest
 vertex id, sweeps report the smallest qualifying hop count and then the
-smallest hub vertex, and the label engine is schedule-independent.
+smallest hub vertex, the label engine is schedule-independent, and sampled
+levels draw from an explicit seed.
 """
 from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Collection, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .graph import Digraph, Path, INF, hop_limited_oracle
-from .bellman_ford import (HopLabels, NumberOps, _bf_run_numpy_batch,
-                           _run_multi_generic, extract_minimal_path)
+from .bellman_ford import LabelRun, _bf_run_numpy_batch, _run_multi_generic
 from .meter import CostMeter
 
 
@@ -125,57 +128,56 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
     return frozenset(rng.sample(range(n), size))
 
 
-def _run_sources(g, sources, steps, ops, meter, want_relax):
-    if ops is None:
-        out = _bf_run_numpy_batch(g, sources, steps, collect_relax=want_relax)
-        if meter is not None:
-            w, d = g._step_cost()
-            meter.parallel_region([(steps * w, steps * d)] * len(sources))
-        return out
-    return _run_multi_generic(g, sources, steps, ops)
+def _walk_back(run: LabelRun, sel, ends, last, h: int):
+    """(vertices, edges) of h-hop walks from run.sources[sel] to ``ends``.
+
+    ``last`` holds each walk's final edge; every earlier hop follows the
+    predecessor edge of the snapshot before it, so each row is a chain of
+    strict improvements back to its source.  All rows walk back at once.
+    """
+    edge_src = run.graph._edge_src()
+    verts = np.empty((len(ends), h + 1), dtype=np.int64)
+    edges = np.empty((len(ends), h), dtype=np.int64)
+    verts[:, h] = ends
+    e = last
+    for i in range(h, 0, -1):
+        if i < h:
+            e = run.pred_edges[i - 1, sel, verts[:, i]]
+        if (e < 0).any():
+            raise AssertionError("predecessor chain broken; labels are inconsistent")
+        edges[:, i - 1] = e
+        verts[:, i - 1] = edge_src[e]
+    if not np.array_equal(verts[:, 0], np.asarray(run.sources, dtype=np.int64)[sel]):
+        raise AssertionError("walk did not terminate at the source")
+    return verts, edges
 
 
-def _sweep_cycle(labels, sources, steps, ops, nonstrict) -> Optional[NegativeCycle]:
+def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     """Smallest k (then smallest hub) whose k-hop closed-walk value crosses zero.
 
     Strict mode reads the label diagonal d_k(z) < 0.  Nonstrict mode reads
-    the pre-improvement relax row, whose entry at z is the best closed-walk
-    value over 1..k hops, and accepts <= 0; the empty walk never shadows it.
+    the closed-walk candidates, whose entry at z is the best closed-walk
+    value over 1..k hops, and accepts <= 0; the empty walk never shadows
+    it.  An ops run signs each k's values in one `cmp_batch`.  In both
+    modes the witness ends with the candidate's edge into z, and the walk
+    back to that edge's tail is a chain of strict improvements because k
+    is minimal.
     """
-    zero = 0.0 if ops is None else ops.ZERO
-    for k in range(1, steps + 1):
-        vals = []
-        for z in sources:
-            lab = labels[z]
-            vals.append(lab.relaxed[k - 1][z] if nonstrict else lab.labels[k][z])
-        present = [(i, v) for i, v in enumerate(vals)
-                   if not (ops is None and v == INF)]
-        if not present:
-            continue
-        signs = (ops or NumberOps).cmp_batch([(v, zero) for _, v in present])
-        for (i, value), sg in zip(present, signs):
-            if sg < 0 or (nonstrict and sg == 0):
-                z = sources[i]
-                path = _extract_cycle(labels[z], z, k, value, nonstrict)
-                return NegativeCycle(path, k, path.length)
+    src = np.asarray(run.sources, dtype=np.int64)
+    vals = run.closed if nonstrict else run.labels[1:, np.arange(len(src)), src]
+    for k in range(1, len(vals) + 1):
+        row = vals[k - 1]
+        signs = (np.sign(row) if ops is None
+                 else np.array(ops.cmp_batch([(v, ops.ZERO) for v in row])))
+        hit = np.flatnonzero(signs <= 0 if nonstrict else signs < 0)
+        if len(hit):
+            i = int(hit[0])
+            verts, edges = _walk_back(run, [i], [run.sources[i]],
+                                      run.closed_edges[k - 1, [i]], k)
+            path = Path(tuple(verts[0].tolist()), row[i], k,
+                        tuple(edges[0].tolist()))
+            return NegativeCycle(path, k, path.length)
     return None
-
-
-def _extract_cycle(lab: HopLabels, z: int, k: int, value, nonstrict) -> Path:
-    if not nonstrict:
-        return extract_minimal_path(lab, z, k)
-    # The closing edge comes from the relax row; the prefix to its tail is a
-    # strict-improvement chain because k is minimal.
-    e = int(lab.relax_edges[k - 1][z])
-    if e < 0:
-        raise AssertionError("relax row lost its attaining edge")
-    u = lab.graph.edges[e][0]
-    if k == 1:
-        if u != z:
-            raise AssertionError("one-hop closed walk must be a self loop")
-        return Path((z, z), value, 1, (e,))
-    prefix = extract_minimal_path(lab, u, k - 1)
-    return Path(prefix.vertices + (z,), value, k, prefix.edges + (e,))
 
 
 def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
@@ -188,45 +190,40 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     (source, target) order; each row is `extract_minimal_path`'s walk.  The
     numpy engine compares its label table directly; an ops engine signs all
     pairs in one `cmp_batch`.  Both walk the predecessor edges back h
-    steps for all rows at once.  ``_labels`` is a run of at least h steps
-    over exactly sorted(set(H)), as `extend_hubs` makes one.
+    steps for all rows at once.  ``_labels``, a `LabelRun` of at least h
+    steps such as `extend_hubs` makes, stands in for a run over H.
     """
     if h < 1:
         raise ValueError("hop count must be at least 1")
-    sources = sorted(set(H))
-    if not sources:
-        return np.empty((0, h + 1), dtype=np.int64)
-    labels = _labels if _labels is not None else _run_sources(
-        g, sources, h, ops, None, want_relax=False)
-    first = labels[sources[0]]
+    run = _labels
+    if run is None:
+        run = (_bf_run_numpy_batch(g, H, h) if ops is None
+               else _run_multi_generic(g, H, h, ops))
     if ops is None:
-        # Each source's rows are views of the engine's (steps, S, n)
-        # tables, sources in order; read those tables in place.
-        table = first.labels.base
-        preds = first.pred_edges.base
-        if table is None or table.shape[1] != len(sources):
-            raise ValueError("labels must come from one run over exactly these sources")
-        improving = table[h] < table[h - 1]
+        improving = run.labels[h] < run.labels[h - 1]
     else:
-        pairs = [(labels[s].labels[h][t], labels[s].labels[h - 1][t])
-                 for s in sources for t in range(g.n)]
+        pairs = list(zip(run.labels[h].ravel(), run.labels[h - 1].ravel()))
         signs = np.asarray(ops.cmp_batch(pairs), dtype=np.int64)
-        improving = (signs < 0).reshape(len(sources), g.n)
-        preds = np.asarray([labels[s].pred_edges[:h] for s in sources],
-                           dtype=np.int64).swapaxes(0, 1)
-    rows, cur = np.nonzero(improving)
-    out = np.empty((len(cur), h + 1), dtype=np.int64)
-    out[:, h] = cur
-    edge_src = g._edge_src()
-    for i in range(h, 0, -1):
-        e = preds[i - 1, rows, cur]
-        if (e < 0).any():
-            raise AssertionError("predecessor chain broken; labels are inconsistent")
-        cur = edge_src[e]
-        out[:, i - 1] = cur
-    if not np.array_equal(cur, np.asarray(sources, dtype=np.int64)[rows]):
-        raise AssertionError("walk did not terminate at the source")
-    return out
+        improving = (signs < 0).reshape(len(run.sources), g.n)
+    rows, ends = np.nonzero(improving)
+    return _walk_back(run, rows, ends, run.pred_edges[h - 1, rows, ends], h)[0]
+
+
+def _sweep_level(g: Digraph, H: Iterable[int], h: int, ops,
+                 meter: Optional[CostMeter], nonstrict: bool):
+    """Run 2h label steps from every hub of H and sweep them for a cycle.
+
+    Returns the run and the hop-shortest <=2h-hop cycle through a hub, or
+    None.  The meter, when given, is charged the label steps and the sweep.
+    """
+    steps = 2 * h
+    run = (_bf_run_numpy_batch(g, H, steps) if ops is None
+           else _run_multi_generic(g, H, steps, ops))
+    if meter is not None:
+        w, d = g._step_cost()
+        meter.parallel_region([(steps * w, steps * d)] * len(run))
+        meter.add(steps * len(run), steps)
+    return run, _sweep_cycle(run, ops, nonstrict)
 
 
 def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
@@ -244,16 +241,10 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
-    sources = sorted(set(H))
-    steps = 2 * h
-    labels = _run_sources(g, sources, steps, ops, meter,
-                          want_relax=nonstrict)
-    cyc = _sweep_cycle(labels, sources, steps, ops, nonstrict)
-    if meter is not None:
-        meter.add(steps * len(sources), steps)
+    run, cyc = _sweep_level(g, H, h, ops, meter, nonstrict)
     if cyc is not None:
         return cyc
-    paths = collect_minimal_paths(g, sources, h, ops=ops, _labels=labels)
+    paths = collect_minimal_paths(g, run.sources, h, ops=ops, _labels=run)
     if meter is not None:
         meter.parallel_region([(h, h)] * len(paths))
     level = greedy_hitting_set(paths, g.n)
@@ -271,42 +262,37 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
     """Grow hub levels for h = 1, 2, ..., d/2, doubling each time.
 
     Returns the hierarchy, or the hop-shortest negative cycle of at most d
-    hops if one surfaces during a sweep.  Sampled mode draws each level
-    with `sample_hubs` (per-level seeds derived from `seed`) instead of the
-    greedy construction; its sweeps inherit only the sampled sets'
-    high-probability hub quality.
+    hops if one surfaces during a sweep.  Every level runs 2h label steps
+    from the current hubs and sweeps them, inside the meter phase
+    ``level-h``; then the deterministic mode hits the minimal h-hop paths
+    greedily (`extend_hubs`), and the sampled mode draws the next level with
+    `sample_hubs` (hop bound capped at n, per-level seeds derived from
+    `seed`, which it requires).  Sampled sweeps inherit only the sampled
+    sets' high-probability hub quality.
     """
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"level count must be a positive power of two, got {d}")
     if mode not in ("deterministic", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    K = d.bit_length() - 1
+    sampled = mode == "sampled"
+    if sampled and seed is None:
+        raise ValueError("sampled mode needs a seed")
+    rng = random.Random(seed) if sampled else None
     levels: List[FrozenSet[int]] = [frozenset(range(g.n))]
-    rng = random.Random(seed) if mode == "sampled" else None
-    for k in range(K):
+    for k in range(d.bit_length() - 1):
         h = 1 << k
-        if mode == "deterministic":
-            if meter is None:
-                res = extend_hubs(g, levels[k], h, ops=ops, nonstrict=nonstrict)
+        with meter.phase(f"level-{h}") if meter is not None else nullcontext():
+            if sampled:
+                res = _sweep_level(g, levels[k], h, ops, meter, nonstrict)[1]
+                if res is None:
+                    res = sample_hubs(g.n, min(2 * h, g.n), rng.getrandbits(63))
             else:
-                with meter.phase(f"level-{h}"):
-                    res = extend_hubs(g, levels[k], h, ops=ops, meter=meter,
-                                      nonstrict=nonstrict)
-            if isinstance(res, NegativeCycle):
-                return res
-            levels.append(res)
-        else:
-            sources = sorted(levels[k])
-            steps = 2 * h
-            labels = _run_sources(g, sources, steps, ops, meter,
-                                  want_relax=nonstrict)
-            cyc = _sweep_cycle(labels, sources, steps, ops, nonstrict)
-            if cyc is not None:
-                return cyc
-            levels.append(sample_hubs(g.n, 2 * h, rng.getrandbits(63)))
-    if mode == "sampled":
-        return HubHierarchy(tuple(levels), "sampled", seed)
-    return HubHierarchy(tuple(levels))
+                res = extend_hubs(g, levels[k], h, ops=ops, meter=meter,
+                                  nonstrict=nonstrict)
+        if isinstance(res, NegativeCycle):
+            return res
+        levels.append(res)
+    return HubHierarchy(tuple(levels), mode, seed if sampled else None)
 
 
 def shortest_negative_cycle(g: Digraph, *, nonstrict: bool = False, ops=None,

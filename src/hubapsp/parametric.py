@@ -508,9 +508,6 @@ class _LinearOps:
                 signs[idx] = d * s
         return signs
 
-    def cmp(self, a, b) -> int:
-        return self.cmp_batch([(a, b)])[0]
-
 
 def min_ratio_parametric(tg: TimedDigraph,
                          *, _trace: Optional[list] = None) -> RatioAnswer:

@@ -6,7 +6,8 @@ import pytest
 
 from hubapsp.bellman_ford import (NumberOps, _run_multi_generic, bf_run_multi,
                                   extract_minimal_path)
-from hubapsp.generate import negative_cycle_free, random_digraph, with_negative_cycle
+from hubapsp.generate import (negative_cycle_free, random_digraph,
+                              ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
                            negative_cycle_hops_oracle)
 from hubapsp.hubs import (
@@ -20,6 +21,7 @@ from hubapsp.hubs import (
     shortest_negative_cycle,
     verify_hub_property,
 )
+from hubapsp.meter import CostMeter
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -205,6 +207,38 @@ def test_sampled_hierarchy_still_detects_cycles():
     res = build_hub_hierarchy(build_graph(3, TRIANGLE), 4,
                               mode="sampled", seed=0)
     assert isinstance(res, NegativeCycle)
+
+
+def test_sampled_hierarchy_accepts_d_beyond_n():
+    # The last level's hop bound 2h = 8 exceeds n = 5; it is capped at n,
+    # as deterministic mode builds the same d.
+    g = build_graph(5, [(v, (v + 1) % 5, 1) for v in range(5)])
+    assert len(build_hub_hierarchy(g, 8).levels) == 4
+    hier = build_hub_hierarchy(g, 8, mode="sampled", seed=1)
+    assert isinstance(hier, HubHierarchy) and len(hier.levels) == 4
+    assert hier.levels[3] == frozenset(range(5))
+
+
+def test_sampled_hierarchy_requires_seed():
+    g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="seed"):
+        build_hub_hierarchy(g, 2, mode="sampled")
+
+
+def test_sampled_levels_meter_label_runs_and_sweep():
+    # At n = 64 the sampled sets shrink below V from hop bound 32 on.
+    g = ring_with_chords(64, 192, seed=5)
+    meter = CostMeter()
+    hier = build_hub_hierarchy(g, 64, mode="sampled", seed=3, meter=meter)
+    phases = {p.name: p for p in meter.report().phases}
+    assert set(phases) == {f"level-{1 << k}" for k in range(hier.K)}
+    sizes = set()
+    for k in range(hier.K):
+        h, L = 1 << k, len(hier.levels[k])
+        sizes.add(L)
+        work = 2 * h * L * (g.m + g.n) + 2 * h * L
+        assert phases[f"level-{h}"].work == work, h
+    assert len(sizes) > 1
 
 
 # ---------------------------------------------------------------- detection

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from hubapsp.generate import negative_cycle_free, random_digraph, with_negative_cycle
+from hubapsp.generate import (negative_cycle_free, random_digraph,
+                              ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (
     INF,
     NegativeCycleDetected,
@@ -179,6 +182,24 @@ def test_apsp_matches_oracle_across_d():
             outs.append(res.dist.values)
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+
+
+def test_apsp_float_weights_within_rounding_bound_at_every_d():
+    # A float shortest path sums at most n-1 weights, so its rounding error
+    # is at most (n-1)^2 * 2^-53 * max|w|; the pipeline and the oracle may
+    # round different equal-weight walks, hence the factor 2.
+    n = 64
+    for seed in range(3):
+        base = ring_with_chords(n, 3 * n, seed=1500 + seed, chord_lo=1)
+        rng = random.Random(seed)
+        p = [rng.uniform(-50, 50) for _ in range(n)]
+        g = build_graph(n, [(u, v, w + p[u] - p[v]) for (u, v, w) in base.edges])
+        want = floyd_warshall_oracle(g)
+        bound = 2 * (n - 1) ** 2 * 2.0 ** -53 * max(abs(w) for (_, _, w) in g.edges)
+        for k in range(n.bit_length()):
+            res = apsp(g, 1 << k)
+            assert isinstance(res, ApspResult), (seed, k)
+            assert np.abs(res.dist.values - want).max() <= bound, (seed, k)
 
 
 def test_apsp_result_invariants():
