@@ -17,6 +17,10 @@ distance rows alone, from any start rows, and keeps no per-step tables.
 Both label engines return one `LabelRun`: the snapshot and predecessor
 tables of all sources plus each source's closed-walk candidates, which the
 hub layer reads whole; ``run[s]`` is the per-source `HopLabels` view.
+Both also take an optional earlier run to resume from: a source it covers
+copies its first rows from there and steps on from the last, so the hub
+hierarchy runs each surviving hub's label steps once over all its levels,
+and the tables come out bit-identical to a run from scratch.
 """
 from __future__ import annotations
 
@@ -33,9 +37,10 @@ class HopLabels:
     """Label snapshots from one source: one source's slice of a `LabelRun`.
 
     ``labels`` is a (steps+1, n) table of hop-limited distances.
-    ``pred_edges`` row i holds the edge that strictly improved v between
-    snapshots i and i+1 (-1 when none); `preds` exposes the same rows as
-    source vertex ids.
+    ``pred_edges`` is the int32 (steps, n) table whose row i holds the edge
+    that strictly improved v between snapshots i and i+1 (-1 when none);
+    `preds` exposes the same rows as source vertex ids.  The view of a
+    source whose run resumed reads exactly as the view of a run from scratch.
     """
 
     __slots__ = ("graph", "source", "steps", "labels", "pred_edges")
@@ -62,12 +67,18 @@ class LabelRun(Mapping):
     ``sources`` is sorted, and axis 1 of every table follows it.
     ``labels`` is the (steps+1, S, n) snapshot table: float64 from the numpy
     engine, object from an ops engine.  ``pred_edges`` is the (steps, S, n)
-    int64 table of strictly improving edges (-1 when none).  ``closed`` row
+    int32 table of strictly improving edges (-1 when none).  ``closed`` row
     i holds each source's best in-edge candidate into itself at step i+1,
-    whether or not it improved, with the attaining edge in ``closed_edges``
-    (-1 when none); the cycle sweep reads closed-walk values there without
-    the zero-weight empty walk shadowing them.  As a mapping, ``run[s]`` is
-    source s's `HopLabels` view.
+    whether or not it improved, with the attaining edge in the int32
+    ``closed_edges`` (-1 when none); the cycle sweep reads closed-walk
+    values there without the zero-weight empty walk shadowing them.  As a
+    mapping, ``run[s]`` is source s's `HopLabels` view.
+
+    Every row of a source depends on that source alone, so a longer run
+    over other sources can resume from this one's rows (`_resume_from`),
+    and `select` keeps just the rows of the sources worth resuming.
+    ``ran`` lists the steps each source ran itself: all of them, or those
+    after the rows it resumed.
     """
 
     def __init__(self, graph, sources, labels, pred_edges, closed, closed_edges):
@@ -77,6 +88,7 @@ class LabelRun(Mapping):
         self.pred_edges = pred_edges
         self.closed = closed
         self.closed_edges = closed_edges
+        self.ran = [len(pred_edges)] * len(sources)
         self._index = {s: i for i, s in enumerate(sources)}
 
     def __getitem__(self, s) -> HopLabels:
@@ -89,6 +101,44 @@ class LabelRun(Mapping):
 
     def __len__(self):
         return len(self.sources)
+
+    def select(self, sources) -> "LabelRun":
+        """A run over the given subset of the sources, with copies of their tables."""
+        keep = tuple(sorted(set(sources)))
+        at = [self._index[s] for s in keep]
+        out = LabelRun(self.graph, keep, self.labels[:, at],
+                       self.pred_edges[:, at], self.closed[:, at],
+                       self.closed_edges[:, at])
+        out.ran = [self.ran[i] for i in at]
+        return out
+
+    def _resume_from(self, resume: Optional["LabelRun"]):
+        """Copy in the rows ``resume`` holds for this run's sources.
+
+        Each source ``resume`` covers gets its label rows 0..r and its
+        predecessor and closed-walk rows 0..r-1, where r is the smaller step
+        count of the two runs, and runs r steps fewer.  Returns r and the
+        positions of the other sources, which start from row 0; r is 0 when
+        no source resumes.
+        """
+        held = {} if resume is None else resume._index
+        old = [i for i, s in enumerate(self.sources) if s in held]
+        fresh = np.array([i for i, s in enumerate(self.sources) if s not in held],
+                         dtype=np.int64)
+        if not old:
+            return 0, fresh
+        r = min(len(resume.pred_edges), len(self.pred_edges))
+        at = [resume._index[self.sources[i]] for i in old]
+        # Row by row, so no temporary as large as the copied rows.
+        for t in range(r + 1):
+            self.labels[t, old] = resume.labels[t, at]
+        for t in range(r):
+            self.pred_edges[t, old] = resume.pred_edges[t, at]
+        self.closed[:r, old] = resume.closed[:r, at]
+        self.closed_edges[:r, old] = resume.closed_edges[:r, at]
+        for i in old:
+            self.ran[i] -= r
+        return r, fresh
 
 
 def _min_in_edges(g: Digraph, cur: np.ndarray, first: bool = False):
@@ -107,7 +157,10 @@ def _min_in_edges(g: Digraph, cur: np.ndarray, first: bool = False):
     if not first:
         return red, None
     hit = cand == red[:, edge_seg]
-    pos = np.where(hit, np.arange(len(src)), len(src))
+    # Free the candidates before the (S, m) position table: together they
+    # would set the label engine's peak memory.
+    del cand
+    pos = np.where(hit, np.arange(len(src), dtype=np.int32), len(src))
     return red, np.minimum.reduceat(pos, seg_starts, axis=1)
 
 
@@ -136,27 +189,37 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     return a
 
 
-def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
-    """All sources advance in lockstep; one vectorized relaxation per step."""
+def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
+                        resume: Optional[LabelRun] = None) -> LabelRun:
+    """All sources advance in lockstep; one vectorized relaxation per step.
+
+    Sources that ``resume`` covers start from its rows (see
+    `LabelRun._resume_from`); until they catch up, a step advances only the
+    others, through a copy of their rows.  Steps that advance every source
+    work on the tables in place.
+    """
     n = g.n
     srcs = tuple(sorted(set(map(int, sources))))
     S = len(srcs)
     _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
-    rows = np.arange(S)
     src_ids = np.asarray(srcs, dtype=np.int64)
 
     labels = np.full((k + 1, S, n), INF)
-    labels[0, rows, src_ids] = 0.0
-    preds = np.full((k, S, n), -1, dtype=np.int64)
-    closed = np.full((k, S), INF)
-    closed_edges = np.full((k, S), -1, dtype=np.int64)
+    labels[0, np.arange(S), src_ids] = 0.0
+    run = LabelRun(g, srcs, labels, np.full((k, S, n), -1, dtype=np.int32),
+                   np.full((k, S), INF), np.full((k, S), -1, dtype=np.int32))
+    r, fresh = run._resume_from(resume)
+    # A caller that handed over its only reference frees the copied rows
+    # here, before the steps add their own temporaries.
+    del resume
 
     # A run from no sources has empty tables; the hub layer makes one from
     # every empty level, so skip its steps.
-    for i in range(k if S else 0):
-        cur = labels[i]
-        val = np.full((S, n), INF)
-        esel = np.full((S, n), -1, dtype=np.int64)
+    for i in range(0 if len(fresh) else r, k if S else 0):
+        act = fresh if i < r else slice(None)
+        cur = labels[i, act]
+        val = np.full(cur.shape, INF)
+        esel = np.full(cur.shape, -1, dtype=np.int32)
         if len(dst_with_in):
             red, first = _min_in_edges(g, cur, first=True)
             fin = red < INF
@@ -164,11 +227,12 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
             esel[:, dst_with_in] = np.where(
                 fin, eidx[np.minimum(first, len(eidx) - 1)], -1)
         improved = val < cur
-        labels[i + 1] = np.where(improved, val, cur)
-        preds[i] = np.where(improved, esel, -1)
-        closed[i] = val[rows, src_ids]
-        closed_edges[i] = esel[rows, src_ids]
-    return LabelRun(g, srcs, labels, preds, closed, closed_edges)
+        labels[i + 1, act] = np.where(improved, val, cur)
+        run.pred_edges[i, act] = np.where(improved, esel, -1)
+        rows, ids = np.arange(len(cur)), src_ids[act]
+        run.closed[i, act] = val[rows, ids]
+        run.closed_edges[i, act] = esel[rows, ids]
+    return run
 
 
 class NumberOps:
@@ -188,7 +252,8 @@ class NumberOps:
         return [(-1 if a < b else (1 if a > b else 0)) for a, b in pairs]
 
 
-def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops) -> LabelRun:
+def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
+                       resume: Optional[LabelRun] = None) -> LabelRun:
     """Sequential reference engine over an arbitrary weight domain.
 
     Runs all sources in lockstep so each step's comparisons form parallel
@@ -196,6 +261,8 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops) -> Label
     one improvement round against the previous snapshot.  Tie outcomes keep
     the earlier element, which makes predecessor choice the smallest
     attaining (source vertex, edge index) exactly like the numpy engine.
+    ``resume`` works as in `_bf_run_numpy_batch`: a resumed source asks
+    none of the comparisons of the steps it copied.
     """
     n = g.n
     inf = ops.INF
@@ -204,17 +271,23 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops) -> Label
     S = len(srcs)
 
     labels = np.full((k + 1, S, n), inf, dtype=object)
-    preds = np.full((k, S, n), -1, dtype=np.int64)
-    closed = np.full((k, S), inf, dtype=object)
-    closed_edges = np.full((k, S), -1, dtype=np.int64)
-    rows = [[inf] * n for _ in srcs]
     for j, s in enumerate(srcs):
-        rows[j][s] = ops.ZERO
         labels[0, j, s] = ops.ZERO
+    run = LabelRun(g, srcs, labels, np.full((k, S, n), -1, dtype=np.int32),
+                   np.full((k, S), inf, dtype=object),
+                   np.full((k, S), -1, dtype=np.int32))
+    r, fresh = run._resume_from(resume)
+    del resume  # frees the copied rows, as in `_bf_run_numpy_batch`
+    fresh = fresh.tolist()
+    rows = [list(labels[r, j]) for j in range(S)]
+    for j in fresh:
+        rows[j] = list(labels[0, j])
 
     for i in range(k):
+        active = fresh if i < r else range(S)
         folds = []  # [j, v, [(value, eidx, u), ...]]
-        for j, cur in enumerate(rows):
+        for j in active:
+            cur = rows[j]
             for v in range(n):
                 cands = [
                     (ops.add(cur[u], wt), e, u)
@@ -245,18 +318,17 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops) -> Label
         requests = [(cands[0][0], rows[j][v]) for (j, v, cands) in folds]
         signs = ops.cmp_batch(requests)
 
-        rows = [list(row) for row in rows]
         for (j, v, cands), sg in zip(folds, signs):
             value, e, _u = cands[0]
             if v == srcs[j]:
-                closed[i, j] = value
-                closed_edges[i, j] = e
+                run.closed[i, j] = value
+                run.closed_edges[i, j] = e
             if sg < 0:
                 rows[j][v] = value
-                preds[i, j, v] = e
-        for j, row in enumerate(rows):
-            labels[i + 1, j] = row
-    return LabelRun(g, srcs, labels, preds, closed, closed_edges)
+                run.pred_edges[i, j, v] = e
+        for j in active:
+            labels[i + 1, j] = rows[j]
+    return run
 
 
 def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:

@@ -15,6 +15,11 @@ walks the predecessor table back for every improving pair at once into one
 incidence with numpy coverage counts.  Greedy and sampled levels share the
 label run and the sweep; they differ only in how they pick the next level.
 
+A hub that survives into the next level would repeat there, row for row,
+the 2h label steps it just ran.  So each level hands the next the slices of
+its run for its surviving hubs only (a `_Carry`), the next run resumes them
+from row 2h, and the meter charges each source the steps it actually runs.
+
 Everything here is deterministic: greedy choices break ties by smallest
 vertex id, sweeps report the smallest qualifying hop count and then the
 smallest hub vertex, the label engine is schedule-independent, and sampled
@@ -209,26 +214,54 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     return _walk_back(run, rows, ends, run.pred_edges[h - 1, rows, ends], h)[0]
 
 
+class _Carry:
+    """The label-run slices one hierarchy level hands the next.
+
+    ``run`` holds, between levels, the rows of the hubs common to both.  A
+    level's label run takes them over (`take`), and leaves its own full run
+    here; the hierarchy cuts that down with `keep` before the next level.
+    """
+
+    __slots__ = ("run",)
+
+    def __init__(self):
+        self.run: Optional[LabelRun] = None
+
+    def take(self) -> Optional[LabelRun]:
+        run, self.run = self.run, None
+        return run
+
+    def keep(self, level: FrozenSet[int]) -> None:
+        self.run = self.run.select(level.intersection(self.run.sources))
+
+
 def _sweep_level(g: Digraph, H: Iterable[int], h: int, ops,
-                 meter: Optional[CostMeter], nonstrict: bool):
+                 meter: Optional[CostMeter], nonstrict: bool, carry: _Carry):
     """Run 2h label steps from every hub of H and sweep them for a cycle.
 
     Returns the run and the hop-shortest <=2h-hop cycle through a hub, or
-    None.  The meter, when given, is charged the label steps and the sweep.
+    None.  Hubs that ``carry`` holds resume from its rows; the run then
+    replaces them there.  The meter, when given, is charged the label steps
+    each source ran and the sweep.
     """
     steps = 2 * h
-    run = (_bf_run_numpy_batch(g, H, steps) if ops is None
-           else _run_multi_generic(g, H, steps, ops))
+    # The engine gets the carry's only reference, so it frees the carried
+    # rows once it has copied them.
+    run = (_bf_run_numpy_batch(g, H, steps, carry.take()) if ops is None
+           else _run_multi_generic(g, H, steps, ops, carry.take()))
+    carry.run = run
     if meter is not None:
         w, d = g._step_cost()
-        meter.parallel_region([(steps * w, steps * d)] * len(run))
+        meter.parallel_region([(s * w, s * d) for s in run.ran])
         meter.add(steps * len(run), steps)
     return run, _sweep_cycle(run, ops, nonstrict)
 
 
 def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
                 meter: Optional[CostMeter] = None,
-                nonstrict: bool = False) -> Union[FrozenSet[int], NegativeCycle]:
+                nonstrict: bool = False,
+                _carry: Optional[_Carry] = None,
+                ) -> Union[FrozenSet[int], NegativeCycle]:
     """Turn an h-hub set into a 2h-hub set, or surface a <=2h-hop negative cycle.
 
     Runs 2h label steps from every hub.  The cycle sweep comes first: path
@@ -237,11 +270,12 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     that invariant for the next level.  The (P, h+1) path array from
     `collect_minimal_paths`, read off those same labels, goes to
     `greedy_hitting_set` as it is.  Callers must pass a genuine h-hub set;
-    a violated precondition degrades hub quality undetectably.
+    a violated precondition degrades hub quality undetectably.  ``_carry``
+    is the hierarchy's `_Carry`, which `_sweep_level` resumes from.
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
-    run, cyc = _sweep_level(g, H, h, ops, meter, nonstrict)
+    run, cyc = _sweep_level(g, H, h, ops, meter, nonstrict, _carry or _Carry())
     if cyc is not None:
         return cyc
     paths = collect_minimal_paths(g, run.sources, h, ops=ops, _labels=run)
@@ -267,8 +301,10 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
     ``level-h``; then the deterministic mode hits the minimal h-hop paths
     greedily (`extend_hubs`), and the sampled mode draws the next level with
     `sample_hubs` (hop bound capped at n, per-level seeds derived from
-    `seed`, which it requires).  Sampled sweeps inherit only the sampled
-    sets' high-probability hub quality.
+    `seed`, which it requires; an empty graph has empty levels).  Sampled
+    sweeps inherit only the sampled sets' high-probability hub quality.
+    Hubs present at both levels resume their label runs from the level
+    below (see `_Carry`).
     """
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"level count must be a positive power of two, got {d}")
@@ -279,18 +315,21 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
         raise ValueError("sampled mode needs a seed")
     rng = random.Random(seed) if sampled else None
     levels: List[FrozenSet[int]] = [frozenset(range(g.n))]
+    carry = _Carry()
     for k in range(d.bit_length() - 1):
         h = 1 << k
         with meter.phase(f"level-{h}") if meter is not None else nullcontext():
             if sampled:
-                res = _sweep_level(g, levels[k], h, ops, meter, nonstrict)[1]
+                res = _sweep_level(g, levels[k], h, ops, meter, nonstrict, carry)[1]
                 if res is None:
-                    res = sample_hubs(g.n, min(2 * h, g.n), rng.getrandbits(63))
+                    res = (sample_hubs(g.n, min(2 * h, g.n), rng.getrandbits(63))
+                           if g.n else frozenset())
             else:
                 res = extend_hubs(g, levels[k], h, ops=ops, meter=meter,
-                                  nonstrict=nonstrict)
+                                  nonstrict=nonstrict, _carry=carry)
         if isinstance(res, NegativeCycle):
             return res
+        carry.keep(res)
         levels.append(res)
     return HubHierarchy(tuple(levels), mode, seed if sampled else None)
 

@@ -2,10 +2,12 @@
 
 The pipeline trades depth for work through one knob d: build hub levels up
 to H_d, weight the complete graph on H_d by (d+1)-hop distances, close it
-by repeated min-plus squaring, then lift exact distances back down the
-levels with short label runs whose start rows already hold the known
-distances to every higher-level hub.  Small d pushes the effort into the
-dense closure; large d pushes it into the label runs.
+by repeated min-plus squaring until it stops changing, then lift exact
+distances back down the levels with short label runs whose start rows
+already hold the known distances to every higher-level hub.  A vertex of
+the level above already has its exact full rows, so only the level's new
+vertices run.  Small d pushes the effort into the dense closure; large d
+pushes it into the label runs.
 """
 from __future__ import annotations
 
@@ -51,7 +53,8 @@ class LevelDistances:
     """Exact distances between one hub level and all of V, both directions.
 
     Row j of `from_hub` is dist(vertices[j], .); row j of `to_hub` is
-    dist(., vertices[j]).
+    dist(., vertices[j]).  Every row is exact and full, so the level below
+    can copy the rows of the vertices it shares with this one.
     """
     vertices: Tuple[int, ...]
     from_hub: np.ndarray
@@ -84,10 +87,12 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
     """Shortest-walk values within the matrix's own graph.
 
     The diagonal is clamped to min(entry, 0) so squarings compose walks of
-    any shorter hop count; ceil(log2(b)) squarings then cover every simple
-    path and every simple cycle length.  Raises NegativeDiagonal as soon as
-    any diagonal entry is negative, including on entry: a negative input
-    diagonal is already a negative closed walk.
+    any shorter hop count; at most ceil(log2(b)) squarings then cover every
+    simple path and every simple cycle length.  Squaring stops early at the
+    first product that equals its input: if D = D*D, D is already closed.
+    Raises NegativeDiagonal as soon as any diagonal entry is negative,
+    including on entry and after every product: a negative diagonal is a
+    negative closed walk, and a matrix with one never reaches a fixpoint.
     """
     b = len(A.index)
     values = A.values.copy()
@@ -105,8 +110,11 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
 
     check(cur)
     for _ in range(max(0, math.ceil(math.log2(b)))):
-        cur = minplus_product(cur, cur, meter)
-        check(cur)
+        nxt = minplus_product(cur, cur, meter)
+        check(nxt)
+        if np.array_equal(nxt.values, cur.values):
+            break
+        cur = nxt
     return cur
 
 
@@ -127,36 +135,56 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
     return DistMatrix(tuple(hubs), values)
 
 
-def lift_level(g: Digraph, level: Iterable[int], known: LevelDistances, h: int,
+def lift_level(g: Digraph, level: Iterable[int],
+               known: Union[LevelDistances, DistMatrix], h: int,
                meter: Optional[CostMeter] = None) -> LevelDistances:
     """Exact distances for a lower hub level from the level above it.
 
-    Each source's start row holds 0 at the source and the known exact
-    distance to every higher-level hub, then takes 2h+1 label steps.  Any
-    shortest path longer than that detours onto a higher-level hub within
-    its last h hops, so the seeded hub plus the tail fits in the step
-    budget.  A reverse-graph pass fills the distances into the level.
+    ``known`` is the level above, or for the top level the closed hub
+    graph, whose index must cover the level.  A vertex that ``known`` holds
+    as a `LevelDistances` row copies its exact rows.  Every other source's
+    start row holds 0 at the source and the known exact distance to every
+    higher-level hub, then takes 2h+1 label steps.  Any shortest path longer
+    than that detours onto a higher-level hub within its last h hops, so the
+    seeded hub plus the tail fits in the step budget.  A reverse-graph pass
+    fills the distances into the level.
     """
     sources = sorted(set(level))
     steps = 2 * h + 1
-    S = len(sources)
-    cols = np.asarray(known.vertices, dtype=np.int64)
+    if isinstance(known, DistMatrix):
+        at = {v: i for i, v in enumerate(known.index)}
+        pos = [at[s] for s in sources]
+        new, held = sources, []
+        fwd = (known.values[pos], None)
+        rev = (known.values[:, pos].T, None)
+    else:
+        at = {v: i for i, v in enumerate(known.vertices)}
+        new = [s for s in sources if s not in at]
+        held = [s for s in sources if s in at]
+        fwd = (known.to_hub[:, new].T, known.from_hub)
+        rev = (known.from_hub[:, new].T, known.to_hub)
+    cols = np.asarray(list(at), dtype=np.int64)
+    S = len(new)
 
-    def run(host, seeds):
+    def lifted(host, seeds, above):
         rows = np.full((S, g.n), INF)
         if S:
-            rows[:, cols] = seeds[:, sources].T
-            rows[np.arange(S), sources] = 0.0
+            rows[:, cols] = seeds
+            rows[np.arange(S), new] = 0.0
             rows = relax(host, rows, steps)
             if meter is not None:
                 w, dep = host._step_cost()
                 meter.parallel_region(
                     [(steps * w + len(cols), steps * dep + 1)] * S)
-        return rows
+        if not held:
+            return rows
+        out = np.empty((len(sources), g.n))
+        out[np.searchsorted(sources, new)] = rows
+        out[np.searchsorted(sources, held)] = above[[at[s] for s in held]]
+        return out
 
-    from_hub = run(g, known.to_hub)
-    to_hub = run(g.reverse(), known.from_hub)
-    return LevelDistances(tuple(sources), from_hub, to_hub)
+    return LevelDistances(tuple(sources), lifted(g, *fwd),
+                          lifted(g.reverse(), *rev))
 
 
 def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
@@ -194,16 +222,8 @@ def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
                                  "detector cannot find")
         return witness
 
-    # Seed the lift with the closure values, standing in for a level 2d.
-    L = len(top)
-    from_hub = np.full((L, n), INF)
-    to_hub = np.full((L, n), INF)
-    if L:
-        cols = np.asarray(top, dtype=np.int64)
-        from_hub[:, cols] = closed.values
-        to_hub[:, cols] = closed.values.T
-    known = LevelDistances(tuple(top), from_hub, to_hub)
-
+    # The closure values seed the top level's lift, standing in for a level 2d.
+    known = closed
     with meter.phase("lift"):
         for k in range(K, -1, -1):
             with meter.phase(f"level-{1 << k}"):

@@ -6,6 +6,7 @@ import pytest
 
 from hubapsp.bellman_ford import (
     NumberOps,
+    _bf_run_numpy_batch,
     _run_multi_generic,
     bf_run,
     bf_run_multi,
@@ -14,7 +15,7 @@ from hubapsp.bellman_ford import (
     relax,
 )
 from hubapsp.generate import random_digraph
-from hubapsp.graph import INF, build_graph, hop_limited_oracle
+from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
 from reference_step import bf_step_python
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
@@ -178,3 +179,38 @@ def test_runs_are_bit_identical():
     b = bf_run(g, 0, 6)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.pred_edges, b.pred_edges)
+
+
+ENGINES = {
+    "numpy": lambda g, sources, k, resume=None: _bf_run_numpy_batch(
+        g, sources, k, resume),
+    "fraction": lambda g, sources, k, resume=None: _run_multi_generic(
+        g, sources, k, NumberOps(), resume),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_resumed_run_equals_run_from_scratch(engine):
+    # Resumed sources copy their first k steps and run the rest; the others
+    # start from scratch.  The cases cover a resume over no sources, sources
+    # the resume lacks, sources it holds that the run does not want, and a
+    # run whose every source resumes.
+    run = ENGINES[engine]
+    rng = random.Random(17)
+    cases = [([], [0, 1, 2]), ([0, 1, 2], [1, 2, 3, 4]), ([2, 5], [2, 5]),
+             ([0, 3], [])]
+    cases += [(rng.sample(range(7), rng.randint(0, 7)),
+               rng.sample(range(7), rng.randint(0, 7))) for _ in range(6)]
+    for seed, (first, then) in enumerate(cases):
+        g = random_digraph(7, 0.35, -3, 9, seed=600 + seed)
+        if engine == "fraction":
+            g = Digraph._unchecked(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
+        for k in (1, 2, 3):
+            want = run(g, then, 2 * k)
+            got = run(g, then, 2 * k, resume=run(g, first, k))
+            assert got.sources == want.sources
+            for name in ("labels", "pred_edges", "closed", "closed_edges"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), (seed, k, name)
+            assert got.pred_edges.dtype == np.int32

@@ -252,3 +252,17 @@ def test_graph_command_matches_golden_document(tmp_path, name, command):
     code, doc = run(tmp_path, argv + [str(DATA / f"{name}.gr")])
     assert code in (0, 1)
     assert doc == (GOLDEN / f"{command}-{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_deeper_apsp_prints_the_pinned_distances(tmp_path, d):
+    # The golden apsp documents run d = 2, one hub level; deeper hierarchies
+    # resume label runs and lift through several levels, to the same block.
+    def block(doc):
+        lines = doc.splitlines()
+        i = lines.index("distances:")
+        return lines[i:i + 65]
+
+    code, doc = run(tmp_path, ["apsp", "--d", str(d), str(DATA / "ring64.gr")])
+    assert code == 0
+    assert block(doc) == block((GOLDEN / "apsp-ring64.txt").read_text())

@@ -219,6 +219,12 @@ def test_sampled_hierarchy_accepts_d_beyond_n():
     assert hier.levels[3] == frozenset(range(5))
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "sampled"])
+def test_hierarchy_of_empty_graph_has_empty_levels(mode):
+    hier = build_hub_hierarchy(build_graph(0, []), 2, mode=mode, seed=1)
+    assert hier.levels == (frozenset(), frozenset())
+
+
 def test_sampled_hierarchy_requires_seed():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(ValueError, match="seed"):
@@ -236,7 +242,10 @@ def test_sampled_levels_meter_label_runs_and_sweep():
     for k in range(hier.K):
         h, L = 1 << k, len(hier.levels[k])
         sizes.add(L)
-        work = 2 * h * L * (g.m + g.n) + 2 * h * L
+        # A hub of the level below too resumes its run there: h more steps.
+        kept = len(hier.levels[k] & hier.levels[k - 1]) if k else 0
+        steps = 2 * h * (L - kept) + h * kept
+        work = steps * (g.m + g.n) + 2 * h * L
         assert phases[f"level-{h}"].work == work, h
     assert len(sizes) > 1
 

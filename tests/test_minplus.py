@@ -12,7 +12,9 @@ from hubapsp.graph import (
     floyd_warshall_oracle,
     hop_limited_oracle,
 )
-from hubapsp.hubs import NegativeCycle
+from hubapsp.bellman_ford import relax
+from hubapsp.hubs import NegativeCycle, build_hub_hierarchy
+from hubapsp.meter import CostMeter
 from hubapsp.minplus import (
     ApspResult,
     DistMatrix,
@@ -81,6 +83,36 @@ def test_closure_single_entry_passthrough():
     assert np.array_equal(out.values, one.values)
 
 
+def _chain(b, hops, last):
+    """b x b hop-1 matrix: a chain 0 -> 1 -> ... -> hops of unit arcs, plus
+    an arc of weight ``last`` back to 0 when ``last`` is not None."""
+    vals = np.full((b, b), INF)
+    np.fill_diagonal(vals, 0.0)
+    for i in range(hops):
+        vals[i, i + 1] = 1.0
+    if last is not None:
+        vals[hops, 0] = last
+    return DistMatrix(tuple(range(b)), vals)
+
+
+def test_closure_stops_at_its_fixpoint():
+    # A 3-hop chain is closed after two squarings; the third product equals
+    # its input, so the fourth of ceil(log2 16) never runs.
+    meter = CostMeter()
+    out = minplus_closure(_chain(16, 3, None), meter)
+    assert meter.report().total_work == 3 * 16 ** 3
+    assert out.entry(0, 3) == 3 and out.entry(3, 0) == INF
+
+
+def test_closure_raises_on_a_cycle_that_needs_every_squaring():
+    # An 8-hop cycle of weight -1 shows on the diagonal only once walks of
+    # 8 hops compose, at the last of the ceil(log2 8) = 3 squarings.
+    meter = CostMeter()
+    with pytest.raises(NegativeDiagonal):
+        minplus_closure(_chain(8, 7, -8.0), meter)
+    assert meter.report().total_work == 3 * 8 ** 3
+
+
 def test_closure_matches_floyd_warshall_on_full_graphs():
     for seed in range(15):
         g = negative_cycle_free(9, 0.4, -4, 12, seed=900 + seed)
@@ -132,6 +164,43 @@ def test_lift_is_idempotent_on_exact_levels():
     out = lift_level(g, hubs, known, 1)
     assert np.array_equal(out.from_hub, known.from_hub)
     assert np.array_equal(out.to_hub, known.to_hub)
+
+
+def _lift_from_scratch(g, level, known, h):
+    """Every source of the level runs 2h+1 steps from its seeded rows."""
+    sources = sorted(level)
+    cols = list(known.vertices)
+
+    def run(host, seeds):
+        rows = np.full((len(sources), g.n), INF)
+        rows[:, cols] = seeds[:, sources].T
+        rows[np.arange(len(sources)), sources] = 0.0
+        return relax(host, rows, 2 * h + 1)
+
+    return run(g, known.to_hub), run(g.reverse(), known.from_hub)
+
+
+def test_lift_copies_shared_rows_and_equals_a_lift_from_scratch():
+    shared = 0
+    for seed in range(12):
+        g = negative_cycle_free(16, 0.25, -4, 12, seed=980 + seed)
+        hier = build_hub_hierarchy(g, 4)
+        dist = floyd_warshall_oracle(g)
+        for k in (0, 1):
+            upper = sorted(hier.levels[k + 1])
+            known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
+            meter = CostMeter()
+            out = lift_level(g, hier.levels[k], known, 1 << k, meter)
+            want_from, want_to = _lift_from_scratch(g, hier.levels[k], known, 1 << k)
+            assert np.array_equal(out.from_hub, want_from), (seed, k)
+            assert np.array_equal(out.to_hub, want_to), (seed, k)
+            # Only the level's vertices missing above run, in both directions.
+            new = len(hier.levels[k] - hier.levels[k + 1])
+            w, _ = g._step_cost()
+            assert meter.report().total_work == 2 * new * (
+                (2 * (1 << k) + 1) * w + len(upper))
+            shared += len(hier.levels[k] & hier.levels[k + 1])
+    assert shared > 0
 
 
 def test_lift_combines_aux_shortcut_with_real_edges():

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
 from hubapsp.graph import Digraph, build_graph, enumerate_simple_cycles
 from hubapsp.parametric import (
@@ -278,6 +280,29 @@ def test_parametric_reports_its_search_cost():
     # the counts are trailing defaults: the three-field form still builds
     plain = RatioAnswer(first.lambda_star, first.witness, first.certificate)
     assert (plain.oracle_calls, plain.breakpoints) == (0, 0)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,calls,trace", [
+    ("timed6", 5, [(-2, 6), (-1, -1)]),
+    ("triangle-timed", 2, [(2, 2)]),
+    (None, 16, [(-1, 9), (Fraction(-1, 2), 1), (Fraction(1, 2), 1),
+                (Fraction(5, 8), 1), (Fraction(5, 8), Fraction(9, 10)),
+                (Fraction(2, 3), Fraction(9, 10)),
+                (Fraction(11, 14), Fraction(11, 14))]),
+], ids=["timed6", "triangle-timed", "random-timed-8"])
+def test_parametric_search_path_is_pinned(name, calls, trace):
+    # Oracle calls and the interval after every shrink, as the search made
+    # them before label runs resumed across hub levels; resuming skips only
+    # comparisons an earlier level already decided.
+    tg = (random_timed(8, 0.3, -3, 9, seed=24) if name is None
+          else parse_graph(DATA / f"{name}.gr"))
+    seen = []
+    ans = min_ratio_parametric(tg, _trace=seen)
+    assert ans.oracle_calls == calls
+    assert seen == trace
 
 
 def test_evaluate_lambda_exact_past_the_float_guard():
