@@ -7,10 +7,15 @@ can never change the result: the step is a pure min over candidates, and
 ties pick the smallest attaining source vertex (then smallest edge index).
 
 Two engines share these semantics.  The default one vectorizes all sources
-of a run at once through numpy; `_run_multi_generic` accepts any weight
-domain through an ops object (used for exact rationals and for affine
-values during the parametric search), batching its comparisons into rounds
-so a comparison resolver can process each parallel round at once.
+of a run at once through numpy, in the dtype of the graph's weight array
+(`Digraph._in_arrays`): float64, or Python ints on an object array when
+the integer weights are too large for float64 to add exactly.  Its tables,
+and those of `relax` and `bf_step`, take that dtype, and their zero is the
+int 0, so an object table never holds a float but infinity.
+`_run_multi_generic` accepts any weight domain through an ops object (the
+parametric search runs its affine values through it), batching its
+comparisons into rounds so a comparison resolver can process each parallel
+round at once.
 
 Every numpy step goes through `_min_in_edges`.  `relax` applies it to
 distance rows alone, from any start rows, and keeps no per-step tables.
@@ -65,14 +70,15 @@ class LabelRun(Mapping):
     """One lockstep label run from several sources, kept as whole tables.
 
     ``sources`` is sorted, and axis 1 of every table follows it.
-    ``labels`` is the (steps+1, S, n) snapshot table: float64 from the numpy
-    engine, object from an ops engine.  ``pred_edges`` is the (steps, S, n)
-    int32 table of strictly improving edges (-1 when none).  ``closed`` row
-    i holds each source's best in-edge candidate into itself at step i+1,
-    whether or not it improved, with the attaining edge in the int32
-    ``closed_edges`` (-1 when none); the cycle sweep reads closed-walk
-    values there without the zero-weight empty walk shadowing them.  As a
-    mapping, ``run[s]`` is source s's `HopLabels` view.
+    ``labels`` is the (steps+1, S, n) snapshot table, in the graph's weight
+    dtype from the numpy engine and object from an ops engine.
+    ``pred_edges`` is the (steps, S, n) int32 table of strictly improving
+    edges (-1 when none).  ``closed`` row i holds each source's best
+    in-edge candidate into itself at step i+1, whether or not it improved,
+    with the attaining edge in the int32 ``closed_edges`` (-1 when none);
+    the cycle sweep reads closed-walk values there without the zero-weight
+    empty walk shadowing them.  As a mapping, ``run[s]`` is source s's
+    `HopLabels` view.
 
     Every row of a source depends on that source alone, so a longer run
     over other sources can resume from this one's rows (`_resume_from`),
@@ -95,6 +101,9 @@ class LabelRun(Mapping):
         i = self._index[s]
         return HopLabels(self.graph, s, len(self.pred_edges),
                          self.labels[:, i], self.pred_edges[:, i])
+
+    def __contains__(self, s) -> bool:
+        return s in self._index
 
     def __iter__(self):
         return iter(self.sources)
@@ -172,11 +181,15 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     result row is the least ``row[t] + (weight of a t-to-v walk of at most
     steps hops)`` over all t, so from a row that is 0 at s and infinite
     elsewhere it is ``bf_run(g, s, steps)``'s last label row.  The input is
-    not modified.
+    not modified.  The result takes the dtype of g's weights; on an object
+    graph every finite start value must be a Python int, since a float
+    would turn each sum it enters into a rounded float.
     """
-    a = np.array(rows, dtype=np.float64)
+    a = np.array(rows, dtype=g._in_arrays()[1].dtype)
     if a.ndim != 2 or a.shape[1] != g.n:
         raise ValueError(f"start rows must have shape (S, {g.n})")
+    if a.dtype == object and not all(type(x) is int for x in a[a != INF]):
+        raise ValueError("start rows on exact integer weights must hold ints or inf")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     dst = g._in_arrays()[4]
@@ -201,13 +214,14 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
     n = g.n
     srcs = tuple(sorted(set(map(int, sources))))
     S = len(srcs)
-    _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    _src, w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
     src_ids = np.asarray(srcs, dtype=np.int64)
 
-    labels = np.full((k + 1, S, n), INF)
-    labels[0, np.arange(S), src_ids] = 0.0
+    labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
+    labels[0, np.arange(S), src_ids] = 0
     run = LabelRun(g, srcs, labels, np.full((k, S, n), -1, dtype=np.int32),
-                   np.full((k, S), INF), np.full((k, S), -1, dtype=np.int32))
+                   np.full((k, S), INF, dtype=w.dtype),
+                   np.full((k, S), -1, dtype=np.int32))
     r, fresh = run._resume_from(resume)
     # A caller that handed over its only reference frees the copied rows
     # here, before the steps add their own temporaries.
@@ -218,7 +232,7 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
     for i in range(0 if len(fresh) else r, k if S else 0):
         act = fresh if i < r else slice(None)
         cur = labels[i, act]
-        val = np.full(cur.shape, INF)
+        val = np.full(cur.shape, INF, dtype=w.dtype)
         esel = np.full(cur.shape, -1, dtype=np.int32)
         if len(dst_with_in):
             red, first = _min_in_edges(g, cur, first=True)
@@ -338,10 +352,10 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     vertex (None elsewhere).  The result is a pure function of ``current``;
     evaluation order cannot leak into it.
     """
-    cur = np.asarray(current, dtype=np.float64)
+    src, w, _eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    cur = np.asarray(current, dtype=w.dtype)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
-    src, _w, _eidx, _seg, dst_with_in, _eseg = g._in_arrays()
     nxt = cur.copy()
     preds: List[Optional[int]] = [None] * g.n
     if len(src) == 0:

@@ -59,7 +59,10 @@ def _val(x) -> str:
 
 
 def _dist_val(x, integral: bool) -> str:
-    # integer-weight instances have integer distances; drop the float dress
+    # integer-weight instances have integer distances: exact Python ints
+    # from object arrays, or integral floats, whose float dress is dropped
+    if isinstance(x, int):
+        return str(int(x))
     xf = float(x)
     if integral and math.isfinite(xf):
         return str(int(xf))

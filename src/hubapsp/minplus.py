@@ -8,6 +8,10 @@ already hold the known distances to every higher-level hub.  A vertex of
 the level above already has its exact full rows, so only the level's new
 vertices run.  Small d pushes the effort into the dense closure; large d
 pushes it into the label runs.
+
+Every matrix and row here takes the dtype of the graph's weight array
+(`Digraph._in_arrays`), so integer weights too large for float64 give
+exact Python-int distances on object arrays.
 """
 from __future__ import annotations
 
@@ -44,8 +48,9 @@ class DistMatrix:
             raise ValueError(f"matrix shape {self.values.shape} does not match "
                              f"index of length {b}")
 
-    def entry(self, u: int, v: int) -> float:
-        return float(self.values[self.index.index(u), self.index.index(v)])
+    def entry(self, u: int, v: int):
+        """The (u, v) value as a Python float, or int on an object matrix."""
+        return self.values.item(self.index.index(u), self.index.index(v))
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ def minplus_product(A: DistMatrix, B: DistMatrix,
     if A.index != B.index:
         raise ValueError("operand index sets differ")
     b = len(A.index)
-    out = np.empty((b, b))
+    out = np.empty((b, b), dtype=A.values.dtype)
     for i in range(b):
         out[i] = (A.values[i][:, None] + B.values).min(axis=0)
     if meter is not None:
@@ -99,7 +104,7 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
     if b == 0:
         return DistMatrix(A.index, values)
     diag = np.diagonal(values).copy()
-    np.fill_diagonal(values, np.minimum(diag, 0.0))
+    np.fill_diagonal(values, np.minimum(diag, 0))
     cur = DistMatrix(A.index, values)
 
     def check(mat):
@@ -123,11 +128,12 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
     """Complete graph on the top hub level, weighted by (d+1)-hop distances."""
     hubs = sorted(set(H_d))
     b = len(hubs)
-    values = np.full((b, b), INF)
+    dtype = g._in_arrays()[1].dtype
+    values = np.full((b, b), INF, dtype=dtype)
     if b:
         cols = np.asarray(hubs, dtype=np.int64)
-        rows = np.full((b, g.n), INF)
-        rows[np.arange(b), cols] = 0.0
+        rows = np.full((b, g.n), INF, dtype=dtype)
+        rows[np.arange(b), cols] = 0
         values = relax(g, rows, d + 1)[:, cols]
         if meter is not None:
             w, dep = g._step_cost()
@@ -165,12 +171,13 @@ def lift_level(g: Digraph, level: Iterable[int],
         rev = (known.from_hub[:, new].T, known.to_hub)
     cols = np.asarray(list(at), dtype=np.int64)
     S = len(new)
+    dtype = g._in_arrays()[1].dtype
 
     def lifted(host, seeds, above):
-        rows = np.full((S, g.n), INF)
+        rows = np.full((S, g.n), INF, dtype=dtype)
         if S:
             rows[:, cols] = seeds
-            rows[np.arange(S), new] = 0.0
+            rows[np.arange(S), new] = 0
             rows = relax(host, rows, steps)
             if meter is not None:
                 w, dep = host._step_cost()
@@ -178,7 +185,7 @@ def lift_level(g: Digraph, level: Iterable[int],
                     [(steps * w + len(cols), steps * dep + 1)] * S)
         if not held:
             return rows
-        out = np.empty((len(sources), g.n))
+        out = np.empty((len(sources), g.n), dtype=dtype)
         out[np.searchsorted(sources, new)] = rows
         out[np.searchsorted(sources, held)] = above[[at[s] for s in held]]
         return out

@@ -19,12 +19,12 @@ cycle.  Three routes to the optimum lam* are provided:
 Every concrete probe at a rational lam goes through `_probe_exact`.  Scaled
 by D, the lcm of the cost denominators and of lam's denominator times the
 time denominators, the reduced weights D*(w - lam*t) are integers, and the
-float64 numpy engine decides them exactly, with the same tie-breaks as the
-Fraction engine, while every label stays below 2^53.  `_scaled_reduced` checks that
-bound up front; past it (late bisection probes, whose denominators reach
-2^iterations, or float costs with long binary expansions) the probe runs on
-Fractions instead.  Only the one symbolic run over LinearValues needs the
-generic engine unconditionally.
+numpy engine decides them exactly, with the same tie-breaks as an exact
+rational run: on float64 while the integers are small enough to add
+exactly, and on Python ints in object arrays past that (late bisection
+probes, whose denominators reach 2^iterations, or float costs with long
+binary expansions); `Digraph._in_arrays` picks the dtype.  Only the one
+symbolic run over LinearValues needs the generic engine.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bellman_ford import NumberOps, _min_in_edges, _run_multi_generic, bf_run
+from .bellman_ford import _min_in_edges, bf_run
 from .graph import INF, Digraph, Path, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
@@ -145,9 +145,9 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     n = g.n
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    _src, _w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
-    D = np.full((n + 1, n), INF)
-    D[0] = 0.0
+    _src, w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    D = np.full((n + 1, n), INF, dtype=w.dtype)
+    D[0] = 0
     par = np.full((n + 1, n), -1, dtype=np.int64)
     for k in range(1, n + 1):
         red, first = _min_in_edges(g, D[k - 1][None, :], first=True)
@@ -155,14 +155,19 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
         D[k][dst_with_in] = red
         # Infinite minima have no attaining edge: inf == inf would
         # otherwise claim a winner.
-        ok = np.isfinite(red)
+        ok = red < INF
         par[k][dst_with_in[ok]] = eidx[first[ok]]
 
-    vmask = np.isfinite(D[n])
+    vmask = D[n] < INF
     if not vmask.any():
         raise AssertionError("a cycle exists but no n-edge walk was found")
     ks = np.arange(n)
-    quot = (D[n][vmask][None, :] - D[:n][:, vmask]) / (n - ks)[:, None]
+    diff = D[n][vmask][None, :] - D[:n][:, vmask]
+    if D.dtype == object:
+        # Python ints that float64 would round: compare the quotients exactly.
+        quot = np.frompyfunc(Fraction, 2, 1)(diff, (n - ks)[:, None].astype(object))
+    else:
+        quot = diff / (n - ks)[:, None]
     lam_rows = quot.max(axis=0)
     v_star = int(np.nonzero(vmask)[0][int(np.argmin(lam_rows))])
 
@@ -211,55 +216,35 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     return lam, cycle
 
 
-def _reduced_graph(tg: TimedDigraph, lam: Real, exact: bool) -> Digraph:
-    if exact:
-        lf = Fraction(lam)
-        edges = tuple((u, v, Fraction(w) - lf * Fraction(t))
-                      for (u, v, w), t in zip(tg.base.edges, tg.times))
-    else:
-        edges = tuple((u, v, w - lam * t)
-                      for (u, v, w), t in zip(tg.base.edges, tg.times))
+def _reduced_graph(tg: TimedDigraph, lam: float) -> Digraph:
+    edges = tuple((u, v, w - lam * t)
+                  for (u, v, w), t in zip(tg.base.edges, tg.times))
     return Digraph._unchecked(tg.base.n, edges)
 
 
-def _price_function(gl: Digraph, exact: bool) -> Tuple[Real, ...]:
+def _price_function(gl: Digraph) -> np.ndarray:
     """Shortest-path prices from a fresh super-source over zero-weight edges.
 
-    A real vertex is appended so both engines run an ordinary single-source
-    label run.  With no negative cycle the labels are stable by row n,
-    checked exactly: an unchanged row is bit-identical in either engine.
+    A real vertex is appended so an ordinary single-source label run
+    computes them.  With no negative cycle the labels are stable by row n,
+    checked exactly.  The int 0 on the new edges keeps integer weights
+    integer, so the row is in the dtype `Digraph._in_arrays` picks for them.
     """
     n = gl.n
-    zero: Real = Fraction(0) if exact else 0.0
     aug = Digraph._unchecked(
-        n + 1, gl.edges + tuple((n, v, zero) for v in range(n)))
-    if exact:
-        lab = _run_multi_generic(aug, [n], n + 1, NumberOps())[n]
-        prev, last = lab.labels[n], lab.labels[n + 1]
-        if any(a != b for a, b in zip(prev, last)):
-            raise AssertionError("prices not converged despite no negative cycle")
-        return tuple(last[:n])
+        n + 1, gl.edges + tuple((n, v, 0) for v in range(n)))
     lab = bf_run(aug, n, n + 1)
     prev, last = lab.labels[n], lab.labels[n + 1]
     if not np.array_equal(prev, last):
         raise AssertionError("prices not converged despite no negative cycle")
-    return tuple(float(x) for x in last[:n])
+    return last[:n]
 
 
-# Integers of magnitude up to 2^53 add exactly in float64.
-_EXACT_FLOAT = 2 ** 53
-
-
-def _scaled_reduced(tg: TimedDigraph,
-                    lam: Fraction) -> Optional[Tuple[Digraph, int]]:
-    """(D*(w - lam*t) on integer weights, D), or None past the 2^53 guard.
+def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
+    """(D*(w - lam*t) on integer weights, D).
 
     D is the lcm of the cost denominators and of lam's denominator times
-    the lcm of the time denominators, so D*w and D*lam*t are integers.  A
-    label of the detector is a walk of at most d hops (d the power of two
-    `shortest_negative_cycle` sweeps to) and a price one of at most n+1, and
-    a candidate adds one edge more, so the scaled run is exact while
-    (max(d, n+1) + 1) * max|D*(w - lam*t)| < 2^53.
+    the lcm of the time denominators, so D*w and D*lam*t are integers.
     """
     ws = [Fraction(w) for (_, _, w) in tg.base.edges]
     ts = [Fraction(t) for t in tg.times]
@@ -269,12 +254,8 @@ def _scaled_reduced(tg: TimedDigraph,
     scaled = [x.numerator * (big_d // x.denominator)
               - p * y.numerator * (big_d // (q * y.denominator))
               for x, y in zip(ws, ts)]
-    n = tg.base.n
-    steps = max(1 << max(1, (n - 1).bit_length()), n + 1)
-    if (steps + 1) * max(map(abs, scaled), default=0) >= _EXACT_FLOAT:
-        return None
     edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
-    return Digraph._unchecked(n, edges), big_d
+    return Digraph._unchecked(tg.base.n, edges), big_d
 
 
 def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
@@ -284,17 +265,10 @@ def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
     Returns the hop-shortest cycle of the reduced weights w - lam*t whose
     weight is < 0 (<= 0 when `nonstrict`), with its weight as a Fraction.
     Without one, returns Feasible prices when `prices` is set, else None.
-    Runs the numpy engine on `_scaled_reduced` weights and maps the results
-    back over D; past its guard, runs the Fraction engine.
+    Runs the numpy engine on `_scaled_reduced` weights, in the dtype
+    `Digraph._in_arrays` picks for them, and maps the results back over D.
     """
-    scaled = _scaled_reduced(tg, lam)
-    if scaled is None:
-        gl = _reduced_graph(tg, lam, True)
-        cyc = shortest_negative_cycle(gl, nonstrict=nonstrict, ops=NumberOps())
-        if cyc is not None or not prices:
-            return cyc
-        return Feasible(_price_function(gl, True))
-    gs, big_d = scaled
+    gs, big_d = _scaled_reduced(tg, lam)
     cyc = shortest_negative_cycle(gs, nonstrict=nonstrict)
     if cyc is not None:
         weight = Fraction(int(cyc.weight), big_d)
@@ -303,8 +277,7 @@ def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
                              cyc.hops, weight)
     if not prices:
         return None
-    return Feasible(tuple(Fraction(int(x), big_d)
-                          for x in _price_function(gs, False)))
+    return Feasible(tuple(Fraction(int(x), big_d) for x in _price_function(gs)))
 
 
 def evaluate_lambda(tg: TimedDigraph, lam: Real):
@@ -313,17 +286,17 @@ def evaluate_lambda(tg: TimedDigraph, lam: Real):
 
     Exact rational arithmetic when lam is an integer or Fraction (costs and
     times convert exactly whatever their type), through `_probe_exact`:
-    scaled integers on the numpy engine while they stay below its 2^53
-    guard, Fractions past it.  float64 otherwise.
+    scaled integers on the numpy engine, on float64 or on object arrays of
+    Python ints as their size needs.  float64 otherwise.
     """
     if isinstance(lam, Fraction) or _is_integral(lam):
         out = _probe_exact(tg, Fraction(lam), prices=True)
         return out if isinstance(out, Feasible) else Infeasible(out)
-    gl = _reduced_graph(tg, lam, False)
+    gl = _reduced_graph(tg, lam)
     cyc = shortest_negative_cycle(gl)
     if cyc is not None:
         return Infeasible(cyc)
-    return Feasible(_price_function(gl, False))
+    return Feasible(tuple(float(x) for x in _price_function(gl)))
 
 
 def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
@@ -381,8 +354,8 @@ class _Resolver:
     bisection on the strict oracle, then at most one nonpos call separates
     "equal to lam*" from "below", so a batch of p costs O(log p) detector
     runs.  The interval only ever shrinks.  Each detector run is a
-    `_probe_exact` call: scaled integers on the numpy engine under its 2^53
-    guard, Fractions past it.
+    `_probe_exact` call: scaled integers on the numpy engine, in float64 or
+    in object arrays of Python ints.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):

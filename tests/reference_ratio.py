@@ -1,0 +1,52 @@
+"""Exact-rational ratio probes on the Fraction engine, the reference the
+scaled-integer probes of `hubapsp.parametric` are checked against."""
+from fractions import Fraction
+
+from hubapsp.bellman_ford import NumberOps, _run_multi_generic
+from hubapsp.graph import Digraph
+from hubapsp.hubs import shortest_negative_cycle
+
+
+def fraction_reduced_graph(tg, lam) -> Digraph:
+    """The reduced weights w - lam*t as Fractions."""
+    lf = Fraction(lam)
+    return Digraph._unchecked(tg.base.n, tuple(
+        (u, v, Fraction(w) - lf * Fraction(t))
+        for (u, v, w), t in zip(tg.base.edges, tg.times)))
+
+
+def fraction_negative_cycle(gl, nonstrict=False):
+    """The hop-shortest negative (or nonpositive) cycle, on Fractions."""
+    return shortest_negative_cycle(gl, nonstrict=nonstrict, ops=NumberOps())
+
+
+def fraction_prices(gl):
+    """Shortest-path prices from a fresh super-source over zero-weight edges.
+
+    Raises AssertionError unless the labels are stable by row n, as they are
+    with no negative cycle.
+    """
+    n = gl.n
+    aug = Digraph._unchecked(
+        n + 1, gl.edges + tuple((n, v, Fraction(0)) for v in range(n)))
+    lab = _run_multi_generic(aug, [n], n + 1, NumberOps())[n]
+    prev, last = lab.labels[n], lab.labels[n + 1]
+    if any(a != b for a, b in zip(prev, last)):
+        raise AssertionError("prices not converged despite no negative cycle")
+    return tuple(last[:n])
+
+
+def fraction_bisection(tg, iterations):
+    """The (lo, hi) trace of `min_ratio_binary_search` on Fraction probes."""
+    ratios = [Fraction(w) / Fraction(t)
+              for (_, _, w), t in zip(tg.base.edges, tg.times)]
+    lo, hi = min(ratios), max(ratios)
+    trace = []
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        if fraction_negative_cycle(fraction_reduced_graph(tg, mid)) is not None:
+            hi = mid
+        else:
+            lo = mid
+        trace.append((lo, hi))
+    return trace

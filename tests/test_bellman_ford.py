@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hubapsp.bellman_ford import (
+    LabelRun,
     NumberOps,
     _bf_run_numpy_batch,
     _run_multi_generic,
@@ -19,6 +20,12 @@ from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
 from reference_step import bf_step_python
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
+SCALE = 2 ** 60
+
+
+def _scaled(g):
+    """g with every integer weight times 2^60: exact only on object arrays."""
+    return build_graph(g.n, [(u, v, w * SCALE) for (u, v, w) in g.edges])
 
 
 def test_bf_step_single_edge():
@@ -181,8 +188,57 @@ def test_runs_are_bit_identical():
     assert np.array_equal(a.pred_edges, b.pred_edges)
 
 
+def test_object_engine_is_the_float_engine_scaled():
+    # Every label of the 2^60-scaled graph is 2^60 times the float label, as
+    # a Python int; predecessors and closed walks are the same tables.
+    for seed in range(8):
+        g = random_digraph(9, 0.35, -4, 8, seed=700 + seed)
+        small = bf_run_multi(g, range(g.n), 6)
+        big = bf_run_multi(_scaled(g), range(g.n), 6)
+        assert big.labels.dtype == object and big.closed.dtype == object
+        for name in ("labels", "closed"):
+            want = [x if x == INF else int(x) * SCALE
+                    for x in getattr(small, name).ravel()]
+            got = getattr(big, name).ravel().tolist()
+            assert got == want, (seed, name)
+            assert all(type(x) is int for x in got if x != INF)
+        for name in ("pred_edges", "closed_edges"):
+            assert np.array_equal(getattr(big, name), getattr(small, name))
+        nxt, preds = bf_step(_scaled(g), big.labels[2, 0])
+        assert nxt.tolist() == big.labels[3, 0].tolist()
+        assert preds == bf_step(g, small.labels[2, 0])[1]
+
+
+def test_relax_on_object_rows():
+    g = random_digraph(8, 0.4, -3, 9, seed=5)
+    rows = np.full((2, g.n), INF, dtype=object)
+    rows[0, 0] = rows[1, 3] = 0
+    got = relax(_scaled(g), rows, 5)
+    want = relax(g, rows.astype(float), 5)
+    assert got.dtype == object
+    assert got.tolist() == [[x if x == INF else int(x) * SCALE for x in r]
+                            for r in want]
+    # A float start value would make every sum it enters a rounded float.
+    with pytest.raises(ValueError, match="ints or inf"):
+        relax(_scaled(g), rows.astype(float), 5)
+
+
+def test_label_run_membership_reads_the_index(monkeypatch):
+    # `in` must not build a HopLabels view per lookup, as Mapping's would.
+    run = bf_run_multi(build_graph(3, TRIANGLE), [0, 2], 2)
+
+    def no_view(self, s):
+        raise AssertionError("membership built a view")
+
+    monkeypatch.setattr(LabelRun, "__getitem__", no_view)
+    assert 0 in run and 2 in run
+    assert 1 not in run and 7 not in run
+
+
 ENGINES = {
     "numpy": lambda g, sources, k, resume=None: _bf_run_numpy_batch(
+        g, sources, k, resume),
+    "object": lambda g, sources, k, resume=None: _bf_run_numpy_batch(
         g, sources, k, resume),
     "fraction": lambda g, sources, k, resume=None: _run_multi_generic(
         g, sources, k, NumberOps(), resume),
@@ -205,6 +261,8 @@ def test_resumed_run_equals_run_from_scratch(engine):
         g = random_digraph(7, 0.35, -3, 9, seed=600 + seed)
         if engine == "fraction":
             g = Digraph._unchecked(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
+        if engine == "object":
+            g = _scaled(g)
         for k in (1, 2, 3):
             want = run(g, then, 2 * k)
             got = run(g, then, 2 * k, resume=run(g, first, k))

@@ -13,6 +13,7 @@ from hubapsp.graph import (
     hop_limited_oracle,
     negative_cycle_hops_oracle,
 )
+from hubapsp.hubs import verify_hub_property
 from hubapsp.minplus import apsp
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
@@ -54,10 +55,41 @@ def test_build_graph_keeps_integer_weights():
 
 
 @pytest.mark.parametrize("w", [2 ** 53 + 1, -(2 ** 53) - 1, 3 ** 40])
-def test_numpy_engine_rejects_integers_past_2_53(w):
-    # float64 would round these (2^53 + 1 reads back as 2^53)
-    with pytest.raises(ValueError, match="2\\^53"):
-        apsp(build_graph(2, [(0, 1, w)]), 1)
+def test_numpy_engine_is_exact_on_integers_past_2_53(w):
+    # float64 would round these (2^53 + 1 reads back as 2^53); the engine
+    # keeps them as Python ints on object arrays instead.
+    dist = apsp(build_graph(3, [(0, 1, w), (1, 2, 1)]), 1).dist
+    assert dist.values.dtype == object
+    assert type(dist.entry(0, 1)) is int and dist.entry(0, 1) == w
+    assert dist.entry(0, 2) == w + 1 and dist.entry(2, 0) == INF
+
+
+def test_weight_dtype_switches_at_3n_times_the_largest_integer():
+    # n = 2: float64 while 6 * max|w| < 2^53.
+    below = 2 ** 53 // 6
+    assert build_graph(2, [(0, 1, below)])._in_arrays()[1].dtype == np.float64
+    assert build_graph(2, [(0, 1, -below - 1)])._in_arrays()[1].dtype == object
+    assert build_graph(2, [(0, 1, 2.0 ** 60)])._in_arrays()[1].dtype == np.float64
+
+
+def test_float_beside_integers_past_the_bound_is_rejected():
+    g = build_graph(2, [(0, 1, 2 ** 60), (1, 0, 0.5)])
+    with pytest.raises(ValueError, match="float weights"):
+        apsp(g, 1)
+
+
+@pytest.mark.parametrize("oracle", [
+    floyd_warshall_oracle,
+    lambda g: hop_limited_oracle(g, 2),
+    negative_cycle_hops_oracle,
+    enumerate_simple_cycles,
+    lambda g: verify_hub_property(g, [0], 1),
+], ids=["floyd_warshall", "hop_limited", "negative_cycle_hops",
+        "simple_cycles", "hub_property"])
+def test_float_oracles_refuse_integers_past_the_bound(oracle):
+    g = build_graph(2, [(0, 1, 2 ** 60), (1, 0, 1)])
+    with pytest.raises(ValueError, match="would round"):
+        oracle(g)
 
 
 def test_numpy_engine_keeps_2_53_and_large_floats():

@@ -98,6 +98,26 @@ def test_karp_matches_enumeration():
         assert len(set(cyc.vertices[:-1])) == cyc.hops, seed
 
 
+def test_karp_is_exact_past_2_53():
+    # Scaled by 2^60 the walk table holds Python ints; the mean and the
+    # cycle are the unscaled ones, the mean times 2^60.
+    for seed in range(10):
+        g = random_timed(8, 0.3, -5, 9, seed=2000 + seed).base
+        big = build_graph(g.n, [(u, v, w * 2 ** 60) for (u, v, w) in g.edges])
+        lam, cyc = min_mean_cycle_karp(g)
+        big_lam, big_cyc = min_mean_cycle_karp(big)
+        assert big_lam == lam * 2 ** 60, seed
+        assert (big_cyc.vertices, big_cyc.edges) == (cyc.vertices, cyc.edges), seed
+        assert type(big_cyc.length) is int, seed
+
+
+def test_karp_separates_means_float64_cannot():
+    # The two loop means differ by 1 near 3 * 2^60, where float64 steps by 512.
+    w = 3 * 2 ** 60
+    lam, cyc = min_mean_cycle_karp(build_graph(2, [(0, 0, w + 1), (1, 1, w)]))
+    assert lam == w and cyc.vertices == (1, 1)
+
+
 def test_evaluate_above_lambda_star_is_infeasible():
     out = evaluate_lambda(UNIT_TRIANGLE, 2)
     assert isinstance(out, Infeasible)

@@ -1,7 +1,7 @@
-"""Property tests: exact integer APSP at every d, edge-order invariance,
-`relax` against the label engine, the scaled-integer ratio probe against
-the Fraction engine, and the array greedy hitting set against the set-based
-one.
+"""Property tests: exact integer APSP at every d, also past 2^53,
+edge-order invariance, `relax` against the label engine, the scaled-integer
+ratio probe against the Fraction engine, and the array greedy hitting set
+against the set-based one.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
@@ -18,16 +18,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hubapsp import parametric
-from hubapsp.bellman_ford import NumberOps, bf_run_multi, relax
+from hubapsp import cli, parametric
+from hubapsp.bellman_ford import bf_run_multi, relax
 from hubapsp.fileio import parse_graph
-from hubapsp.graph import INF, build_graph, floyd_warshall_oracle
-from hubapsp.hubs import greedy_hitting_set, shortest_negative_cycle
+from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
+                           floyd_warshall_oracle)
+from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from hubapsp.parametric import (Feasible, _price_function, _probe_exact,
-                                _reduced_graph, _scaled_reduced,
+from hubapsp.parametric import (Feasible, _probe_exact, _scaled_reduced,
                                 build_timed_graph, min_ratio_binary_search)
 from reference_greedy import greedy_hitting_set_sets
+from reference_ratio import (fraction_bisection, fraction_negative_cycle,
+                             fraction_prices, fraction_reduced_graph)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -81,6 +83,79 @@ def test_apsp_is_invariant_under_edge_shuffles(case, rnd):
         assert np.array_equal(apsp(g, d).dist.values, apsp(h, d).dist.values), d
 
 
+SCALE = 2 ** 60
+
+
+def _scaled_value(x):
+    return x if x == INF else int(x) * SCALE
+
+
+def _same_cycle_scaled(big, small):
+    assert (big.cycle.vertices, big.cycle.edges, big.hops) == (
+        small.cycle.vertices, small.cycle.edges, small.hops)
+    assert big.weight == _scaled_value(small.weight)
+    assert type(big.weight) is int
+
+
+@SETTINGS
+@given(reweighted_graphs(), st.booleans())
+def test_integers_past_2_53_stay_exact_at_every_depth(case, negative):
+    # Scaled by 2^60, the weights leave float64's exact range and run as
+    # Python ints.  With `negative`, the first ring edge drops until the
+    # ring weighs -1.
+    n, edges = case[0], list(case[1])
+    if negative:
+        u, v, w = edges[0]
+        edges[0] = (u, v, w - sum(e[2] for e in edges[:n]) - 1)
+    g = build_graph(n, edges)
+    big = build_graph(n, [(u, v, w * SCALE) for (u, v, w) in edges])
+    # All-zero weights stay float64, and 0.0 == 0 compares equal.
+    ints = any(w for (_, _, w) in edges)
+    assert big._in_arrays()[1].dtype == (object if ints else np.float64)
+    cyc = shortest_negative_cycle(g)
+    if cyc is None:
+        assert shortest_negative_cycle(big) is None
+        want = [[_scaled_value(x) for x in row]
+                for row in floyd_warshall_oracle(g)]
+    else:
+        _same_cycle_scaled(shortest_negative_cycle(big), cyc)
+        with pytest.raises(NegativeCycleDetected):
+            floyd_warshall_oracle(g)
+    for d in _depths(n):
+        res = apsp(big, d)
+        if cyc is None:
+            assert isinstance(res, ApspResult), d
+            got = res.dist.values.tolist()
+            assert got == want, d
+            assert not ints or all(type(x) is int
+                                   for row in got for x in row if x != INF)
+        else:
+            assert isinstance(res, NegativeCycle), d
+            _same_cycle_scaled(res, apsp(g, d))
+
+
+def test_cli_prints_exact_distances_past_2_53(tmp_path):
+    # ring8.gr with every weight times 2^60 + 1: the document prints the
+    # exact integers, which float64 would round, (2^60 + 1) times those of
+    # the unscaled file.
+    scale = SCALE + 1
+    ring8 = Path(__file__).parent / "data" / "ring8.gr"
+    big = tmp_path / "big.gr"
+    big.write_text("".join(
+        " ".join(f[:3] + [str(int(f[3]) * scale)]) + "\n" if f[0] == "a"
+        else line + "\n"
+        for line, f in ((l, l.split()) for l in ring8.read_text().splitlines())))
+    docs = []
+    for path in (ring8, big):
+        out = tmp_path / (path.name + ".out")
+        assert cli.main(["apsp", "--d", "2", str(path), "--out", str(out)]) == 0
+        doc = out.read_text().splitlines()
+        i = doc.index("distances:")
+        docs.append([row.split() for row in doc[i + 1:i + 9]])
+    small, scaled = docs
+    assert scaled == [[str(int(x) * scale) for x in row] for row in small]
+
+
 @SETTINGS
 @given(float_graphs(), st.integers(0, 6), st.data())
 def test_relax_matches_last_label_row(case, steps, data):
@@ -115,8 +190,8 @@ BIG = 2 ** 60
 
 @st.composite
 def probe_lambdas(draw):
-    # Small denominators always take the scaled path; 2^60 ones trip its
-    # guard unless every reduced weight nearly cancels.
+    # Small denominators always run on float64; 2^60 ones run on Python ints
+    # unless every reduced weight nearly cancels.
     if draw(st.booleans()):
         q = draw(st.integers(1, 12))
         return Fraction(draw(st.integers(-8 * q, 10 * q)), q), True
@@ -128,9 +203,9 @@ def probe_lambdas(draw):
 def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
     lam, small = case
     if small:
-        assert _scaled_reduced(tg, lam) is not None
-    gl = _reduced_graph(tg, lam, True)
-    want = shortest_negative_cycle(gl, nonstrict=nonstrict, ops=NumberOps())
+        assert _scaled_reduced(tg, lam)[0]._in_arrays()[1].dtype == np.float64
+    gl = fraction_reduced_graph(tg, lam)
+    want = fraction_negative_cycle(gl, nonstrict)
     got = _probe_exact(tg, lam, nonstrict)
     assert repr(got) == repr(want)
     if want is not None:
@@ -139,41 +214,27 @@ def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
     if not nonstrict:
         priced = _probe_exact(tg, lam, prices=True)
         if want is None:
-            want = Feasible(_price_function(gl, True))
+            want = Feasible(fraction_prices(gl))
         assert repr(priced) == repr(want)
 
 
-def _fraction_bisection(tg, iterations):
-    ratios = [Fraction(w) / Fraction(t)
-              for (_, _, w), t in zip(tg.base.edges, tg.times)]
-    lo, hi = min(ratios), max(ratios)
-    trace = []
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        gl = _reduced_graph(tg, mid, True)
-        if shortest_negative_cycle(gl, ops=NumberOps()) is not None:
-            hi = mid
-        else:
-            lo = mid
-        trace.append((lo, hi))
-    return trace
-
-
-def test_bisection_past_the_guard_falls_back_to_fractions(monkeypatch):
+def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
+    # Early probes fit float64; the last, with denominators near 2^60, run on
+    # Python ints, and the trace still equals the Fraction engine's.
     tg = parse_graph(str(Path(__file__).parent / "data" / "timed6.gr"))
-    taken = []
+    dtypes = []
 
     def spy(tg_, lam):
         out = _scaled_reduced(tg_, lam)
-        taken.append(out is not None)
+        dtypes.append(out[0]._in_arrays()[1].dtype)
         return out
 
     monkeypatch.setattr(parametric, "_scaled_reduced", spy)
     trace = []
     min_ratio_binary_search(tg, 60, _trace=trace)
-    assert len(taken) == 60
-    assert taken[0] and not taken[-1]
-    assert trace == _fraction_bisection(tg, 60)
+    assert len(dtypes) == 60
+    assert dtypes[0] == np.float64 and dtypes[-1] == object
+    assert trace == fraction_bisection(tg, 60)
 
 
 @st.composite
