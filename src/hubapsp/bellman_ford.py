@@ -1,4 +1,4 @@
-"""Snapshot Bellman-Ford: hop-indexed label rows with per-step predecessors.
+"""Snapshot Bellman-Ford: hop-indexed label rows, attaining edges on demand.
 
 Each step computes every new label from the previous step's row only, so
 after k steps ``labels[k][v]`` is exactly the least weight of a
@@ -17,19 +17,24 @@ parametric search runs its affine values through it), batching its
 comparisons into rounds so a comparison resolver can process each parallel
 round at once.
 
-Every numpy step goes through `_min_in_edges`.  `relax` applies it to
-distance rows alone, from any start rows, and keeps no per-step tables.
-Both label engines return one `LabelRun`: the snapshot and predecessor
-tables of all sources plus each source's closed-walk candidates, which the
-hub layer reads whole; ``run[s]`` is the per-source `HopLabels` view.
-Both also take an optional earlier run to resume from: a source it covers
-copies its first rows from there and steps on from the last, so the hub
-hierarchy runs each surviving hub's label steps once over all its levels,
-and the tables come out bit-identical to a run from scratch.
+Every numpy step goes through `_min_in_edges`, which computes distances
+only.  `relax` applies it from any start rows.  Both label engines return
+one `LabelRun`: the snapshot table of all sources plus each source's
+closed-walk candidates, which the hub layer reads whole; ``run[s]`` is the
+per-source `HopLabels` view.  The numpy engine keeps no predecessor table:
+`_attaining_edges` finds the in-edge that attains a label from the row
+before it, in the step's own tie order, and `LabelRun.edges` asks it only
+for the entries a walk follows.  The ops engine keeps the edges its
+comparison rounds decided.  Both engines also take an optional earlier run
+to resume from: a source it covers copies its first rows from there and
+steps on from the last, so the hub hierarchy runs each surviving hub's
+label steps once over all its levels, and the tables come out
+bit-identical to a run from scratch.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,20 +47,27 @@ class HopLabels:
     """Label snapshots from one source: one source's slice of a `LabelRun`.
 
     ``labels`` is a (steps+1, n) table of hop-limited distances.
-    ``pred_edges`` is the int32 (steps, n) table whose row i holds the edge
-    that strictly improved v between snapshots i and i+1 (-1 when none);
-    `preds` exposes the same rows as source vertex ids.  The view of a
-    source whose run resumed reads exactly as the view of a run from scratch.
+    ``pred_edges`` is the read-only int32 (steps, n) table whose row i holds
+    the edge that strictly improved v between snapshots i and i+1 (-1 when
+    none), and `preds` the same rows as source vertex ids; both read the
+    run's `LabelRun.pred_edges`, which a numpy run builds on first access.
+    The view of a source whose run resumed reads exactly as the view of a
+    run from scratch.
     """
 
-    __slots__ = ("graph", "source", "steps", "labels", "pred_edges")
+    __slots__ = ("graph", "source", "steps", "labels", "_run", "_at")
 
-    def __init__(self, graph, source, steps, labels, pred_edges):
-        self.graph = graph
+    def __init__(self, run: "LabelRun", source: int):
+        self.graph = run.graph
         self.source = source
-        self.steps = steps
-        self.labels = labels
-        self.pred_edges = pred_edges
+        self.steps = run.steps
+        self._run = run
+        self._at = run._index[source]
+        self.labels = run.labels[:, self._at]
+
+    @property
+    def pred_edges(self) -> np.ndarray:
+        return self._run.pred_edges[:, self._at]
 
     @property
     def preds(self):
@@ -71,14 +83,20 @@ class LabelRun(Mapping):
 
     ``sources`` is sorted, and axis 1 of every table follows it.
     ``labels`` is the (steps+1, S, n) snapshot table, in the graph's weight
-    dtype from the numpy engine and object from an ops engine.
-    ``pred_edges`` is the (steps, S, n) int32 table of strictly improving
-    edges (-1 when none).  ``closed`` row i holds each source's best
-    in-edge candidate into itself at step i+1, whether or not it improved,
-    with the attaining edge in the int32 ``closed_edges`` (-1 when none);
-    the cycle sweep reads closed-walk values there without the zero-weight
-    empty walk shadowing them.  As a mapping, ``run[s]`` is source s's
-    `HopLabels` view.
+    dtype from the numpy engine and object from an ops engine.  ``closed``
+    row i holds each source's best in-edge candidate into itself at step
+    i+1, whether or not it improved; the cycle sweep reads closed-walk
+    values there without the zero-weight empty walk shadowing them.  As a
+    mapping, ``run[s]`` is source s's `HopLabels` view.
+
+    The edge attaining an entry comes from `edges`.  An ops run stores the
+    (steps, S, n) and (steps, S) int32 tables its comparison rounds decided;
+    a numpy run stores none and searches the label rows for each entry
+    asked, so the hub layer pays only for the edges its walks follow.
+    ``pred_edges`` (the strictly improving edge of each entry, -1 when
+    none) and ``closed_edges`` (the edge of each ``closed`` candidate, -1
+    when none) are those tables whole, read-only; a numpy run builds them
+    on first access.
 
     Every row of a source depends on that source alone, so a longer run
     over other sources can resume from this one's rows (`_resume_from`),
@@ -87,20 +105,20 @@ class LabelRun(Mapping):
     after the rows it resumed.
     """
 
-    def __init__(self, graph, sources, labels, pred_edges, closed, closed_edges):
+    def __init__(self, graph, sources, labels, closed,
+                 pred_edges=None, closed_edges=None):
         self.graph = graph
         self.sources = sources
         self.labels = labels
-        self.pred_edges = pred_edges
         self.closed = closed
-        self.closed_edges = closed_edges
-        self.ran = [len(pred_edges)] * len(sources)
+        self.steps = len(labels) - 1
+        # Stored by an ops run only; None on a numpy run.
+        self._pred, self._closed_e = pred_edges, closed_edges
+        self.ran = [self.steps] * len(sources)
         self._index = {s: i for i, s in enumerate(sources)}
 
     def __getitem__(self, s) -> HopLabels:
-        i = self._index[s]
-        return HopLabels(self.graph, s, len(self.pred_edges),
-                         self.labels[:, i], self.pred_edges[:, i])
+        return HopLabels(self, s)
 
     def __contains__(self, s) -> bool:
         return s in self._index
@@ -111,13 +129,63 @@ class LabelRun(Mapping):
     def __len__(self):
         return len(self.sources)
 
+    def edges(self, i: int, at, ends=None) -> np.ndarray:
+        """The in-edges attaining entries of snapshot i+1, as int64 edge ids.
+
+        With ``ends``, entry j is the edge that strictly improved vertex
+        ends[j] for the source at position at[j] between snapshots i and
+        i+1, the ``pred_edges`` entry.  Without, it is the edge of that
+        source's closed-walk candidate ``closed[i, at[j]]``, the
+        ``closed_edges`` entry.  -1 where there is none.
+        """
+        at = np.asarray(at, dtype=np.int64)
+        if self._pred is not None:
+            got = (self._closed_e[i, at] if ends is None
+                   else self._pred[i, at, ends])
+            return got.astype(np.int64)
+        if ends is None:
+            ends = np.asarray(self.sources, dtype=np.int64)[at]
+            target = self.closed[i, at]
+            live = target < INF
+        else:
+            ends = np.asarray(ends, dtype=np.int64)
+            target = self.labels[i + 1, at, ends]
+            live = target < self.labels[i, at, ends]
+        out = np.full(len(at), -1, dtype=np.int64)
+        out[live] = _attaining_edges(self.graph, self.labels[i], at[live],
+                                     ends[live], target[live])
+        return out
+
+    def _edge_table(self, closed: bool) -> np.ndarray:
+        """The whole ``closed_edges`` or ``pred_edges`` table, read-only."""
+        if self._pred is not None:
+            table = (self._closed_e if closed else self._pred).view()
+        else:
+            S, n = len(self.sources), self.graph.n
+            table = np.empty((self.steps, S) + (() if closed else (n,)), dtype=np.int32)
+            rows, ends = np.repeat(np.arange(S), n), np.tile(np.arange(n), S)
+            for i in range(self.steps):
+                table[i] = (self.edges(i, np.arange(S)) if closed
+                            else self.edges(i, rows, ends).reshape(S, n))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def pred_edges(self) -> np.ndarray:
+        return self._edge_table(closed=False)
+
+    @cached_property
+    def closed_edges(self) -> np.ndarray:
+        return self._edge_table(closed=True)
+
     def select(self, sources) -> "LabelRun":
-        """A run over the given subset of the sources, with copies of their tables."""
+        """A run over the given subset of the sources, with copies of their rows."""
         keep = tuple(sorted(set(sources)))
         at = [self._index[s] for s in keep]
+        stored = (() if self._pred is None
+                  else (self._pred[:, at], self._closed_e[:, at]))
         out = LabelRun(self.graph, keep, self.labels[:, at],
-                       self.pred_edges[:, at], self.closed[:, at],
-                       self.closed_edges[:, at])
+                       self.closed[:, at], *stored)
         out.ran = [self.ran[i] for i in at]
         return out
 
@@ -125,10 +193,10 @@ class LabelRun(Mapping):
         """Copy in the rows ``resume`` holds for this run's sources.
 
         Each source ``resume`` covers gets its label rows 0..r and its
-        predecessor and closed-walk rows 0..r-1, where r is the smaller step
-        count of the two runs, and runs r steps fewer.  Returns r and the
-        positions of the other sources, which start from row 0; r is 0 when
-        no source resumes.
+        closed-walk rows 0..r-1, plus its edge rows 0..r-1 when this run
+        stores edge tables, where r is the smaller step count of the two
+        runs, and runs r steps fewer.  Returns r and the positions of the
+        other sources, which start from row 0; r is 0 when no source resumes.
         """
         held = {} if resume is None else resume._index
         old = [i for i, s in enumerate(self.sources) if s in held]
@@ -136,41 +204,71 @@ class LabelRun(Mapping):
                          dtype=np.int64)
         if not old:
             return 0, fresh
-        r = min(len(resume.pred_edges), len(self.pred_edges))
+        r = min(resume.steps, self.steps)
         at = [resume._index[self.sources[i]] for i in old]
         # Row by row, so no temporary as large as the copied rows.
         for t in range(r + 1):
             self.labels[t, old] = resume.labels[t, at]
-        for t in range(r):
-            self.pred_edges[t, old] = resume.pred_edges[t, at]
         self.closed[:r, old] = resume.closed[:r, at]
-        self.closed_edges[:r, old] = resume.closed_edges[:r, at]
+        if self._pred is not None:
+            pred, closed_e = resume.pred_edges, resume.closed_edges
+            for t in range(r):
+                self._pred[t, old] = pred[t, at]
+            self._closed_e[:r, old] = closed_e[:r, at]
         for i in old:
             self.ran[i] -= r
         return r, fresh
 
 
-def _min_in_edges(g: Digraph, cur: np.ndarray, first: bool = False):
+# Requests per chunk of `_attaining_edges` are cut so that a chunk's
+# candidates, one per in-edge of each requested vertex, number at most this.
+_LOOKUP_CHUNK = 1 << 15
+
+
+def _attaining_edges(g: Digraph, rows: np.ndarray, at, ends, target) -> np.ndarray:
+    """First in-edge (u, ends[j]) with ``rows[at[j], u] + w == target[j]``.
+
+    Edges are tried in `Digraph._in_arrays` order, by (source vertex, edge
+    index), and each candidate is formed exactly as `_min_in_edges` forms
+    it, so for a target that is the step's minimum this is the edge that
+    minimum's first attaining position names.  Returns int64 edge ids, -1
+    where no edge attains the target.  Targets must be finite, since an
+    infinite label plus any weight would attain an infinite one.
+    Requests go in chunks of at most `_LOOKUP_CHUNK` candidates, and of no
+    more than the (len(rows), m) candidates of a step over ``rows``; only a
+    single request with more in-edges than the budget makes a larger one.
+    """
+    src, w, eidx, _seg, _dst, in_ptr = g._in_arrays()
+    at, ends = np.asarray(at, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+    out = np.full(len(ends), -1, dtype=np.int64)
+    lo = in_ptr[ends]
+    cnt = in_ptr[ends + 1] - lo
+    # Request j's candidates are positions cum[j]:cum[j+1] of the flat list.
+    cum = np.concatenate(([0], np.cumsum(cnt)))
+    budget = min(_LOOKUP_CHUNK, len(rows) * len(src))
+    a = 0
+    while a < len(ends):
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] + budget, side="right")) - 1)
+        req = np.repeat(np.arange(a, b), cnt[a:b])
+        pos = np.arange(cum[a], cum[b]) - cum[req] + lo[req]
+        hit = np.flatnonzero(rows[at[req], src[pos]] + w[pos] == target[req])
+        r = req[hit]
+        first = np.ones(len(r), dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        out[r[first]] = eidx[pos[hit[first]]]
+        a = b
+    return out
+
+
+def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     """One snapshot step's candidates: min over in-edges of cur[:, u] + w(u, v).
 
-    ``cur`` is an (S, n) array of label rows.  Returns ``(red, pos)``, where
-    ``red[:, j]`` is the least candidate into ``dst_with_in[j]`` of
-    `Digraph._in_arrays`.  When ``first`` is set, ``pos[:, j]`` is the
-    sorted-edge position of the first candidate attaining it; in-edges sort
-    by (source vertex, edge index), so ties go to the smallest pair.  ``pos``
-    is meaningful only where ``red`` is finite, and is None otherwise.
+    ``cur`` is an (S, n) array of label rows.  Entry j of a result row is
+    the least candidate into ``dst_with_in[j]`` of `Digraph._in_arrays`;
+    `_attaining_edges` finds the edge that attains it.
     """
-    src, w, _eidx, seg_starts, _dst, edge_seg = g._in_arrays()
-    cand = cur[:, src] + w
-    red = np.minimum.reduceat(cand, seg_starts, axis=1)
-    if not first:
-        return red, None
-    hit = cand == red[:, edge_seg]
-    # Free the candidates before the (S, m) position table: together they
-    # would set the label engine's peak memory.
-    del cand
-    pos = np.where(hit, np.arange(len(src), dtype=np.int32), len(src))
-    return red, np.minimum.reduceat(pos, seg_starts, axis=1)
+    src, w, _eidx, seg_starts, _dst, _ptr = g._in_arrays()
+    return np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
 
 
 def relax(g: Digraph, rows, steps: int) -> np.ndarray:
@@ -195,9 +293,8 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     dst = g._in_arrays()[4]
     b = np.empty_like(a)
     for _ in range(steps):
-        red, _ = _min_in_edges(g, a)
         np.copyto(b, a)
-        b[:, dst] = np.minimum(a[:, dst], red)
+        b[:, dst] = np.minimum(a[:, dst], _min_in_edges(g, a))
         a, b = b, a
     return a
 
@@ -214,14 +311,12 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
     n = g.n
     srcs = tuple(sorted(set(map(int, sources))))
     S = len(srcs)
-    _src, w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    _src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
     src_ids = np.asarray(srcs, dtype=np.int64)
 
     labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
     labels[0, np.arange(S), src_ids] = 0
-    run = LabelRun(g, srcs, labels, np.full((k, S, n), -1, dtype=np.int32),
-                   np.full((k, S), INF, dtype=w.dtype),
-                   np.full((k, S), -1, dtype=np.int32))
+    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=w.dtype))
     r, fresh = run._resume_from(resume)
     # A caller that handed over its only reference frees the copied rows
     # here, before the steps add their own temporaries.
@@ -233,19 +328,10 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
         act = fresh if i < r else slice(None)
         cur = labels[i, act]
         val = np.full(cur.shape, INF, dtype=w.dtype)
-        esel = np.full(cur.shape, -1, dtype=np.int32)
         if len(dst_with_in):
-            red, first = _min_in_edges(g, cur, first=True)
-            fin = red < INF
-            val[:, dst_with_in] = red
-            esel[:, dst_with_in] = np.where(
-                fin, eidx[np.minimum(first, len(eidx) - 1)], -1)
-        improved = val < cur
-        labels[i + 1, act] = np.where(improved, val, cur)
-        run.pred_edges[i, act] = np.where(improved, esel, -1)
-        rows, ids = np.arange(len(cur)), src_ids[act]
-        run.closed[i, act] = val[rows, ids]
-        run.closed_edges[i, act] = esel[rows, ids]
+            val[:, dst_with_in] = _min_in_edges(g, cur)
+        labels[i + 1, act] = np.where(val < cur, val, cur)
+        run.closed[i, act] = val[np.arange(len(cur)), src_ids[act]]
     return run
 
 
@@ -287,8 +373,8 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
     labels = np.full((k + 1, S, n), inf, dtype=object)
     for j, s in enumerate(srcs):
         labels[0, j, s] = ops.ZERO
-    run = LabelRun(g, srcs, labels, np.full((k, S, n), -1, dtype=np.int32),
-                   np.full((k, S), inf, dtype=object),
+    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=object),
+                   np.full((k, S, n), -1, dtype=np.int32),
                    np.full((k, S), -1, dtype=np.int32))
     r, fresh = run._resume_from(resume)
     del resume  # frees the copied rows, as in `_bf_run_numpy_batch`
@@ -336,10 +422,10 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
             value, e, _u = cands[0]
             if v == srcs[j]:
                 run.closed[i, j] = value
-                run.closed_edges[i, j] = e
+                run._closed_e[i, j] = e
             if sg < 0:
                 rows[j][v] = value
-                run.pred_edges[i, j, v] = e
+                run._pred[i, j, v] = e
         for j in active:
             labels[i + 1, j] = rows[j]
     return run
@@ -352,7 +438,7 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     vertex (None elsewhere).  The result is a pure function of ``current``;
     evaluation order cannot leak into it.
     """
-    src, w, _eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
     cur = np.asarray(current, dtype=w.dtype)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
@@ -360,12 +446,14 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     preds: List[Optional[int]] = [None] * g.n
     if len(src) == 0:
         return nxt, preds
-    red, first = _min_in_edges(g, cur[None, :], first=True)
-    red, first = red[0], first[0]
+    red = _min_in_edges(g, cur[None, :])[0]
     improved = red < cur[dst_with_in]
-    nxt[dst_with_in[improved]] = red[improved]
-    for seg_pos in np.nonzero(improved)[0]:
-        preds[int(dst_with_in[seg_pos])] = int(src[first[seg_pos]])
+    ends = dst_with_in[improved]
+    nxt[ends] = red[improved]
+    edges = _attaining_edges(g, cur[None, :], np.zeros(len(ends), dtype=np.int64),
+                             ends, red[improved])
+    for v, u in zip(ends.tolist(), g._edge_src()[edges].tolist()):
+        preds[v] = u
     return nxt, preds
 
 

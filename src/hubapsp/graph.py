@@ -126,11 +126,11 @@ class Digraph:
     def _in_arrays(self):
         """Numpy views of in-edges grouped by destination.
 
-        Returns (src, w, eidx, seg_starts, dst_with_in, edge_seg) where the
+        Returns (src, w, eidx, seg_starts, dst_with_in, in_ptr) where the
         first three are edge arrays sorted by (dst, src, eidx), `seg_starts`
         marks each destination's segment for reduceat, `dst_with_in` lists
-        destinations having at least one in-edge, and `edge_seg` maps each
-        sorted edge to its segment position.
+        destinations having at least one in-edge, and the in-edges of
+        vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
 
         ``w`` sets the dtype of every engine that reads it.  It is float64
         unless every weight is an integer and 3n*W >= 2^53, with W the
@@ -166,7 +166,8 @@ class Digraph:
             m = self.m
             if m == 0:
                 empty_i = np.empty(0, dtype=np.int64)
-                arrs = (empty_i, np.empty(0), empty_i, empty_i, empty_i, empty_i)
+                arrs = (empty_i, np.empty(0), empty_i, empty_i, empty_i,
+                        np.zeros(self.n + 1, dtype=np.int64))
             else:
                 src = self._edge_src()
                 dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
@@ -179,8 +180,8 @@ class Digraph:
                 boundary[1:] = dst[1:] != dst[:-1]
                 seg_starts = np.nonzero(boundary)[0]
                 dst_with_in = dst[seg_starts]
-                edge_seg = np.cumsum(boundary) - 1
-                arrs = (src, w, eidx, seg_starts, dst_with_in, edge_seg)
+                in_ptr = np.searchsorted(dst, np.arange(self.n + 1))
+                arrs = (src, w, eidx, seg_starts, dst_with_in, in_ptr)
             self._cache["in_arrays"] = arrs
         return arrs
 

@@ -10,10 +10,13 @@ the sweep exhaustive, which is how `shortest_negative_cycle` works.
 
 The hub layer works on the tables of the engines' `LabelRun`: the sweep
 reads one (2h, S) array of closed-walk values, `collect_minimal_paths`
-walks the predecessor table back for every improving pair at once into one
-(P, h+1) vertex array, and `greedy_hitting_set` runs on a CSR path-vertex
-incidence with numpy coverage counts.  Greedy and sampled levels share the
-label run and the sweep; they differ only in how they pick the next level.
+walks back every improving pair at once into one (P, h+1) vertex array,
+and `greedy_hitting_set` runs on a CSR path-vertex incidence with numpy
+coverage counts.  Walks ask `LabelRun.edges` for the edge of each hop; a
+numpy run keeps no predecessor table and finds those edges in its label
+rows, so a level pays for the P*h edges its paths use, not for S*n per
+step.  Greedy and sampled levels share the label run and the sweep; they
+differ only in how they pick the next level.
 
 A hub that survives into the next level would repeat there, row for row,
 the 2h label steps it just ran.  So each level hands the next the slices of
@@ -136,9 +139,10 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
 def _walk_back(run: LabelRun, sel, ends, last, h: int):
     """(vertices, edges) of h-hop walks from run.sources[sel] to ``ends``.
 
-    ``last`` holds each walk's final edge; every earlier hop follows the
-    predecessor edge of the snapshot before it, so each row is a chain of
-    strict improvements back to its source.  All rows walk back at once.
+    ``last`` holds each walk's final edge; every earlier hop takes the edge
+    that strictly improved its vertex in the snapshot before it
+    (`LabelRun.edges`), so each row is a chain of strict improvements back
+    to its source.  All rows walk back at once.
     """
     edge_src = run.graph._edge_src()
     verts = np.empty((len(ends), h + 1), dtype=np.int64)
@@ -147,7 +151,7 @@ def _walk_back(run: LabelRun, sel, ends, last, h: int):
     e = last
     for i in range(h, 0, -1):
         if i < h:
-            e = run.pred_edges[i - 1, sel, verts[:, i]]
+            e = run.edges(i - 1, sel, verts[:, i])
         if (e < 0).any():
             raise AssertionError("predecessor chain broken; labels are inconsistent")
         edges[:, i - 1] = e
@@ -164,9 +168,9 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     the closed-walk candidates, whose entry at z is the best closed-walk
     value over 1..k hops, and accepts <= 0; the empty walk never shadows
     it.  An ops run signs each k's values in one `cmp_batch`.  In both
-    modes the witness ends with the candidate's edge into z, and the walk
-    back to that edge's tail is a chain of strict improvements because k
-    is minimal.
+    modes the witness ends with the edge of the closed-walk candidate
+    ``closed[k-1]`` at z (`LabelRun.edges`), and the walk back to that
+    edge's tail is a chain of strict improvements because k is minimal.
     """
     src = np.asarray(run.sources, dtype=np.int64)
     vals = run.closed if nonstrict else run.labels[1:, np.arange(len(src)), src]
@@ -178,7 +182,7 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
         if len(hit):
             i = int(hit[0])
             verts, edges = _walk_back(run, [i], [run.sources[i]],
-                                      run.closed_edges[k - 1, [i]], k)
+                                      run.edges(k - 1, [i]), k)
             path = Path(tuple(verts[0].tolist()), row[i], k,
                         tuple(edges[0].tolist()))
             return NegativeCycle(path, k, path.length)
@@ -194,9 +198,9 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     where the h-hop label of t strictly beats the (h-1)-hop one, in
     (source, target) order; each row is `extract_minimal_path`'s walk.  The
     numpy engine compares its label table directly; an ops engine signs all
-    pairs in one `cmp_batch`.  Both walk the predecessor edges back h
-    steps for all rows at once.  ``_labels``, a `LabelRun` of at least h
-    steps such as `extend_hubs` makes, stands in for a run over H.
+    pairs in one `cmp_batch`.  Both walk back h steps for all rows at once,
+    one `LabelRun.edges` lookup per hop.  ``_labels``, a `LabelRun` of at
+    least h steps such as `extend_hubs` makes, stands in for a run over H.
     """
     if h < 1:
         raise ValueError("hop count must be at least 1")
@@ -211,7 +215,7 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
         signs = np.asarray(ops.cmp_batch(pairs), dtype=np.int64)
         improving = (signs < 0).reshape(len(run.sources), g.n)
     rows, ends = np.nonzero(improving)
-    return _walk_back(run, rows, ends, run.pred_edges[h - 1, rows, ends], h)[0]
+    return _walk_back(run, rows, ends, run.edges(h - 1, rows, ends), h)[0]
 
 
 class _Carry:
@@ -370,7 +374,7 @@ def verify_hub_property(g: Digraph, H: Iterable[int], h: int) -> bool:
         return True
     hubset = frozenset(H)
     hub_arr = np.array(sorted(hubset), dtype=np.int64)
-    src, w, eidx, seg_starts, dst_with_in, edge_seg = g._in_arrays()
+    src, w, _eidx, seg_starts, dst_with_in, _ptr = g._in_arrays()
 
     def exact_step(row):
         nxt = np.full(n, INF)

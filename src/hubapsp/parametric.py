@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bellman_ford import _min_in_edges, bf_run
+from .bellman_ford import _attaining_edges, _min_in_edges, bf_run
 from .graph import INF, Digraph, Path, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
@@ -137,26 +137,21 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
         lam* = min over v with D_n(v) finite of max_k (D_n(v) - D_k(v))/(n - k).
 
     The witness is cut out of the n-edge walk attaining D_n at the argmin
-    vertex: among its repeated-vertex segments the (mean, hops, start)-
-    lexicographic minimum, which is simple because an inner repeat would
-    split it into a part at least as good with fewer hops.  Integer weights
-    give an exact Fraction; otherwise a float.
+    vertex, which `_attaining_edges` walks back one edge per row of D, so
+    no parent table is kept.  Among the walk's repeated-vertex segments the
+    witness is the (mean, hops, start)-lexicographic minimum, which is
+    simple because an inner repeat would split it into a part at least as
+    good with fewer hops.  Integer weights give an exact Fraction;
+    otherwise a float.
     """
     n = g.n
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    _src, w, eidx, _seg, dst_with_in, _eseg = g._in_arrays()
+    _src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
     D = np.full((n + 1, n), INF, dtype=w.dtype)
     D[0] = 0
-    par = np.full((n + 1, n), -1, dtype=np.int64)
     for k in range(1, n + 1):
-        red, first = _min_in_edges(g, D[k - 1][None, :], first=True)
-        red, first = red[0], first[0]
-        D[k][dst_with_in] = red
-        # Infinite minima have no attaining edge: inf == inf would
-        # otherwise claim a winner.
-        ok = red < INF
-        par[k][dst_with_in[ok]] = eidx[first[ok]]
+        D[k][dst_with_in] = _min_in_edges(g, D[k - 1][None, :])[0]
 
     vmask = D[n] < INF
     if not vmask.any():
@@ -183,7 +178,7 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     cur = v_star
     walk_v[n] = cur
     for k in range(n, 0, -1):
-        e = int(par[k][cur])
+        e = int(_attaining_edges(g, D[k - 1][None, :], [0], [cur], D[k][[cur]])[0])
         if e < 0:
             raise AssertionError("parent chain broken below a finite D_n entry")
         walk_e[k - 1] = e

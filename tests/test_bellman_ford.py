@@ -15,8 +15,10 @@ from hubapsp.bellman_ford import (
     extract_minimal_path,
     relax,
 )
-from hubapsp.generate import random_digraph
+from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
+from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
+from hubapsp.minplus import ApspResult, apsp
 from reference_step import bf_step_python
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
@@ -233,6 +235,36 @@ def test_label_run_membership_reads_the_index(monkeypatch):
     monkeypatch.setattr(LabelRun, "__getitem__", no_view)
     assert 0 in run and 2 in run
     assert 1 not in run and 7 not in run
+
+
+def _holds_no_edge_table(run):
+    arrays = sorted(k for k, v in vars(run).items() if isinstance(v, np.ndarray))
+    return arrays == ["closed", "labels"]
+
+
+def test_hub_layer_never_builds_an_edge_table(monkeypatch):
+    # The walks look up the edges they follow from the label rows; a whole
+    # predecessor table would cost a lookup per source, vertex and step.
+    rng = random.Random(3)
+    p = [rng.randint(-50, 50) for _ in range(64)]
+    g = build_graph(64, [(u, v, w + p[u] - p[v])
+                         for (u, v, w) in ring_with_chords(64, 192, seed=5).edges])
+    neg = build_graph(64, list(g.edges) + [(9, 0, -1000)])
+
+    def no_table(self, closed):
+        raise AssertionError("a predecessor table was built")
+
+    monkeypatch.setattr(LabelRun, "_edge_table", no_table)
+    assert shortest_negative_cycle(g) is None
+    assert isinstance(apsp(g, 32), ApspResult)
+    cyc = shortest_negative_cycle(neg)
+    assert cyc is not None and cyc.weight < 0
+    assert isinstance(apsp(neg, 32), NegativeCycle)
+    run = _bf_run_numpy_batch(g, range(0, 64, 2), 4)
+    kept = run.select(range(0, 64, 6))
+    resumed = _bf_run_numpy_batch(g, range(0, 64, 3), 8, resume=kept)
+    for r in (run, kept, resumed):
+        assert _holds_no_edge_table(r)
 
 
 ENGINES = {

@@ -1,6 +1,7 @@
 """Property tests: exact integer APSP at every d, also past 2^53,
-edge-order invariance, `relax` against the label engine, the scaled-integer
-ratio probe against the Fraction engine, and the array greedy hitting set
+edge-order invariance, `relax` against the label engine, the numpy
+engine's looked-up edges against a plain loop, the scaled-integer ratio
+probe against the Fraction engine, and the array greedy hitting set
 against the set-based one.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
@@ -11,6 +12,7 @@ Examples are derandomized so the suite is reproducible.
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hubapsp import cli, parametric
-from hubapsp.bellman_ford import bf_run_multi, relax
+from hubapsp import bellman_ford, cli, parametric
+from hubapsp.bellman_ford import _bf_run_numpy_batch, bf_run_multi, bf_step, relax
 from hubapsp.fileio import parse_graph
 from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle)
@@ -28,6 +30,7 @@ from hubapsp.minplus import ApspResult, apsp
 from hubapsp.parametric import (Feasible, _probe_exact, _scaled_reduced,
                                 build_timed_graph, min_ratio_binary_search)
 from reference_greedy import greedy_hitting_set_sets
+from reference_step import best_in_edges_python, bf_step_python
 from reference_ratio import (fraction_bisection, fraction_negative_cycle,
                              fraction_prices, fraction_reduced_graph)
 
@@ -168,6 +171,59 @@ def test_relax_matches_last_label_row(case, steps, data):
     labels = bf_run_multi(g, sources, steps)
     for i, s in enumerate(sources):
         assert np.array_equal(out[i], labels[s].labels[steps]), s
+
+
+@st.composite
+def tied_graphs(draw):
+    """Small integer graphs rich in ties: self loops, parallel edges,
+    negative weights and, where a flag is drawn, a zero-weight cycle."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(-3, 3)), max_size=4 * n))
+    if edges:
+        copies = draw(st.lists(st.integers(0, len(edges) - 1), max_size=3))
+        edges += [edges[i] for i in copies]
+    if draw(st.booleans()):
+        a, b, w = draw(vertex), draw(vertex), draw(st.integers(-3, 3))
+        edges += [(a, b, w), (b, a, -w), (a, a, 0)]
+    return n, edges
+
+
+@SETTINGS
+@given(tied_graphs(), st.booleans(), st.integers(1, 5), st.data())
+def test_looked_up_edges_match_the_plain_loop(case, scaled, k, data):
+    # Every edge the numpy engine looks up, one by one through the run, in
+    # its lazily built tables and in `bf_step`, is the plain loop's
+    # smallest (source, edge) attaining candidate, on float64 and on
+    # 2^60-scaled object ints, in runs that resume from a shorter one, and
+    # whatever the lookup's chunk size.
+    n, edges = case
+    g = build_graph(n, [(u, v, w * 2 ** 60 if scaled else w) for (u, v, w) in edges])
+    vertex = st.integers(0, n - 1)
+    sources = data.draw(st.sets(vertex, min_size=1))
+    earlier = data.draw(st.sets(vertex))
+    chunk = data.draw(st.sampled_from([1, 3, bellman_ford._LOOKUP_CHUNK]))
+    with mock.patch.object(bellman_ford, "_LOOKUP_CHUNK", chunk):
+        resume = _bf_run_numpy_batch(g, earlier, data.draw(st.integers(0, k)))
+        run = _bf_run_numpy_batch(g, sources, k, resume)
+        assert np.array_equal(run.labels, _bf_run_numpy_batch(g, sources, k).labels)
+        pred, closed = run.pred_edges, run.closed_edges
+        for j, s in enumerate(run.sources):
+            view = run[s].pred_edges
+            for i in range(k):
+                row = run.labels[i, j].tolist()
+                best, edge = best_in_edges_python(g, row)
+                want = [e if b < r else -1 for b, e, r in zip(best, edge, row)]
+                assert run.edges(i, [j] * n, range(n)).tolist() == want
+                assert pred[i, j].tolist() == view[i].tolist() == want
+                assert run.edges(i, [j]).tolist() == [closed[i, j]] == [edge[s]]
+                assert run.closed[i, j] == best[s]
+                nxt, preds = bf_step_python(g, row)
+                got = bf_step(g, run.labels[i, j])
+                assert got[0].tolist() == nxt == run.labels[i + 1, j].tolist()
+                assert got[1] == preds
+    assert pred.dtype == closed.dtype == np.int32
+    assert not pred.flags.writeable and not closed.flags.writeable
 
 
 @st.composite
