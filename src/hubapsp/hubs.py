@@ -136,22 +136,36 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
     return frozenset(rng.sample(range(n), size))
 
 
+# A lookup costs a fixed few dozen numpy calls plus a little per entry, and
+# the sort that finds the repeats about a third of that fixed cost; below a
+# few hundred rows the entries it saves cost less than the sort.
+_DEDUP_ROWS = 256
+
+
 def _walk_back(run: LabelRun, sel, ends, last, h: int):
     """(vertices, edges) of h-hop walks from run.sources[sel] to ``ends``.
 
     ``last`` holds each walk's final edge; every earlier hop takes the edge
     that strictly improved its vertex in the snapshot before it
     (`LabelRun.edges`), so each row is a chain of strict improvements back
-    to its source.  All rows walk back at once.
+    to its source.  All rows walk back at once.  Walks that converge share
+    their (source, vertex) entry at a hop, so with at least `_DEDUP_ROWS`
+    rows each hop looks up every distinct entry once and hands the edge to
+    all rows that hold it.
     """
     edge_src = run.graph._edge_src()
+    n = run.graph.n
+    sel = np.asarray(sel, dtype=np.int64)
     verts = np.empty((len(ends), h + 1), dtype=np.int64)
     edges = np.empty((len(ends), h), dtype=np.int64)
     verts[:, h] = ends
     e = last
     for i in range(h, 0, -1):
-        if i < h:
+        if i < h and len(ends) < _DEDUP_ROWS:
             e = run.edges(i - 1, sel, verts[:, i])
+        elif i < h:
+            key, back = np.unique(sel * n + verts[:, i], return_inverse=True)
+            e = run.edges(i - 1, key // n, key % n)[back]
         if (e < 0).any():
             raise AssertionError("predecessor chain broken; labels are inconsistent")
         edges[:, i - 1] = e

@@ -9,6 +9,14 @@ the level above already has its exact full rows, so only the level's new
 vertices run.  Small d pushes the effort into the dense closure; large d
 pushes it into the label runs.
 
+Each squaring is semi-naive: a term D(i,l) + D(l,j) whose two operands the
+previous product left unchanged was already compared there, so a product
+recomputes only the terms with a changed operand (the first product, the
+terms with a finite left operand) and keeps every other entry.  The values
+are bit for bit those of the dense product.  The meter still charges every
+product the paper's dense cost, on purpose: the work/depth model prices
+the algorithm, not this shortcut.
+
 Every matrix and row here takes the dtype of the graph's weight array
 (`Digraph._in_arrays`), so integer weights too large for float64 give
 exact Python-int distances on object arrays.
@@ -74,18 +82,111 @@ class ApspResult:
 
 
 def minplus_product(A: DistMatrix, B: DistMatrix,
-                    meter: Optional[CostMeter] = None) -> DistMatrix:
-    """C(i,j) = min over k of A(i,k) + B(k,j); infinities absorb."""
+                    meter: Optional[CostMeter] = None, *,
+                    _changed: Optional[np.ndarray] = None) -> DistMatrix:
+    """C(i,j) = min over k of A(i,k) + B(k,j); infinities absorb.
+
+    The meter, when given, charges the paper's dense cost: b*b work and
+    ceil(log2 b)+1 depth per row, whatever the product recomputes.
+
+    ``_changed``, private to `minplus_closure`, makes a squaring (B is A)
+    semi-naive.  It is a boolean (b, b) mask such that A's diagonal is 0
+    and no term A(i,l) + A(l,j) with neither (i,l) nor (l,j) marked is below
+    A(i,j).  Then C(i,j) is the least of A(i,j) and the terms with a marked
+    operand (`_semi_naive_square`).  Without it, each row is one broadcast
+    sum and minimum.
+    """
     if A.index != B.index:
         raise ValueError("operand index sets differ")
     b = len(A.index)
-    out = np.empty((b, b), dtype=A.values.dtype)
-    for i in range(b):
-        out[i] = (A.values[i][:, None] + B.values).min(axis=0)
+    out = None
+    if _changed is not None:
+        if B is not A:
+            raise ValueError("a semi-naive product squares one matrix")
+        out = _semi_naive_square(A.values, _changed)
+    if out is None:
+        out = np.empty((b, b), dtype=A.values.dtype)
+        _broadcast_rows(out, A.values, B.values, range(b))
     if meter is not None:
         depth = math.ceil(math.log2(b)) + 1 if b > 1 else 1
         meter.parallel_region([(b * b, depth)] * b)
     return DistMatrix(A.index, out)
+
+
+def _broadcast_rows(out: np.ndarray, A: np.ndarray, B: np.ndarray, rows) -> None:
+    """Set out[i] to the full product row min over l of A[i,l] + B[l], for i in rows."""
+    for i in rows:
+        out[i] = (A[i][:, None] + B).min(axis=0)
+
+
+def _semi_naive_square(D: np.ndarray, changed: np.ndarray) -> Optional[np.ndarray]:
+    """D*D from D and the terms with an operand marked in ``changed``.
+
+    A term with an infinite operand is infinite, so only finite marks
+    count.  The row pass adds row l of D to each marked D(i,l); the column
+    pass does the same on the transpose for each marked D(l,j).  A row pass
+    over every finite (i,l) is exact on its own, and it replaces both
+    passes when it gathers fewer rows, as in the first product, where every
+    finite entry is marked.  None when the passes would gather b*b/2 rows
+    or more: a gathered term costs about twice a broadcast one, so the
+    dense product is then cheaper.
+    """
+    b = len(D)
+    finite = D != INF
+    marked = changed & finite
+    gathered = 2 * np.count_nonzero(marked)
+    rows_only = gathered > np.count_nonzero(finite)
+    if rows_only:
+        marked, gathered = finite, np.count_nonzero(finite)
+    if 2 * gathered >= b * b:
+        return None
+    out = D.copy()
+    _gather_rows(out, D, marked)
+    if not rows_only:
+        _gather_rows(out.T, np.ascontiguousarray(D.T), marked.T)
+    return out
+
+
+def _gather_rows(out: np.ndarray, D: np.ndarray, marked: np.ndarray) -> None:
+    """Lower out[i] to the least D(i,l) + D[l] over the l with marked[i,l].
+
+    A row with more than b/2 marks takes its full broadcast row instead.
+    The others go in order of mark count, in groups of at most b gathered
+    rows, the size of one broadcast row's temporary, into one reused
+    buffer.  Each row is padded to its group's widest with l = i, whose term
+    is D[i] itself since D(i,i) = 0.
+    """
+    b = D.shape[1]
+    counts = np.count_nonzero(marked, axis=1)
+    order = np.argsort(counts, kind="stable")
+    order = order[counts[order] > 0]
+    wide = counts[order] > b // 2
+    _broadcast_rows(out, D, D, order[wide])
+    order = order[~wide]
+    if not len(order):
+        return
+    widths = counts[order].tolist()
+    # The marks of the sorted rows, row by row, with each one's rank in its row.
+    r, l = np.nonzero(marked[order])
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    ptr = np.concatenate(([0], np.cumsum(widths)))
+    # Widths ascend, so a group's padded size grows with every row it takes.
+    starts = [0]
+    for k, w in enumerate(widths):
+        if (k + 1 - starts[-1]) * w > b:
+            starts.append(k)
+    buf = np.empty(b * b, dtype=D.dtype)
+    for start, stop in zip(starts, starts[1:] + [len(order)]):
+        grp = order[start:stop]
+        lo, hi = ptr[start], ptr[stop]
+        idx = np.repeat(grp[:, None], widths[stop - 1], axis=1)
+        idx[r[lo:hi] - start, rank[lo:hi]] = l[lo:hi]
+        # Indices are in range; "clip" lets take write into buf directly,
+        # where the default mode would gather into a temporary first.
+        terms = np.take(D, idx, axis=0, mode="clip",
+                        out=buf[:idx.size * b].reshape(idx.shape + (b,)))
+        terms += D[grp[:, None], idx][..., None]
+        out[grp] = np.minimum(out[grp], terms.min(axis=1))
 
 
 def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMatrix:
@@ -94,10 +195,20 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
     The diagonal is clamped to min(entry, 0) so squarings compose walks of
     any shorter hop count; at most ceil(log2(b)) squarings then cover every
     simple path and every simple cycle length.  Squaring stops early at the
-    first product that equals its input: if D = D*D, D is already closed.
-    Raises NegativeDiagonal as soon as any diagonal entry is negative,
-    including on entry and after every product: a negative diagonal is a
-    negative closed walk, and a matrix with one never reaches a fixpoint.
+    first product that changes no entry of its input: if D = D*D, D is
+    already closed.  Raises NegativeDiagonal as soon as any diagonal entry
+    is negative, including on entry and after every product: a negative
+    diagonal is a negative closed walk, and a matrix with one never reaches
+    a fixpoint.
+
+    Each product is semi-naive (`minplus_product`'s ``_changed``): it gets
+    the entries the previous product changed, and the first one the finite
+    entries, as changed from an all-infinite matrix.  That is exact because
+    the clamped diagonal is exactly 0, so D(i,j) itself is a term.  A
+    matrix holding -0.0 squares densely throughout, because the dense
+    minimum, not the values, picks the sign of a zero result; without one
+    no product can form -0.0.  Every product is still one `minplus_product`
+    call, charged the dense cost.
     """
     b = len(A.index)
     values = A.values.copy()
@@ -114,10 +225,13 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
             raise NegativeDiagonal(A.index[int(bad[0])])
 
     check(cur)
+    semi = not np.signbit(values[values == 0].astype(np.float64)).any()
+    changed = values != INF
     for _ in range(max(0, math.ceil(math.log2(b)))):
-        nxt = minplus_product(cur, cur, meter)
+        nxt = minplus_product(cur, cur, meter, _changed=changed if semi else None)
         check(nxt)
-        if np.array_equal(nxt.values, cur.values):
+        changed = nxt.values != cur.values
+        if not changed.any():
             break
         cur = nxt
     return cur

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hubapsp.bellman_ford import (NumberOps, _run_multi_generic, bf_run_multi,
-                                  extract_minimal_path)
+from hubapsp.bellman_ford import (LabelRun, NumberOps, _run_multi_generic,
+                                  bf_run_multi, extract_minimal_path)
 from hubapsp.generate import (negative_cycle_free, random_digraph,
                               ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
                            negative_cycle_hops_oracle)
+from hubapsp import hubs
 from hubapsp.hubs import (
     HubHierarchy,
     NegativeCycle,
@@ -132,6 +133,32 @@ def test_collect_rows_are_extracted_paths(hub_corpus, ops):
             assert [tuple(r) for r in rows.tolist()] == want, (idx, h)
             checked += len(want)
     assert checked >= 1000
+
+
+def test_walk_back_looks_up_each_entry_once(monkeypatch):
+    # Minimal paths that converge share their (source, vertex) entry at a
+    # hop; with enough paths the walk back asks for each distinct entry's
+    # edge once.
+    rng = np.random.default_rng(4)
+    p = rng.integers(-20, 21, 96).tolist()
+    g = build_graph(96, [(u, v, w + p[u] - p[v]) for (u, v, w)
+                         in ring_with_chords(96, 288, seed=4).edges])
+    asked = []
+    real = LabelRun.edges
+
+    def spy(self, i, at, ends=None):
+        if ends is not None:
+            asked.append(list(zip(np.asarray(at).tolist(), np.asarray(ends).tolist())))
+        return real(self, i, at, ends)
+
+    monkeypatch.setattr(LabelRun, "edges", spy)
+    h = 8
+    paths = collect_minimal_paths(g, range(g.n), h)
+    assert len(paths) >= hubs._DEDUP_ROWS
+    assert all(len(set(pairs)) == len(pairs) for pairs in asked)
+    # One lookup of the last hop for every path, then fewer for the rest.
+    assert len(asked) == h and len(asked[0]) == len(paths)
+    assert sum(map(len, asked[1:])) < (h - 1) * len(paths)
 
 
 # ---------------------------------------------------------------- extension
