@@ -8,27 +8,27 @@ ties pick the smallest attaining source vertex (then smallest edge index).
 
 Two engines share these semantics.  The default one vectorizes all sources
 of a run at once through numpy, in the dtype of the graph's weight array
-(`Digraph._in_arrays`): float64, or Python ints on an object array when
-the integer weights are too large for float64 to add exactly.  Its tables,
-and those of `relax` and `bf_step`, take that dtype, and their zero is the
-int 0, so an object table never holds a float but infinity.
-`_run_multi_generic` accepts any weight domain through an ops object (the
-parametric search runs its affine values through it), batching its
-comparisons into rounds so a comparison resolver can process each parallel
-round at once.
+(`Digraph._in_arrays`): float64, or an object array that keeps exact
+weights exact (integers too large for float64 to add exactly, or
+Fractions).  Its tables, and those of `relax` and `bf_step`, take that
+dtype, and their zero is the int 0, so an object table never holds a float
+but infinity.  `_run_multi_generic` accepts any weight domain through an
+ops object (the parametric search runs its affine values through it),
+batching its comparisons into rounds so a comparison resolver can process
+each parallel round at once.
 
 Every numpy step goes through `_min_in_edges`, which computes distances
 only.  `relax` applies it from any start rows.  Both label engines return
 one `LabelRun`: the snapshot table of all sources plus each source's
 closed-walk candidates, which the hub layer reads whole; ``run[s]`` is the
-per-source `HopLabels` view.  The numpy engine keeps no predecessor table:
+per-source `HopLabels` view.  Neither engine keeps a predecessor table:
 `_attaining_edges` finds the in-edge that attains a label from the row
-before it, in the step's own tie order, and `LabelRun.edges` asks it only
-for the entries a walk follows.  The ops engine keeps the edges its
-comparison rounds decided.  Both engines also take an optional earlier run
-to resume from: a source it covers copies its first rows from there and
-steps on from the last, so the hub hierarchy runs each surviving hub's
-label steps once over all its levels, and the tables come out
+before it, in the engines' shared tie order, `LabelRun.edges` asks it only
+for the entries a walk follows, and `LabelRun.walk_back` is the one walk
+from an entry back to its source.  Both engines also take an optional
+earlier run to resume from: a source it covers copies its first rows from
+there and steps on from the last, so the hub hierarchy runs each surviving
+hub's label steps once over all its levels, and the tables come out
 bit-identical to a run from scratch.
 """
 from __future__ import annotations
@@ -50,9 +50,9 @@ class HopLabels:
     ``pred_edges`` is the read-only int32 (steps, n) table whose row i holds
     the edge that strictly improved v between snapshots i and i+1 (-1 when
     none), and `preds` the same rows as source vertex ids; both read the
-    run's `LabelRun.pred_edges`, which a numpy run builds on first access.
-    The view of a source whose run resumed reads exactly as the view of a
-    run from scratch.
+    run's `LabelRun.pred_edges`, which is built on first access.  The view
+    of a source whose run resumed reads exactly as the view of a run from
+    scratch.
     """
 
     __slots__ = ("graph", "source", "steps", "labels", "_run", "_at")
@@ -78,6 +78,12 @@ class HopLabels:
         return out
 
 
+# A lookup costs a fixed few dozen numpy calls plus a little per entry, and
+# the sort that finds the repeats about a third of that fixed cost; below a
+# few hundred rows the entries it saves cost less than the sort.
+_DEDUP_ROWS = 256
+
+
 class LabelRun(Mapping):
     """One lockstep label run from several sources, kept as whole tables.
 
@@ -85,18 +91,27 @@ class LabelRun(Mapping):
     ``labels`` is the (steps+1, S, n) snapshot table, in the graph's weight
     dtype from the numpy engine and object from an ops engine.  ``closed``
     row i holds each source's best in-edge candidate into itself at step
-    i+1, whether or not it improved; the cycle sweep reads closed-walk
-    values there without the zero-weight empty walk shadowing them.  As a
-    mapping, ``run[s]`` is source s's `HopLabels` view.
+    i+1, whether or not it improved, and ``inf`` where there is none; the
+    cycle sweep reads closed-walk values there without the zero-weight
+    empty walk shadowing them.  ``inf`` is the run's infinity: `INF`, or
+    the ops domain's own.  As a mapping, ``run[s]`` is source s's
+    `HopLabels` view.
 
-    The edge attaining an entry comes from `edges`.  An ops run stores the
-    (steps, S, n) and (steps, S) int32 tables its comparison rounds decided;
-    a numpy run stores none and searches the label rows for each entry
-    asked, so the hub layer pays only for the edges its walks follow.
-    ``pred_edges`` (the strictly improving edge of each entry, -1 when
-    none) and ``closed_edges`` (the edge of each ``closed`` candidate, -1
-    when none) are those tables whole, read-only; a numpy run builds them
-    on first access.
+    Neither engine stores an edge: `edges` finds the in-edge attaining each
+    entry asked in the label rows (`_attaining_edges`), and `walk_back`
+    follows those edges back to the sources, so the hub layer pays only for
+    the edges its walks follow.  Both engines take the first minimal
+    candidate in (source vertex, edge index) order and change a label only
+    on a strict decrease, so an entry improved exactly where it differs
+    from the row before.  The search returns the first candidate equal to
+    the label.  On an ops run that is still the winner: minimal means
+    minimal where the comparisons are decided, and every earlier candidate
+    compares strictly larger there, so it is a different value.  The
+    search compares nothing, so it leaves an ops run's comparison count
+    alone.  ``pred_edges`` (the strictly improving edge of each entry, -1
+    when none) and ``closed_edges`` (the edge of each ``closed`` candidate,
+    -1 when none) are those edges as whole read-only tables, built on first
+    access.
 
     Every row of a source depends on that source alone, so a longer run
     over other sources can resume from this one's rows (`_resume_from`),
@@ -105,15 +120,13 @@ class LabelRun(Mapping):
     after the rows it resumed.
     """
 
-    def __init__(self, graph, sources, labels, closed,
-                 pred_edges=None, closed_edges=None):
+    def __init__(self, graph, sources, labels, closed, inf=INF):
         self.graph = graph
         self.sources = sources
         self.labels = labels
         self.closed = closed
+        self.inf = inf
         self.steps = len(labels) - 1
-        # Stored by an ops run only; None on a numpy run.
-        self._pred, self._closed_e = pred_edges, closed_edges
         self.ran = [self.steps] * len(sources)
         self._index = {s: i for i, s in enumerate(sources)}
 
@@ -139,34 +152,63 @@ class LabelRun(Mapping):
         ``closed_edges`` entry.  -1 where there is none.
         """
         at = np.asarray(at, dtype=np.int64)
-        if self._pred is not None:
-            got = (self._closed_e[i, at] if ends is None
-                   else self._pred[i, at, ends])
-            return got.astype(np.int64)
         if ends is None:
             ends = np.asarray(self.sources, dtype=np.int64)[at]
             target = self.closed[i, at]
-            live = target < INF
+            live = target != self.inf
         else:
             ends = np.asarray(ends, dtype=np.int64)
             target = self.labels[i + 1, at, ends]
-            live = target < self.labels[i, at, ends]
+            live = target != self.labels[i, at, ends]
         out = np.full(len(at), -1, dtype=np.int64)
         out[live] = _attaining_edges(self.graph, self.labels[i], at[live],
                                      ends[live], target[live])
         return out
 
+    def walk_back(self, h: int, at, ends=None) -> Tuple[np.ndarray, np.ndarray]:
+        """(vertices, edges) of the h-hop walks behind entries of snapshot h.
+
+        Row j runs from the source at position at[j] to ends[j], whose hop-h
+        label must strictly improve on its hop-(h-1) one; without ``ends``
+        it is the closed walk of candidate ``closed[h-1, at[j]]``, back to
+        the source.  Every hop takes its `edges` entry, so each row is a
+        chain of strict improvements back to its source, and the arrays
+        are int64 of shapes (rows, h+1) and (rows, h).  All rows walk back
+        at once.  Walks that converge share their (source, vertex) entry at
+        a hop, so with at least `_DEDUP_ROWS` rows each hop below h looks up
+        every distinct entry once and hands the edge to all rows that hold
+        it.
+        """
+        edge_src = self.graph._edge_src()
+        n = self.graph.n
+        at = np.asarray(at, dtype=np.int64)
+        starts = np.asarray(self.sources, dtype=np.int64)[at]
+        e = self.edges(h - 1, at, ends)
+        verts = np.empty((len(at), h + 1), dtype=np.int64)
+        edges = np.empty((len(at), h), dtype=np.int64)
+        verts[:, h] = starts if ends is None else ends
+        for i in range(h, 0, -1):
+            if i < h and len(at) < _DEDUP_ROWS:
+                e = self.edges(i - 1, at, verts[:, i])
+            elif i < h:
+                key, back = np.unique(at * n + verts[:, i], return_inverse=True)
+                e = self.edges(i - 1, key // n, key % n)[back]
+            if (e < 0).any():
+                raise AssertionError("predecessor chain broken; labels are inconsistent")
+            edges[:, i - 1] = e
+            verts[:, i - 1] = edge_src[e]
+        if not np.array_equal(verts[:, 0], starts):
+            raise AssertionError("walk did not terminate at the source")
+        return verts, edges
+
     def _edge_table(self, closed: bool) -> np.ndarray:
         """The whole ``closed_edges`` or ``pred_edges`` table, read-only."""
-        if self._pred is not None:
-            table = (self._closed_e if closed else self._pred).view()
-        else:
-            S, n = len(self.sources), self.graph.n
-            table = np.empty((self.steps, S) + (() if closed else (n,)), dtype=np.int32)
-            rows, ends = np.repeat(np.arange(S), n), np.tile(np.arange(n), S)
-            for i in range(self.steps):
-                table[i] = (self.edges(i, np.arange(S)) if closed
-                            else self.edges(i, rows, ends).reshape(S, n))
+        S, n = len(self.sources), self.graph.n
+        table = np.empty((self.steps, S) + (() if closed else (n,)), dtype=np.int32)
+        rows, ends = np.repeat(np.arange(S), n), np.tile(np.arange(n), S)
+        for i in range(self.steps):
+            table[i] = (self.edges(i, np.arange(S)) if closed
+                        else self.edges(i, rows, ends).reshape(S, n))
         table.flags.writeable = False
         return table
 
@@ -182,10 +224,8 @@ class LabelRun(Mapping):
         """A run over the given subset of the sources, with copies of their rows."""
         keep = tuple(sorted(set(sources)))
         at = [self._index[s] for s in keep]
-        stored = (() if self._pred is None
-                  else (self._pred[:, at], self._closed_e[:, at]))
-        out = LabelRun(self.graph, keep, self.labels[:, at],
-                       self.closed[:, at], *stored)
+        out = LabelRun(self.graph, keep, self.labels[:, at], self.closed[:, at],
+                       self.inf)
         out.ran = [self.ran[i] for i in at]
         return out
 
@@ -193,10 +233,10 @@ class LabelRun(Mapping):
         """Copy in the rows ``resume`` holds for this run's sources.
 
         Each source ``resume`` covers gets its label rows 0..r and its
-        closed-walk rows 0..r-1, plus its edge rows 0..r-1 when this run
-        stores edge tables, where r is the smaller step count of the two
-        runs, and runs r steps fewer.  Returns r and the positions of the
-        other sources, which start from row 0; r is 0 when no source resumes.
+        closed-walk rows 0..r-1, where r is the smaller step count of the
+        two runs, and runs r steps fewer.  Returns r and the positions of
+        the other sources, which start from row 0; r is 0 when no source
+        resumes.
         """
         held = {} if resume is None else resume._index
         old = [i for i, s in enumerate(self.sources) if s in held]
@@ -210,11 +250,6 @@ class LabelRun(Mapping):
         for t in range(r + 1):
             self.labels[t, old] = resume.labels[t, at]
         self.closed[:r, old] = resume.closed[:r, at]
-        if self._pred is not None:
-            pred, closed_e = resume.pred_edges, resume.closed_edges
-            for t in range(r):
-                self._pred[t, old] = pred[t, at]
-            self._closed_e[:r, old] = closed_e[:r, at]
         for i in old:
             self.ran[i] -= r
         return r, fresh
@@ -280,14 +315,16 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     steps hops)`` over all t, so from a row that is 0 at s and infinite
     elsewhere it is ``bf_run(g, s, steps)``'s last label row.  The input is
     not modified.  The result takes the dtype of g's weights; on an object
-    graph every finite start value must be a Python int, since a float
-    would turn each sum it enters into a rounded float.
+    graph no finite start value may be a float, since a float would turn
+    each sum it enters into a rounded float.
     """
     a = np.array(rows, dtype=g._in_arrays()[1].dtype)
     if a.ndim != 2 or a.shape[1] != g.n:
         raise ValueError(f"start rows must have shape (S, {g.n})")
-    if a.dtype == object and not all(type(x) is int for x in a[a != INF]):
-        raise ValueError("start rows on exact integer weights must hold ints or inf")
+    if a.dtype == object and any(isinstance(x, (float, np.floating))
+                                 for x in a[a != INF]):
+        raise ValueError("start rows on exact weights take exact values "
+                         "(ints or inf, or Fractions), not floats")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     dst = g._in_arrays()[4]
@@ -358,24 +395,26 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
 
     Runs all sources in lockstep so each step's comparisons form parallel
     rounds: the per-destination candidate tournament round by round, then
-    one improvement round against the previous snapshot.  Tie outcomes keep
-    the earlier element, which makes predecessor choice the smallest
-    attaining (source vertex, edge index) exactly like the numpy engine.
+    one improvement round against the previous snapshot.  Candidates are
+    ``ops.add(label, w)`` over the in-edges of `Digraph._in_arrays`, in
+    (source vertex, edge index) order, and ``ops.add`` must be ``+``, which
+    `LabelRun.edges` repeats.  A tie keeps the earlier candidate, so the
+    winner of every stretch of candidates is its first minimal one, and the
+    label is that winner; a label changes only on a strict decrease.
     ``resume`` works as in `_bf_run_numpy_batch`: a resumed source asks
     none of the comparisons of the steps it copied.
     """
     n = g.n
     inf = ops.INF
-    in_lists = g._in_lists()
+    src, w, _eidx, _seg, _dst, in_ptr = g._in_arrays()
+    src, w, in_ptr = src.tolist(), w.tolist(), in_ptr.tolist()
     srcs = tuple(sorted(set(map(int, sources))))
     S = len(srcs)
 
     labels = np.full((k + 1, S, n), inf, dtype=object)
     for j, s in enumerate(srcs):
         labels[0, j, s] = ops.ZERO
-    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=object),
-                   np.full((k, S, n), -1, dtype=np.int32),
-                   np.full((k, S), -1, dtype=np.int32))
+    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=object), inf)
     r, fresh = run._resume_from(resume)
     del resume  # frees the copied rows, as in `_bf_run_numpy_batch`
     fresh = fresh.tolist()
@@ -385,15 +424,13 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
 
     for i in range(k):
         active = fresh if i < r else range(S)
-        folds = []  # [j, v, [(value, eidx, u), ...]]
+        folds = []  # [j, v, [candidate value, ...]]
         for j in active:
             cur = rows[j]
             for v in range(n):
-                cands = [
-                    (ops.add(cur[u], wt), e, u)
-                    for (u, wt, e) in in_lists[v]
-                    if cur[u] != inf
-                ]
+                cands = [ops.add(cur[src[p]], w[p])
+                         for p in range(in_ptr[v], in_ptr[v + 1])
+                         if cur[src[p]] != inf]
                 if cands:
                     folds.append([j, v, cands])
         # Tournament rounds across all (source, vertex) pairs at once.
@@ -403,7 +440,7 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
             for item in folds:
                 cands = item[2]
                 for t in range(0, len(cands) - 1, 2):
-                    requests.append((cands[t][0], cands[t + 1][0]))
+                    requests.append((cands[t], cands[t + 1]))
                     slots.append((item, t))
             if not requests:
                 break
@@ -415,17 +452,14 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
                 item[2] = [c for c in item[2] if c is not None]
 
         # Improvement round against the previous snapshot.
-        requests = [(cands[0][0], rows[j][v]) for (j, v, cands) in folds]
+        requests = [(cands[0], rows[j][v]) for (j, v, cands) in folds]
         signs = ops.cmp_batch(requests)
 
         for (j, v, cands), sg in zip(folds, signs):
-            value, e, _u = cands[0]
             if v == srcs[j]:
-                run.closed[i, j] = value
-                run._closed_e[i, j] = e
+                run.closed[i, j] = cands[0]
             if sg < 0:
-                rows[j][v] = value
-                run._pred[i, j, v] = e
+                rows[j][v] = cands[0]
         for j in active:
             labels[i + 1, j] = rows[j]
     return run
@@ -499,24 +533,12 @@ def extract_minimal_path(labels: HopLabels, v: int, h: int) -> Path:
     Valid when the h-th snapshot strictly improves on the (h-1)-th at v;
     every backward step then lands on a vertex whose previous snapshot also
     strictly improved, so the walk reaches the source in exactly h hops.
+    The walk is `LabelRun.walk_back`'s row for (source, v).
     """
     if h < 1 or h > labels.steps:
         raise ValueError(f"hop count {h} outside 1..{labels.steps}")
-    if not labels.labels[h][v] < labels.labels[h - 1][v]:
+    if labels.labels[h][v] == labels.labels[h - 1][v]:
         raise ValueError(f"no minimal {h}-hop path to vertex {v}")
-    edges = labels.graph.edges
-    verts = [v]
-    eidx = []
-    cur = v
-    for i in range(h, 0, -1):
-        e = int(labels.pred_edges[i - 1][cur])
-        if e < 0:
-            raise AssertionError("predecessor chain broken; labels are inconsistent")
-        eidx.append(e)
-        cur = edges[e][0]
-        verts.append(cur)
-    if cur != labels.source:
-        raise AssertionError("walk did not terminate at the source")
-    verts.reverse()
-    eidx.reverse()
-    return Path(tuple(verts), labels.labels[h][v], h, tuple(eidx))
+    verts, edges = labels._run.walk_back(h, [labels._at], [v])
+    return Path(tuple(verts[0].tolist()), labels.labels[h][v], h,
+                tuple(edges[0].tolist()))

@@ -38,26 +38,22 @@ class Path:
 class Digraph:
     """Immutable weighted digraph with forward and reverse adjacency.
 
-    Self-loops and parallel edges are allowed.  `build_graph` keeps integer
-    weights as Python ints and makes every other weight a float; internal
-    callers may carry exact rational or affine weights through `_unchecked`.
-    The label engines read the weights as one array whose dtype
-    `_in_arrays` chooses: float64, or Python ints on an object array when
-    float64 could not hold the integer sums exactly.
+    Self-loops and parallel edges are allowed.  `build_graph` validates its
+    input, keeps integer weights as Python ints and makes every other
+    weight a float; the constructor checks nothing, so internal callers
+    carry exact rational or affine weights through it.  The label engines
+    read the weights as one array whose dtype `_in_arrays` chooses:
+    float64, or an object array that keeps them exact.
     """
 
     __slots__ = ("n", "edges", "out_adj", "in_adj", "_cache")
 
-    def __init__(self, n: int, edges: Sequence[Tuple[int, int, float]]):
-        self._build(n, tuple((int(u), int(v), w) for (u, v, w) in edges))
-
-    def _build(self, n: int, edges: Tuple[Tuple[int, int, object], ...]) -> None:
-        """Set the vertex count, the edge tuple and both adjacency views."""
+    def __init__(self, n: int, edges: Sequence[Tuple[int, int, object]]):
         self.n = n
-        self.edges = edges
+        self.edges = tuple([(int(u), int(v), w) for (u, v, w) in edges])
         out_adj: List[List[int]] = [[] for _ in range(n)]
         in_adj: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(edges):
+        for i, (u, v, _) in enumerate(self.edges):
             out_adj[u].append(i)
             in_adj[v].append(i)
         self.out_adj = tuple(tuple(a) for a in out_adj)
@@ -81,18 +77,11 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
 
-    @classmethod
-    def _unchecked(cls, n: int, edges: Sequence[Tuple[int, int, object]]) -> "Digraph":
-        """Construct without weight validation (exact/affine weight carriers)."""
-        g = cls.__new__(cls)
-        g._build(n, tuple(edges))
-        return g
-
     def reverse(self) -> "Digraph":
         """Transposed graph; edge i here is edge i reversed."""
         rev = self._cache.get("reverse")
         if rev is None:
-            rev = Digraph._unchecked(self.n, [(v, u, w) for (u, v, w) in self.edges])
+            rev = Digraph(self.n, [(v, u, w) for (u, v, w) in self.edges])
             self._cache["reverse"] = rev
         return rev
 
@@ -105,24 +94,6 @@ class Digraph:
             self._cache["edge_src"] = src
         return src
 
-    # Sorted in-edge views used by the relaxation engines.
-
-    def _in_lists(self):
-        """Per-vertex [(src, w, edge_index)] sorted by (src, edge_index)."""
-        lists = self._cache.get("in_lists")
-        if lists is None:
-            lists = tuple(
-                tuple(
-                    sorted(
-                        ((self.edges[e][0], self.edges[e][2], e) for e in self.in_adj[v]),
-                        key=lambda t: (t[0], t[2]),
-                    )
-                )
-                for v in range(self.n)
-            )
-            self._cache["in_lists"] = lists
-        return lists
-
     def _in_arrays(self):
         """Numpy views of in-edges grouped by destination.
 
@@ -132,12 +103,15 @@ class Digraph:
         destinations having at least one in-edge, and the in-edges of
         vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
 
-        ``w`` sets the dtype of every engine that reads it.  It is float64
-        unless every weight is an integer and 3n*W >= 2^53, with W the
-        largest integer magnitude; then it holds the exact Python ints on an
-        object array.  A float beside such integers raises ValueError: no
-        one dtype holds both exactly.  Below the bound float64 is exact,
-        because no engine forms an integer past 3n*W on an n-vertex graph:
+        ``w`` sets the dtype of every engine that reads it.  Weights that
+        are neither int nor float (Fractions, the ratio search's affine
+        values) stay as they are on an object array.  Otherwise ``w`` is
+        float64 unless every weight is an integer and 3n*W >= 2^53, with W
+        the largest integer magnitude; then it holds the exact Python ints
+        on an object array.  A float beside exact weights of either kind
+        raises ValueError: no one dtype holds both exactly.  Below the bound
+        float64 is exact, because no engine forms an integer past 3n*W on
+        an n-vertex graph:
 
         - label runs (`_bf_run_numpy_batch`, `relax`, `bf_step`): after i
           steps a label is a walk of at most i hops, and a candidate adds
@@ -187,16 +161,20 @@ class Digraph:
 
     def _weight_array(self) -> np.ndarray:
         """Edge weights in edge order, in the dtype `_in_arrays` documents."""
-        ws = [e[2] for e in self.edges]
-        ints = [int(x) for x in ws if isinstance(x, (int, np.integer))]
-        if 3 * self.n * max(map(abs, ints), default=0) < _EXACT_FLOAT:
-            return np.fromiter((float(x) for x in ws), dtype=np.float64,
-                               count=len(ws))
-        if len(ints) < len(ws):
-            raise ValueError(
-                "integer weights this large need exact arithmetic, which "
-                "float weights beside them rule out")
-        return np.array(ints, dtype=object)
+        ws = [w for (_, _, w) in self.edges]
+        kinds = set(map(type, ws))
+        if any(issubclass(t, np.generic) for t in kinds):
+            ws = [w.item() if isinstance(w, np.generic) else w for w in ws]
+            kinds = set(map(type, ws))
+        exact = kinds - {int, float}
+        ints = ws if float not in kinds else [w for w in ws if type(w) is int]
+        if not exact and 3 * self.n * max(map(abs, ints), default=0) < _EXACT_FLOAT:
+            return np.array(ws, dtype=np.float64)
+        if float in kinds:
+            what = "rational or affine weights" if exact else "integer weights this large"
+            raise ValueError(f"{what} need exact arithmetic, which float "
+                             "weights beside them rule out")
+        return np.array(ws, dtype=object)
 
     def _step_cost(self) -> Tuple[int, int]:
         """(work, depth) charged for one relaxation step of this graph."""
@@ -244,7 +222,22 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int, float]]) -> Digraph:
 def _float_oracle(g: Digraph) -> None:
     """The oracles compute in float64: refuse weights `_in_arrays` keeps exact."""
     if g._in_arrays()[1].dtype == object:
-        raise ValueError("integer weights this large would round in a float64 oracle")
+        raise ValueError("exact weights (integers this large, rationals or affine "
+                         "values) would round in a float64 oracle")
+
+
+def _oracle_candidates(g: Digraph, rows: np.ndarray) -> np.ndarray:
+    """Min over in-edges (u, v) of rows[..., u] + w, for every v, in float64.
+
+    ``rows`` holds label rows along its last axis; a vertex without in-edges
+    gets inf.  The oracles' one relaxation, kept apart from the engines.
+    """
+    src, w, _eidx, seg_starts, dst_with_in, _ptr = g._in_arrays()
+    out = np.full(rows.shape, INF)
+    if len(src):
+        out[..., dst_with_in] = np.minimum.reduceat(rows[..., src] + w, seg_starts,
+                                                    axis=-1)
+    return out
 
 
 class NegativeCycleDetected(Exception):
@@ -268,14 +261,8 @@ def hop_limited_oracle(g: Digraph, k: int) -> np.ndarray:
     n = g.n
     dist = np.full((n, n), INF)
     np.fill_diagonal(dist, 0.0)
-    if g.m == 0:
-        return dist
-    src, w, _, seg_starts, dst_with_in, _ = g._in_arrays()
     for _ in range(k):
-        cand = dist[:, src] + w[None, :]
-        red = np.minimum.reduceat(cand, seg_starts, axis=1)
-        new = dist.copy()
-        new[:, dst_with_in] = np.minimum(dist[:, dst_with_in], red)
+        new = np.minimum(dist, _oracle_candidates(g, dist))
         if np.array_equal(new, dist):
             break
         dist = new

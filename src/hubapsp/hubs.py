@@ -12,11 +12,12 @@ The hub layer works on the tables of the engines' `LabelRun`: the sweep
 reads one (2h, S) array of closed-walk values, `collect_minimal_paths`
 walks back every improving pair at once into one (P, h+1) vertex array,
 and `greedy_hitting_set` runs on a CSR path-vertex incidence with numpy
-coverage counts.  Walks ask `LabelRun.edges` for the edge of each hop; a
-numpy run keeps no predecessor table and finds those edges in its label
-rows, so a level pays for the P*h edges its paths use, not for S*n per
-step.  Greedy and sampled levels share the label run and the sweep; they
-differ only in how they pick the next level.
+coverage counts.  Both go through `LabelRun.walk_back`, which asks
+`LabelRun.edges` for the edge of each hop; no run keeps a predecessor
+table, and the edges are found in the label rows, so a level pays for the
+P*h edges its paths use, not for S*n per step.  Greedy and sampled levels
+share the label run and the sweep; they differ only in how they pick the
+next level.
 
 A hub that survives into the next level would repeat there, row for row,
 the 2h label steps it just ran.  So each level hands the next the slices of
@@ -38,7 +39,7 @@ from typing import Collection, FrozenSet, Iterable, List, Optional, Sequence, Tu
 
 import numpy as np
 
-from .graph import Digraph, Path, INF, hop_limited_oracle
+from .graph import Digraph, Path, INF, _oracle_candidates, hop_limited_oracle
 from .bellman_ford import LabelRun, _bf_run_numpy_batch, _run_multi_generic
 from .meter import CostMeter
 
@@ -136,45 +137,6 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
     return frozenset(rng.sample(range(n), size))
 
 
-# A lookup costs a fixed few dozen numpy calls plus a little per entry, and
-# the sort that finds the repeats about a third of that fixed cost; below a
-# few hundred rows the entries it saves cost less than the sort.
-_DEDUP_ROWS = 256
-
-
-def _walk_back(run: LabelRun, sel, ends, last, h: int):
-    """(vertices, edges) of h-hop walks from run.sources[sel] to ``ends``.
-
-    ``last`` holds each walk's final edge; every earlier hop takes the edge
-    that strictly improved its vertex in the snapshot before it
-    (`LabelRun.edges`), so each row is a chain of strict improvements back
-    to its source.  All rows walk back at once.  Walks that converge share
-    their (source, vertex) entry at a hop, so with at least `_DEDUP_ROWS`
-    rows each hop looks up every distinct entry once and hands the edge to
-    all rows that hold it.
-    """
-    edge_src = run.graph._edge_src()
-    n = run.graph.n
-    sel = np.asarray(sel, dtype=np.int64)
-    verts = np.empty((len(ends), h + 1), dtype=np.int64)
-    edges = np.empty((len(ends), h), dtype=np.int64)
-    verts[:, h] = ends
-    e = last
-    for i in range(h, 0, -1):
-        if i < h and len(ends) < _DEDUP_ROWS:
-            e = run.edges(i - 1, sel, verts[:, i])
-        elif i < h:
-            key, back = np.unique(sel * n + verts[:, i], return_inverse=True)
-            e = run.edges(i - 1, key // n, key % n)[back]
-        if (e < 0).any():
-            raise AssertionError("predecessor chain broken; labels are inconsistent")
-        edges[:, i - 1] = e
-        verts[:, i - 1] = edge_src[e]
-    if not np.array_equal(verts[:, 0], np.asarray(run.sources, dtype=np.int64)[sel]):
-        raise AssertionError("walk did not terminate at the source")
-    return verts, edges
-
-
 def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     """Smallest k (then smallest hub) whose k-hop closed-walk value crosses zero.
 
@@ -182,9 +144,10 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     the closed-walk candidates, whose entry at z is the best closed-walk
     value over 1..k hops, and accepts <= 0; the empty walk never shadows
     it.  An ops run signs each k's values in one `cmp_batch`.  In both
-    modes the witness ends with the edge of the closed-walk candidate
-    ``closed[k-1]`` at z (`LabelRun.edges`), and the walk back to that
-    edge's tail is a chain of strict improvements because k is minimal.
+    modes the witness is `LabelRun.walk_back`'s closed walk: it ends with
+    the edge of the closed-walk candidate ``closed[k-1]`` at z, and the
+    walk back to that edge's tail is a chain of strict improvements because
+    k is minimal.
     """
     src = np.asarray(run.sources, dtype=np.int64)
     vals = run.closed if nonstrict else run.labels[1:, np.arange(len(src)), src]
@@ -195,8 +158,7 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
         hit = np.flatnonzero(signs <= 0 if nonstrict else signs < 0)
         if len(hit):
             i = int(hit[0])
-            verts, edges = _walk_back(run, [i], [run.sources[i]],
-                                      run.edges(k - 1, [i]), k)
+            verts, edges = run.walk_back(k, [i])
             path = Path(tuple(verts[0].tolist()), row[i], k,
                         tuple(edges[0].tolist()))
             return NegativeCycle(path, k, path.length)
@@ -212,9 +174,10 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     where the h-hop label of t strictly beats the (h-1)-hop one, in
     (source, target) order; each row is `extract_minimal_path`'s walk.  The
     numpy engine compares its label table directly; an ops engine signs all
-    pairs in one `cmp_batch`.  Both walk back h steps for all rows at once,
-    one `LabelRun.edges` lookup per hop.  ``_labels``, a `LabelRun` of at
-    least h steps such as `extend_hubs` makes, stands in for a run over H.
+    pairs in one `cmp_batch`.  Both walk back h steps for all rows at once
+    (`LabelRun.walk_back`), one `LabelRun.edges` lookup per hop.
+    ``_labels``, a `LabelRun` of at least h steps such as `extend_hubs`
+    makes, stands in for a run over H.
     """
     if h < 1:
         raise ValueError("hop count must be at least 1")
@@ -228,8 +191,7 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
         pairs = list(zip(run.labels[h].ravel(), run.labels[h - 1].ravel()))
         signs = np.asarray(ops.cmp_batch(pairs), dtype=np.int64)
         improving = (signs < 0).reshape(len(run.sources), g.n)
-    rows, ends = np.nonzero(improving)
-    return _walk_back(run, rows, ends, run.edges(h - 1, rows, ends), h)[0]
+    return run.walk_back(h, *np.nonzero(improving))[0]
 
 
 class _Carry:
@@ -388,15 +350,6 @@ def verify_hub_property(g: Digraph, H: Iterable[int], h: int) -> bool:
         return True
     hubset = frozenset(H)
     hub_arr = np.array(sorted(hubset), dtype=np.int64)
-    src, w, _eidx, seg_starts, dst_with_in, _ptr = g._in_arrays()
-
-    def exact_step(row):
-        nxt = np.full(n, INF)
-        if len(src):
-            cand = row[src] + w
-            nxt[dst_with_in] = np.minimum.reduceat(cand, seg_starts)
-        return nxt
-
     for u in np.nonzero(improving.any(axis=1))[0]:
         miss = np.full(n, INF)
         thru = np.full(n, INF)
@@ -405,8 +358,8 @@ def verify_hub_property(g: Digraph, H: Iterable[int], h: int) -> bool:
         else:
             miss[u] = 0.0
         for _ in range(h):
-            n_miss = exact_step(miss)
-            n_thru = exact_step(thru)
+            n_miss = _oracle_candidates(g, miss)
+            n_thru = _oracle_candidates(g, thru)
             if len(hub_arr):
                 n_thru[hub_arr] = np.minimum(n_thru[hub_arr], n_miss[hub_arr])
                 n_miss[hub_arr] = INF

@@ -214,7 +214,7 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
 def _reduced_graph(tg: TimedDigraph, lam: float) -> Digraph:
     edges = tuple((u, v, w - lam * t)
                   for (u, v, w), t in zip(tg.base.edges, tg.times))
-    return Digraph._unchecked(tg.base.n, edges)
+    return Digraph(tg.base.n, edges)
 
 
 def _price_function(gl: Digraph) -> np.ndarray:
@@ -226,8 +226,7 @@ def _price_function(gl: Digraph) -> np.ndarray:
     integer, so the row is in the dtype `Digraph._in_arrays` picks for them.
     """
     n = gl.n
-    aug = Digraph._unchecked(
-        n + 1, gl.edges + tuple((n, v, 0) for v in range(n)))
+    aug = Digraph(n + 1, gl.edges + tuple((n, v, 0) for v in range(n)))
     lab = bf_run(aug, n, n + 1)
     prev, last = lab.labels[n], lab.labels[n + 1]
     if not np.array_equal(prev, last):
@@ -250,7 +249,7 @@ def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
               - p * y.numerator * (big_d // (q * y.denominator))
               for x, y in zip(ws, ts)]
     edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
-    return Digraph._unchecked(tg.base.n, edges), big_d
+    return Digraph(tg.base.n, edges), big_d
 
 
 def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
@@ -328,9 +327,16 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
 
 
 class _Infinity:
-    """Identity sentinel ordered above every LinearValue."""
+    """Identity sentinel ordered above every LinearValue.
+
+    Adding a weight leaves it infinite, as it leaves `INF`, so
+    `LabelRun.edges` can form candidates from infinite labels too.
+    """
 
     __slots__ = ()
+
+    def __add__(self, other):
+        return self
 
     def __repr__(self):
         return "LINF"
@@ -499,7 +505,7 @@ def min_ratio_parametric(tg: TimedDigraph,
     lin_edges = tuple(
         (u, v, LinearValue(Fraction(t), Fraction(w)))
         for (u, v, w), t in zip(g.edges, tg.times))
-    glin = Digraph._unchecked(g.n, lin_edges)
+    glin = Digraph(g.n, lin_edges)
 
     sim = shortest_negative_cycle(glin, nonstrict=True, ops=ops)
     if not isinstance(sim, NegativeCycle):

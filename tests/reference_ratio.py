@@ -10,7 +10,7 @@ from hubapsp.hubs import shortest_negative_cycle
 def fraction_reduced_graph(tg, lam) -> Digraph:
     """The reduced weights w - lam*t as Fractions."""
     lf = Fraction(lam)
-    return Digraph._unchecked(tg.base.n, tuple(
+    return Digraph(tg.base.n, tuple(
         (u, v, Fraction(w) - lf * Fraction(t))
         for (u, v, w), t in zip(tg.base.edges, tg.times)))
 
@@ -27,7 +27,7 @@ def fraction_prices(gl):
     with no negative cycle.
     """
     n = gl.n
-    aug = Digraph._unchecked(
+    aug = Digraph(
         n + 1, gl.edges + tuple((n, v, Fraction(0)) for v in range(n)))
     lab = _run_multi_generic(aug, [n], n + 1, NumberOps())[n]
     prev, last = lab.labels[n], lab.labels[n + 1]

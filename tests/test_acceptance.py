@@ -246,7 +246,7 @@ def test_criterion_08_ratio_cycle_matches_enumeration(timed_corpus):
         # halving the costs leaves the instance exactly representable but
         # non-integral, forcing the float output path
         halved = TimedDigraph(
-            Digraph._unchecked(
+            Digraph(
                 tg.base.n,
                 tuple((u, v, w0 / 2) for (u, v, w0) in tg.base.edges)),
             tg.times)
@@ -276,7 +276,7 @@ def test_criterion_09_certificate_validity(timed_corpus):
                 assert w - lam * t + out.price[u] - out.price[v] >= 0
 
         halved = TimedDigraph(
-            Digraph._unchecked(
+            Digraph(
                 tg.base.n,
                 tuple((u, v, w0 / 2) for (u, v, w0) in tg.base.edges)),
             tg.times)

@@ -15,7 +15,7 @@ from hubapsp.bellman_ford import (
     extract_minimal_path,
     relax,
 )
-from hubapsp.generate import random_digraph, ring_with_chords
+from hubapsp.generate import negative_cycle_free, random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
@@ -176,7 +176,7 @@ def test_generic_engine_matches_numpy():
 def test_generic_engine_exact_fractions():
     # build_graph coerces to float; the raw constructor keeps exact weights.
     from hubapsp.graph import Digraph
-    g = Digraph._unchecked(
+    g = Digraph(
         3, ((0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3))))
     lab = _run_multi_generic(g, [0], 2, NumberOps())[0]
     assert lab.labels[2][2] == Fraction(2, 3)
@@ -265,6 +265,19 @@ def test_hub_layer_never_builds_an_edge_table(monkeypatch):
     resumed = _bf_run_numpy_batch(g, range(0, 64, 3), 8, resume=kept)
     for r in (run, kept, resumed):
         assert _holds_no_edge_table(r)
+    # The ops engine keeps none either, and a single walk reads no table.
+    small = random_digraph(9, 0.35, -2, 8, seed=41)
+    run = _run_multi_generic(small, range(0, 9, 2), 3, NumberOps())
+    kept = run.select(range(0, 9, 4))
+    resumed = _run_multi_generic(small, range(0, 9, 3), 6, NumberOps(), kept)
+    for r in (run, kept, resumed):
+        assert _holds_no_edge_table(r)
+        for s in r:
+            lab = r[s]
+            for h in range(1, r.steps + 1):
+                for v in range(small.n):
+                    if lab.labels[h][v] < lab.labels[h - 1][v]:
+                        assert extract_minimal_path(lab, v, h).hops == h
 
 
 ENGINES = {
@@ -292,7 +305,7 @@ def test_resumed_run_equals_run_from_scratch(engine):
     for seed, (first, then) in enumerate(cases):
         g = random_digraph(7, 0.35, -3, 9, seed=600 + seed)
         if engine == "fraction":
-            g = Digraph._unchecked(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
+            g = Digraph(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
         if engine == "object":
             g = _scaled(g)
         for k in (1, 2, 3):
@@ -304,3 +317,41 @@ def test_resumed_run_equals_run_from_scratch(engine):
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert np.array_equal(a, b), (seed, k, name)
             assert got.pred_edges.dtype == np.int32
+
+
+def test_numpy_engine_keeps_fraction_weights_exact():
+    # Weights w/3 on the numpy engine stay Fractions on an object array, so
+    # its labels, closed walks and edges are the exact ops engine's, and
+    # apsp returns the exact distances at every depth.
+    graphs = [random_digraph(8, 0.35, -4, 8, seed=900 + s) for s in range(10)]
+    graphs += [negative_cycle_free(8, 0.35, -4, 8, seed=900 + s) for s in range(10)]
+    exact = 0
+    for seed, base in enumerate(graphs):
+        g = Digraph(8, [(u, v, Fraction(w, 3)) for (u, v, w) in base.edges])
+        fast = _bf_run_numpy_batch(g, range(8), 8)
+        slow = _run_multi_generic(g, range(8), 8, NumberOps())
+        assert fast.labels.dtype == object
+        for name in ("labels", "closed", "pred_edges", "closed_edges"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.tolist() == b.tolist(), (seed, name)
+        assert not any(isinstance(x, float) for x in fast.labels.ravel() if x != INF)
+        if shortest_negative_cycle(g) is None:
+            for d in (1, 2, 4, 8):
+                dist = apsp(g, d).dist.values
+                assert dist.tolist() == slow.labels[7].tolist(), (seed, d)
+            exact += 1
+        else:
+            assert isinstance(apsp(g, 8), NegativeCycle)
+    assert exact >= 10
+
+
+def test_exact_weights_refuse_floats():
+    g = Digraph(2, [(0, 1, Fraction(1, 3)), (1, 0, 1)])
+    with pytest.raises(ValueError, match="float weights"):
+        Digraph(2, [(0, 1, Fraction(1, 3)), (1, 0, 0.5)])._in_arrays()
+    with pytest.raises(ValueError, match="would round"):
+        hop_limited_oracle(g, 1)
+    rows = np.array([[0, INF]], dtype=object)
+    assert relax(g, rows, 2).tolist() == [[0, Fraction(1, 3)]]
+    with pytest.raises(ValueError, match="not floats"):
+        relax(g, np.array([[0.5, INF]]), 1)

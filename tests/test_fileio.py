@@ -130,6 +130,6 @@ def test_bad_problem_line():
 
 
 def test_serialize_rejects_unsupported_weight():
-    g = Digraph._unchecked(2, ((0, 1, Fraction(1, 3)),))
+    g = Digraph(2, ((0, 1, Fraction(1, 3)),))
     with pytest.raises(TypeError):
         serialize_graph(g)

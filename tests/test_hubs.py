@@ -10,7 +10,7 @@ from hubapsp.generate import (negative_cycle_free, random_digraph,
                               ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
                            negative_cycle_hops_oracle)
-from hubapsp import hubs
+from hubapsp import bellman_ford
 from hubapsp.hubs import (
     HubHierarchy,
     NegativeCycle,
@@ -119,7 +119,7 @@ def test_collect_rows_are_extracted_paths(hub_corpus, ops):
     checked = 0
     for idx, g in enumerate(hub_corpus):
         if ops is not None:
-            g = Digraph._unchecked(
+            g = Digraph(
                 g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
         sources = list(range(g.n))
         labels = (bf_run_multi(g, sources, 4) if ops is None
@@ -154,7 +154,7 @@ def test_walk_back_looks_up_each_entry_once(monkeypatch):
     monkeypatch.setattr(LabelRun, "edges", spy)
     h = 8
     paths = collect_minimal_paths(g, range(g.n), h)
-    assert len(paths) >= hubs._DEDUP_ROWS
+    assert len(paths) >= bellman_ford._DEDUP_ROWS
     assert all(len(set(pairs)) == len(pairs) for pairs in asked)
     # One lookup of the last hop for every path, then fewer for the rest.
     assert len(asked) == h and len(asked[0]) == len(paths)

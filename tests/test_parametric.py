@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hubapsp.bellman_ford import LabelRun, _run_multi_generic
 from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
 from hubapsp.graph import Digraph, build_graph, enumerate_simple_cycles
@@ -19,6 +20,9 @@ from hubapsp.parametric import (
     min_mean_cycle_karp,
     min_ratio_binary_search,
     min_ratio_parametric,
+    _LINF,
+    _LinearOps,
+    _Resolver,
 )
 
 
@@ -260,7 +264,7 @@ def test_parametric_scaling_covariance():
     tg = random_timed(8, 0.3, -5, 9, seed=2600)
     base = min_ratio_parametric(tg).lambda_star
     scaled_w = TimedDigraph(
-        Digraph._unchecked(
+        Digraph(
             tg.base.n, tuple((u, v, 3 * w) for (u, v, w) in tg.base.edges)),
         tg.times)
     assert min_ratio_parametric(scaled_w).lambda_star == 3 * base
@@ -281,7 +285,7 @@ def test_parametric_agrees_with_karp_on_unit_times():
 def test_parametric_on_float_weights():
     tg = random_timed(7, 0.35, -4, 8, seed=2800)
     halves = TimedDigraph(
-        Digraph._unchecked(
+        Digraph(
             tg.base.n, tuple((u, v, w / 2) for (u, v, w) in tg.base.edges)),
         tg.times)
     want = ratio_oracle(tg) / 2
@@ -335,3 +339,66 @@ def test_evaluate_lambda_exact_past_the_float_guard():
     ok = evaluate_lambda(tg, Fraction(-1, 2))
     assert isinstance(ok, Feasible)
     _check_certificate(tg, Fraction(-1, 2), ok.price)
+
+
+@pytest.mark.parametrize("seed,lam,calls,breakpoints", [
+    (3, Fraction(-2), 7, 799),
+    (6, Fraction(-3, 2), 8, 6279),
+    (4, Fraction(-9, 5), 10, 5647),
+])
+def test_benchmark_instances_search_cost_is_pinned(seed, lam, calls, breakpoints):
+    # The n=24 instances of the minratio benchmark.  Edge lookups on the
+    # symbolic run compare nothing, so neither count may move with them.
+    ans = min_ratio_parametric(random_timed(24, 0.3, -3, 9, seed))
+    assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == (lam, calls, breakpoints)
+
+
+def test_parametric_builds_no_edge_table(monkeypatch):
+    # The sweep's witness and the hub paths of the symbolic run look up only
+    # the edges they follow.
+    def no_table(self, closed):
+        raise AssertionError("a predecessor table was built")
+
+    monkeypatch.setattr(LabelRun, "_edge_table", no_table)
+    for seed in range(6):
+        tg = random_timed(9, 0.35, -4, 8, seed=3100 + seed)
+        assert min_ratio_parametric(tg).lambda_star == ratio_oracle(tg), seed
+
+
+def test_symbolic_run_edges_are_the_tournament_winners():
+    # On LinearValues the lookups match candidates by equality, not by their
+    # value at lam*.  Every edge they find must still be the first candidate
+    # minimal at lam*, in (source vertex, edge index) order, and an entry
+    # improves exactly where its value at lam* strictly falls.  The corpus
+    # holds improving entries and closed walks whose minimum at lam* two
+    # different values attain.
+    checked = ties = 0
+    for seed in range(8):
+        tg = random_timed(10, 0.4, -4, 8, seed=3200 + seed)
+        lam = ratio_oracle(tg)
+        g = Digraph(tg.base.n, [(u, v, LinearValue(Fraction(t), Fraction(w)))
+                                for (u, v, w), t in zip(tg.base.edges, tg.times)])
+        resolver = _Resolver(tg)
+        run = _run_multi_generic(g, range(g.n), 8, _LinearOps(resolver))
+        asked = resolver.breakpoints
+        pred, closed = run.pred_edges, run.closed_edges
+        assert resolver.breakpoints == asked
+        for i in range(run.steps):
+            for j, s in enumerate(run.sources):
+                row = run.labels[i, j]
+                for v in range(g.n):
+                    # (value at lam*, source vertex, edge index, value)
+                    cands = [(x.at(lam), u, e, x) for e in g.in_adj[v]
+                             for (u, _v, wt) in [g.edges[e]] if row[u] is not _LINF
+                             for x in [row[u] + wt]]
+                    best = min(cands, default=(None, -1, -1, None))
+                    old, new = row[v], run.labels[i + 1, j, v]
+                    falls = bool(cands) and (old is _LINF or best[0] < old.at(lam))
+                    assert (new != old) == falls
+                    assert pred[i, j, v] == (best[2] if falls else -1)
+                    if v == s:
+                        assert closed[i, j] == best[2]
+                    checked += falls
+                    if falls or v == s:
+                        ties += len({c[3] for c in cands if c[0] == best[0]}) > 1
+    assert checked >= 300 and ties >= 20
