@@ -34,25 +34,20 @@ bit-identical to a run from scratch.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import Digraph, Path, INF
-from .meter import CostMeter
 
 
 class HopLabels:
     """Label snapshots from one source: one source's slice of a `LabelRun`.
 
-    ``labels`` is a (steps+1, n) table of hop-limited distances.
-    ``pred_edges`` is the read-only int32 (steps, n) table whose row i holds
-    the edge that strictly improved v between snapshots i and i+1 (-1 when
-    none), and `preds` the same rows as source vertex ids; both read the
-    run's `LabelRun.pred_edges`, which is built on first access.  The view
+    ``labels`` is a (steps+1, n) table of hop-limited distances.  The view
     of a source whose run resumed reads exactly as the view of a run from
-    scratch.
+    scratch.  Its edges are read through the run (`LabelRun.edges`,
+    `LabelRun.walk_back`), as `extract_minimal_path` does.
     """
 
     __slots__ = ("graph", "source", "steps", "labels", "_run", "_at")
@@ -64,18 +59,6 @@ class HopLabels:
         self._run = run
         self._at = run._index[source]
         self.labels = run.labels[:, self._at]
-
-    @property
-    def pred_edges(self) -> np.ndarray:
-        return self._run.pred_edges[:, self._at]
-
-    @property
-    def preds(self):
-        """Per-step predecessor vertex ids; -1 where no strict improvement."""
-        out = np.full_like(self.pred_edges, -1)
-        mask = self.pred_edges >= 0
-        out[mask] = self.graph._edge_src()[self.pred_edges[mask]]
-        return out
 
 
 # A lookup costs a fixed few dozen numpy calls plus a little per entry, and
@@ -108,10 +91,8 @@ class LabelRun(Mapping):
     minimal where the comparisons are decided, and every earlier candidate
     compares strictly larger there, so it is a different value.  The
     search compares nothing, so it leaves an ops run's comparison count
-    alone.  ``pred_edges`` (the strictly improving edge of each entry, -1
-    when none) and ``closed_edges`` (the edge of each ``closed`` candidate,
-    -1 when none) are those edges as whole read-only tables, built on first
-    access.
+    alone.  These two are the only way to read an edge: no run keeps an
+    edge table.
 
     Every row of a source depends on that source alone, so a longer run
     over other sources can resume from this one's rows (`_resume_from`),
@@ -147,9 +128,8 @@ class LabelRun(Mapping):
 
         With ``ends``, entry j is the edge that strictly improved vertex
         ends[j] for the source at position at[j] between snapshots i and
-        i+1, the ``pred_edges`` entry.  Without, it is the edge of that
-        source's closed-walk candidate ``closed[i, at[j]]``, the
-        ``closed_edges`` entry.  -1 where there is none.
+        i+1.  Without, it is the edge of that source's closed-walk
+        candidate ``closed[i, at[j]]``.  -1 where there is none.
         """
         at = np.asarray(at, dtype=np.int64)
         if ends is None:
@@ -200,25 +180,6 @@ class LabelRun(Mapping):
         if not np.array_equal(verts[:, 0], starts):
             raise AssertionError("walk did not terminate at the source")
         return verts, edges
-
-    def _edge_table(self, closed: bool) -> np.ndarray:
-        """The whole ``closed_edges`` or ``pred_edges`` table, read-only."""
-        S, n = len(self.sources), self.graph.n
-        table = np.empty((self.steps, S) + (() if closed else (n,)), dtype=np.int32)
-        rows, ends = np.repeat(np.arange(S), n), np.tile(np.arange(n), S)
-        for i in range(self.steps):
-            table[i] = (self.edges(i, np.arange(S)) if closed
-                        else self.edges(i, rows, ends).reshape(S, n))
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def pred_edges(self) -> np.ndarray:
-        return self._edge_table(closed=False)
-
-    @cached_property
-    def closed_edges(self) -> np.ndarray:
-        return self._edge_table(closed=True)
 
     def select(self, sources) -> "LabelRun":
         """A run over the given subset of the sources, with copies of their rows."""
@@ -346,7 +307,9 @@ def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
     work on the tables in place.
     """
     n = g.n
-    srcs = tuple(sorted(set(map(int, sources))))
+    srcs = g._vertex_set(sources)
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     S = len(srcs)
     _src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
     src_ids = np.asarray(srcs, dtype=np.int64)
@@ -379,10 +342,6 @@ class NumberOps:
     ZERO = 0
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
     def cmp_batch(pairs):
         # math.inf orders correctly against ints and Fractions, so plain
         # comparisons cover the whole domain.
@@ -396,11 +355,12 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
     Runs all sources in lockstep so each step's comparisons form parallel
     rounds: the per-destination candidate tournament round by round, then
     one improvement round against the previous snapshot.  Candidates are
-    ``ops.add(label, w)`` over the in-edges of `Digraph._in_arrays`, in
-    (source vertex, edge index) order, and ``ops.add`` must be ``+``, which
-    `LabelRun.edges` repeats.  A tie keeps the earlier candidate, so the
-    winner of every stretch of candidates is its first minimal one, and the
-    label is that winner; a label changes only on a strict decrease.
+    ``label + w`` over the in-edges of `Digraph._in_arrays`, in (source
+    vertex, edge index) order, formed as `LabelRun.edges` forms them; the
+    ops object supplies only the domain's infinity, zero and comparisons.
+    A tie keeps the earlier candidate, so the winner of every stretch of
+    candidates is its first minimal one, and the label is that winner; a
+    label changes only on a strict decrease.
     ``resume`` works as in `_bf_run_numpy_batch`: a resumed source asks
     none of the comparisons of the steps it copied.
     """
@@ -408,7 +368,9 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
     inf = ops.INF
     src, w, _eidx, _seg, _dst, in_ptr = g._in_arrays()
     src, w, in_ptr = src.tolist(), w.tolist(), in_ptr.tolist()
-    srcs = tuple(sorted(set(map(int, sources))))
+    srcs = g._vertex_set(sources)
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
     S = len(srcs)
 
     labels = np.full((k + 1, S, n), inf, dtype=object)
@@ -428,7 +390,7 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
         for j in active:
             cur = rows[j]
             for v in range(n):
-                cands = [ops.add(cur[src[p]], w[p])
+                cands = [cur[src[p]] + w[p]
                          for p in range(in_ptr[v], in_ptr[v + 1])
                          if cur[src[p]] != inf]
                 if cands:
@@ -477,9 +439,9 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
     nxt = cur.copy()
-    preds: List[Optional[int]] = [None] * g.n
+    parents: List[Optional[int]] = [None] * g.n
     if len(src) == 0:
-        return nxt, preds
+        return nxt, parents
     red = _min_in_edges(g, cur[None, :])[0]
     improved = red < cur[dst_with_in]
     ends = dst_with_in[improved]
@@ -487,44 +449,27 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     edges = _attaining_edges(g, cur[None, :], np.zeros(len(ends), dtype=np.int64),
                              ends, red[improved])
     for v, u in zip(ends.tolist(), g._edge_src()[edges].tolist()):
-        preds[v] = u
-    return nxt, preds
+        parents[v] = u
+    return nxt, parents
 
 
-def bf_run(g: Digraph, source: int, k: int, meter: Optional[CostMeter] = None) -> HopLabels:
-    """k snapshot steps from one source; row i is the exact i-hop-limited distance."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    labels = _bf_run_numpy_batch(g, [source], k)[source]
-    if meter is not None:
-        w, d = g._step_cost()
-        meter.parallel_region([(k * w, k * d)])
-    return labels
+def bf_run(g: Digraph, source: int, k: int) -> HopLabels:
+    """k snapshot steps from one source; row i is the exact i-hop-limited distance.
+
+    :raises ValueError: on a source outside 0..n-1 or a negative k.
+    """
+    return _bf_run_numpy_batch(g, [source], k)[source]
 
 
-def bf_run_multi(
-    g: Digraph,
-    sources: Sequence[int],
-    k: int,
-    direction: str = "forward",
-    meter: Optional[CostMeter] = None,
-) -> LabelRun:
-    """Independent runs from several sources; reverse direction transposes g.
+def bf_run_multi(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
+    """Independent runs from several sources, all in one lockstep run.
 
     Returns one `LabelRun` over the distinct sources; ``run[s]`` is source
-    s's labels.  Labels of a reverse run read as distances *to* the source
-    in g.
+    s's labels.  Distances *to* the sources are a run on ``g.reverse()``.
+
+    :raises ValueError: on a source outside 0..n-1 or a negative k.
     """
-    if direction not in ("forward", "reverse"):
-        raise ValueError(f"direction must be forward or reverse, got {direction!r}")
-    host = g if direction == "forward" else g.reverse()
-    out = _bf_run_numpy_batch(host, sources, k)
-    if meter is not None:
-        w, d = host._step_cost()
-        meter.parallel_region([(k * w, k * d)] * len(out))
-    return out
+    return _bf_run_numpy_batch(g, sources, k)
 
 
 def extract_minimal_path(labels: HopLabels, v: int, h: int) -> Path:

@@ -36,28 +36,23 @@ class Path:
 
 
 class Digraph:
-    """Immutable weighted digraph with forward and reverse adjacency.
+    """Immutable weighted digraph: a vertex count and an edge tuple.
 
     Self-loops and parallel edges are allowed.  `build_graph` validates its
     input, keeps integer weights as Python ints and makes every other
     weight a float; the constructor checks nothing, so internal callers
     carry exact rational or affine weights through it.  The label engines
     read the weights as one array whose dtype `_in_arrays` chooses:
-    float64, or an object array that keeps them exact.
+    float64, or an object array that keeps them exact, and find each
+    vertex's in-edges through the CSR index it builds, the graph's one
+    adjacency.
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj", "_cache")
+    __slots__ = ("n", "edges", "_cache")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int, object]]):
         self.n = n
         self.edges = tuple([(int(u), int(v), w) for (u, v, w) in edges])
-        out_adj: List[List[int]] = [[] for _ in range(n)]
-        in_adj: List[List[int]] = [[] for _ in range(n)]
-        for i, (u, v, _) in enumerate(self.edges):
-            out_adj[u].append(i)
-            in_adj[v].append(i)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
         self._cache: dict = {}
 
     @property
@@ -84,6 +79,17 @@ class Digraph:
             rev = Digraph(self.n, [(v, u, w) for (u, v, w) in self.edges])
             self._cache["reverse"] = rev
         return rev
+
+    def _vertex_set(self, vs) -> Tuple[int, ...]:
+        """The distinct vertex ids of ``vs``, sorted, as ints.
+
+        :raises ValueError: on an id outside 0..n-1.
+        """
+        out = tuple(sorted(set(map(int, vs))))
+        if out and not (0 <= out[0] and out[-1] < self.n):
+            bad = out[0] if out[0] < 0 else out[-1]
+            raise ValueError(f"vertex {bad} out of range 0..{self.n - 1}")
+        return out
 
     def _edge_src(self) -> np.ndarray:
         """Source vertex of every edge, as an int64 array in edge order."""
@@ -177,13 +183,14 @@ class Digraph:
         return np.array(ws, dtype=object)
 
     def _step_cost(self) -> Tuple[int, int]:
-        """(work, depth) charged for one relaxation step of this graph."""
+        """(work, depth) charged for one relaxation step of this graph.
+
+        Work is m + n, depth ceil(log2(D + 1)) + 1 for the largest in-degree D.
+        """
         cost = self._cache.get("step_cost")
         if cost is None:
-            indeg = [len(a) for a in self.in_adj]
-            work = self.m + self.n
-            depth = max((int(math.ceil(math.log2(d + 1))) + 1 for d in indeg), default=1)
-            cost = (work, depth)
+            in_deg = int(np.diff(self._in_arrays()[5]).max(initial=0))
+            cost = (self.m + self.n, math.ceil(math.log2(in_deg + 1)) + 1)
             self._cache["step_cost"] = cost
         return cost
 
@@ -323,15 +330,16 @@ def negative_cycle_hops_oracle(g: Digraph, k_max: Optional[int] = None) -> Optio
 def has_cycle(g: Digraph) -> bool:
     """True when the digraph contains a directed cycle (self-loops count)."""
     indeg = [0] * g.n
-    for _, v, _ in g.edges:
+    out: List[List[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
         indeg[v] += 1
+        out[u].append(v)
     queue = [v for v in range(g.n) if indeg[v] == 0]
     seen = 0
     while queue:
         u = queue.pop()
         seen += 1
-        for e in g.out_adj[u]:
-            v = g.edges[e][1]
+        for v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
@@ -350,6 +358,9 @@ def enumerate_simple_cycles(g: Digraph, max_n: int = 12) -> List[Path]:
     _float_oracle(g)
     out: List[Path] = []
     edges = g.edges
+    out_edges: List[List[int]] = [[] for _ in range(g.n)]
+    for e, (u, _v, _w) in enumerate(edges):
+        out_edges[u].append(e)
 
     for s in range(g.n):
         stack_path = [s]
@@ -357,7 +368,7 @@ def enumerate_simple_cycles(g: Digraph, max_n: int = 12) -> List[Path]:
         on_path = {s}
 
         def walk(u: int) -> None:
-            for e in g.out_adj[u]:
+            for e in out_edges[u]:
                 _, v, w = edges[e]
                 if v == s:
                     verts = tuple(stack_path) + (s,)

@@ -342,14 +342,15 @@ def verify_hub_property(g: Digraph, H: Iterable[int], h: int) -> bool:
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
+    hubs = g._vertex_set(H)
     n = g.n
     d_h = hop_limited_oracle(g, h)
     d_p = hop_limited_oracle(g, h - 1)
     improving = d_h < d_p
     if not improving.any():
         return True
-    hubset = frozenset(H)
-    hub_arr = np.array(sorted(hubset), dtype=np.int64)
+    hubset = frozenset(hubs)
+    hub_arr = np.array(hubs, dtype=np.int64)
     for u in np.nonzero(improving.any(axis=1))[0]:
         miss = np.full(n, INF)
         thru = np.full(n, INF)

@@ -240,7 +240,7 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
 def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
                     meter: Optional[CostMeter] = None) -> DistMatrix:
     """Complete graph on the top hub level, weighted by (d+1)-hop distances."""
-    hubs = sorted(set(H_d))
+    hubs = g._vertex_set(H_d)
     b = len(hubs)
     dtype = g._in_arrays()[1].dtype
     values = np.full((b, b), INF, dtype=dtype)
@@ -252,7 +252,7 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
         if meter is not None:
             w, dep = g._step_cost()
             meter.parallel_region([((d + 1) * w, (d + 1) * dep)] * b)
-    return DistMatrix(tuple(hubs), values)
+    return DistMatrix(hubs, values)
 
 
 def lift_level(g: Digraph, level: Iterable[int],
@@ -269,7 +269,7 @@ def lift_level(g: Digraph, level: Iterable[int],
     seeded hub plus the tail fits in the step budget.  A reverse-graph pass
     fills the distances into the level.
     """
-    sources = sorted(set(level))
+    sources = g._vertex_set(level)
     steps = 2 * h + 1
     if isinstance(known, DistMatrix):
         at = {v: i for i, v in enumerate(known.index)}
@@ -304,7 +304,7 @@ def lift_level(g: Digraph, level: Iterable[int],
         out[np.searchsorted(sources, held)] = above[[at[s] for s in held]]
         return out
 
-    return LevelDistances(tuple(sources), lifted(g, *fwd),
+    return LevelDistances(sources, lifted(g, *fwd),
                           lifted(g.reverse(), *rev))
 
 

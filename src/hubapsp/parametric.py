@@ -452,10 +452,6 @@ class _LinearOps:
     def __init__(self, resolver: _Resolver):
         self.resolver = resolver
 
-    @staticmethod
-    def add(a: LinearValue, b: LinearValue) -> LinearValue:
-        return a + b
-
     def cmp_batch(self, pairs) -> List[int]:
         signs: List[Optional[int]] = [None] * len(pairs)
         xs: List[Fraction] = []

@@ -1,5 +1,8 @@
-"""Plain-loop snapshot step, the reference the vectorized `bf_step` is checked against."""
+"""Plain-loop snapshot step, the reference the vectorized `bf_step` is checked against,
+and whole edge tables of a label run, for tests that compare runs edge by edge."""
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from hubapsp.graph import INF, Digraph
 
@@ -34,3 +37,21 @@ def bf_step_python(g: Digraph, current, edge_order: Optional[Sequence[int]] = No
             nxt[v] = best[v]
             preds[v] = g.edges[edge[v]][0]
     return nxt, preds
+
+
+def edge_tables(run) -> Tuple[np.ndarray, np.ndarray]:
+    """(pred, closed) int64 tables of a `LabelRun`, every entry asked of `run.edges`.
+
+    pred[i, j, v] is the edge that strictly improved v for the source at
+    position j between snapshots i and i+1, and closed[i, j] the edge of
+    that source's closed-walk candidate ``run.closed[i, j]``; -1 where
+    there is none.
+    """
+    S, n = len(run.sources), run.graph.n
+    pred = np.empty((run.steps, S, n), dtype=np.int64)
+    closed = np.empty((run.steps, S), dtype=np.int64)
+    rows, ends = np.repeat(np.arange(S), n), np.tile(np.arange(n), S)
+    for i in range(run.steps):
+        pred[i] = run.edges(i, rows, ends).reshape(S, n)
+        closed[i] = run.edges(i, np.arange(S))
+    return pred, closed

@@ -19,7 +19,7 @@ from hubapsp.generate import negative_cycle_free, random_digraph, ring_with_chor
 from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from reference_step import bf_step_python
+from reference_step import bf_step_python, edge_tables
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 SCALE = 2 ** 60
@@ -102,12 +102,12 @@ def test_bf_run_multi_singleton_matches_bf_run():
     single = bf_run(g, 0, 4)
     multi = bf_run_multi(g, [0], 4)[0]
     assert np.array_equal(single.labels, multi.labels)
-    assert np.array_equal(single.pred_edges, multi.pred_edges)
+    assert np.array_equal(edge_tables(single._run)[0], edge_tables(multi._run)[0])
 
 
 def test_bf_run_multi_reverse_reads_into_distances():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
-    labs = bf_run_multi(g, [2], 2, direction="reverse")
+    labs = bf_run_multi(g.reverse(), [2], 2)
     lab = labs[2]
     assert lab.labels[2][0] == 2
     assert lab.labels[2][1] == 1
@@ -116,6 +116,31 @@ def test_bf_run_multi_reverse_reads_into_distances():
 def test_bf_run_multi_empty_sources():
     g = build_graph(3, TRIANGLE)
     assert bf_run_multi(g, [], 2) == {}
+
+
+RING3 = [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+
+
+@pytest.mark.parametrize("sources", [[-1], [0, -1], [3], [0, 3]])
+def test_label_runs_reject_out_of_range_sources(sources):
+    # A negative id would index the last vertex's column, and n one past it.
+    g = build_graph(3, RING3)
+    with pytest.raises(ValueError, match="out of range"):
+        bf_run_multi(g, sources, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        _run_multi_generic(g, sources, 2, NumberOps())
+    with pytest.raises(ValueError, match="out of range"):
+        bf_run(g, sources[-1], 2)
+
+
+def test_label_runs_reject_negative_step_counts():
+    g = build_graph(3, RING3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bf_run_multi(g, [0], -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _run_multi_generic(g, [0], -1, NumberOps())
+    with pytest.raises(ValueError, match="nonnegative"):
+        bf_run(g, 0, -1)
 
 
 def test_relax_seeded_row_keeps_seeds_and_extends_them():
@@ -156,8 +181,9 @@ def test_pred_tie_break_prefers_smaller_source_then_edge():
     # (2, e2), and a duplicate edge never displaces the earlier index.
     g = build_graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 1)])
     lab = bf_run(g, 0, 2)
-    assert int(lab.pred_edges[1][3]) == 2
-    assert int(lab.preds[1][3]) == 1
+    e = int(edge_tables(lab._run)[0][1, 0, 3])
+    assert e == 2
+    assert g.edges[e][0] == 1
 
 
 def test_generic_engine_matches_numpy():
@@ -169,8 +195,7 @@ def test_generic_engine_matches_numpy():
         for s in range(g.n):
             assert np.array_equal(
                 fast[s].labels, np.array(slow[s].labels, dtype=float))
-            assert np.array_equal(
-                fast[s].pred_edges, np.array(slow[s].pred_edges))
+        assert np.array_equal(edge_tables(fast)[0], edge_tables(slow)[0])
 
 
 def test_generic_engine_exact_fractions():
@@ -187,7 +212,7 @@ def test_runs_are_bit_identical():
     a = bf_run(g, 0, 6)
     b = bf_run(g, 0, 6)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.pred_edges, b.pred_edges)
+    assert np.array_equal(edge_tables(a._run)[0], edge_tables(b._run)[0])
 
 
 def test_object_engine_is_the_float_engine_scaled():
@@ -204,8 +229,8 @@ def test_object_engine_is_the_float_engine_scaled():
             got = getattr(big, name).ravel().tolist()
             assert got == want, (seed, name)
             assert all(type(x) is int for x in got if x != INF)
-        for name in ("pred_edges", "closed_edges"):
-            assert np.array_equal(getattr(big, name), getattr(small, name))
+        for a, b in zip(edge_tables(big), edge_tables(small)):
+            assert np.array_equal(a, b)
         nxt, preds = bf_step(_scaled(g), big.labels[2, 0])
         assert nxt.tolist() == big.labels[3, 0].tolist()
         assert preds == bf_step(g, small.labels[2, 0])[1]
@@ -242,19 +267,15 @@ def _holds_no_edge_table(run):
     return arrays == ["closed", "labels"]
 
 
-def test_hub_layer_never_builds_an_edge_table(monkeypatch):
+def test_hub_layer_never_builds_an_edge_table():
     # The walks look up the edges they follow from the label rows; a whole
-    # predecessor table would cost a lookup per source, vertex and step.
+    # predecessor table would cost a lookup per source, vertex and step, so
+    # no run keeps one.
     rng = random.Random(3)
     p = [rng.randint(-50, 50) for _ in range(64)]
     g = build_graph(64, [(u, v, w + p[u] - p[v])
                          for (u, v, w) in ring_with_chords(64, 192, seed=5).edges])
     neg = build_graph(64, list(g.edges) + [(9, 0, -1000)])
-
-    def no_table(self, closed):
-        raise AssertionError("a predecessor table was built")
-
-    monkeypatch.setattr(LabelRun, "_edge_table", no_table)
     assert shortest_negative_cycle(g) is None
     assert isinstance(apsp(g, 32), ApspResult)
     cyc = shortest_negative_cycle(neg)
@@ -312,11 +333,12 @@ def test_resumed_run_equals_run_from_scratch(engine):
             want = run(g, then, 2 * k)
             got = run(g, then, 2 * k, resume=run(g, first, k))
             assert got.sources == want.sources
-            for name in ("labels", "pred_edges", "closed", "closed_edges"):
+            for name in ("labels", "closed"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, name
                 assert np.array_equal(a, b), (seed, k, name)
-            assert got.pred_edges.dtype == np.int32
+            for a, b in zip(edge_tables(got), edge_tables(want)):
+                assert a.shape == b.shape and np.array_equal(a, b), (seed, k)
 
 
 def test_numpy_engine_keeps_fraction_weights_exact():
@@ -331,9 +353,11 @@ def test_numpy_engine_keeps_fraction_weights_exact():
         fast = _bf_run_numpy_batch(g, range(8), 8)
         slow = _run_multi_generic(g, range(8), 8, NumberOps())
         assert fast.labels.dtype == object
-        for name in ("labels", "closed", "pred_edges", "closed_edges"):
+        for name in ("labels", "closed"):
             a, b = getattr(fast, name), getattr(slow, name)
             assert a.tolist() == b.tolist(), (seed, name)
+        for a, b in zip(edge_tables(fast), edge_tables(slow)):
+            assert a.tolist() == b.tolist(), seed
         assert not any(isinstance(x, float) for x in fast.labels.ravel() if x != INF)
         if shortest_negative_cycle(g) is None:
             for d in (1, 2, 4, 8):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -266,3 +269,16 @@ def test_deeper_apsp_prints_the_pinned_distances(tmp_path, d):
     code, doc = run(tmp_path, ["apsp", "--d", str(d), str(DATA / "ring64.gr")])
     assert code == 0
     assert block(doc) == block((GOLDEN / "apsp-ring64.txt").read_text())
+
+
+def test_module_entry_point_prints_the_golden_document():
+    # `python -m hubapsp` (`__main__.py`) writes the document to standard
+    # output; run from the repository root on the source tree.
+    root = DATA.parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-m", "hubapsp", "negcycle",
+                          "tests/data/ring8.gr"],
+                         cwd=root, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (GOLDEN / "negcycle-ring8.txt").read_text()

@@ -20,11 +20,27 @@ TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
 
 def test_single_edge_adjacency():
+    # Vertex v's in-edges are the in_ptr[v]:in_ptr[v+1] segment.
     g = build_graph(2, [(0, 1, 5.0)])
-    assert tuple(g.out_adj[0]) == (0,)
-    assert tuple(g.in_adj[1]) == (0,)
-    assert tuple(g.out_adj[1]) == ()
+    src, _w, eidx, _seg, _dst, in_ptr = g._in_arrays()
+    segments = [slice(in_ptr[v], in_ptr[v + 1]) for v in range(g.n)]
+    assert [eidx[s].tolist() for s in segments] == [[], [0]]
+    assert [src[s].tolist() for s in segments] == [[], [0]]
     assert g.m == 1
+
+
+@pytest.mark.parametrize("n,edges,depth", [
+    (0, [], 1),
+    (3, [], 1),
+    (3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], 2),
+    # Vertex 0 takes a self loop and parallel edges from 1: in-degree D.
+    *[(3, [(0, 0, 1)] + [(1, 0, 2)] * (D - 1) + [(2, 1, 1), (0, 2, 3)], depth)
+      for D, depth in [(1, 2), (3, 3), (4, 4), (7, 4), (8, 5)]],
+])
+def test_step_cost_reads_the_largest_in_degree(n, edges, depth):
+    # (m + n, ceil(log2(largest in-degree + 1)) + 1), pinned.
+    g = build_graph(n, edges)
+    assert g._step_cost() == (len(edges) + n, depth)
 
 
 def test_edgeless_single_vertex():

@@ -25,6 +25,32 @@ from hubapsp.hubs import (
 from hubapsp.meter import CostMeter
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
+RING3 = [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
+
+
+@pytest.mark.parametrize("H", [[-1], [0, 3]])
+def test_extend_hubs_rejects_out_of_range_hubs(H):
+    g = build_graph(3, RING3)
+    with pytest.raises(ValueError, match="out of range"):
+        extend_hubs(g, H, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        extend_hubs(g, H, 1, ops=NumberOps())
+
+
+@pytest.mark.parametrize("H", [[-1], [0, 3]])
+def test_collect_minimal_paths_rejects_out_of_range_hubs(H):
+    g = build_graph(3, RING3)
+    with pytest.raises(ValueError, match="out of range"):
+        collect_minimal_paths(g, H, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        collect_minimal_paths(g, H, 1, ops=NumberOps())
+
+
+@pytest.mark.parametrize("H", [[-1], [0, 3]])
+def test_verify_hub_property_rejects_out_of_range_hubs(H):
+    g = build_graph(3, RING3)
+    with pytest.raises(ValueError, match="out of range"):
+        verify_hub_property(g, H, 1)
 
 
 # ---------------------------------------------------------------- greedy

@@ -203,6 +203,22 @@ def test_lift_copies_shared_rows_and_equals_a_lift_from_scratch():
     assert shared > 0
 
 
+@pytest.mark.parametrize("H", [[-1, 0], [0, 3]])
+def test_build_hub_graph_rejects_out_of_range_hubs(H):
+    g = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        build_hub_graph(g, H, 2)
+
+
+@pytest.mark.parametrize("level", [[-1], [0, 3]])
+def test_lift_level_rejects_out_of_range_vertices(level):
+    g = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    dist = floyd_warshall_oracle(g)
+    known = LevelDistances((1,), dist[[1], :], dist[:, [1]].T)
+    with pytest.raises(ValueError, match="out of range"):
+        lift_level(g, level, known, 1)
+
+
 def test_lift_combines_aux_shortcut_with_real_edges():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     upper = (2,)

