@@ -18,18 +18,19 @@ batching its comparisons into rounds so a comparison resolver can process
 each parallel round at once.
 
 Every numpy step goes through `_min_in_edges`, which computes distances
-only.  `relax` applies it from any start rows.  Both label engines return
-one `LabelRun`: the snapshot table of all sources plus each source's
-closed-walk candidates, which the hub layer reads whole; ``run[s]`` is the
-per-source `HopLabels` view.  Neither engine keeps a predecessor table:
-`_attaining_edges` finds the in-edge that attains a label from the row
-before it, in the engines' shared tie order, `LabelRun.edges` asks it only
-for the entries a walk follows, and `LabelRun.walk_back` is the one walk
-from an entry back to its source.  Both engines also take an optional
-earlier run to resume from: a source it covers copies its first rows from
-there and steps on from the last, so the hub hierarchy runs each surviving
-hub's label steps once over all its levels, and the tables come out
-bit-identical to a run from scratch.
+only.  `relax` applies it from any start rows, and steps a row only while
+it still changes.  Both label engines return one `LabelRun`: the snapshot
+table of all sources plus each source's closed-walk candidates, which the
+hub layer reads whole; ``run[s]`` is the per-source `HopLabels` view.
+Neither engine keeps a predecessor table: `_attaining_edges` finds the
+in-edge that attains a label from the row before it, in the engines'
+shared tie order, `LabelRun.edges` asks it only for the entries a walk
+follows, and `LabelRun.walk_back` is the one walk from an entry back to
+its source.  Both engines also take an optional earlier run to resume
+from: a source it covers copies its first rows from there and steps on
+from the last, so the hub hierarchy runs each surviving hub's label steps
+once over all its levels, and the tables come out bit-identical to a run
+from scratch.
 """
 from __future__ import annotations
 
@@ -271,13 +272,21 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     """Apply ``steps`` snapshot steps to an (S, n) array of start rows.
 
     Distances only: each step sets every label to the min of itself and its
-    best in-edge candidate, alternating between two buffers.  Entry v of a
-    result row is the least ``row[t] + (weight of a t-to-v walk of at most
-    steps hops)`` over all t, so from a row that is 0 at s and infinite
-    elsewhere it is ``bf_run(g, s, steps)``'s last label row.  The input is
-    not modified.  The result takes the dtype of g's weights; on an object
-    graph no finite start value may be a float, since a float would turn
-    each sum it enters into a rounded float.
+    best in-edge candidate.  Entry v of a result row is the least
+    ``row[t] + (weight of a t-to-v walk of at most steps hops)`` over all
+    t, so from a row that is 0 at s and infinite elsewhere it is
+    ``bf_run(g, s, steps)``'s last label row.  The input is not modified.
+    The result takes the dtype of g's weights; on an object graph no finite
+    start value may be a float, since a float would turn each sum it
+    enters into a rounded float.
+
+    A step reads only the row it writes, so a row that one step leaves
+    exactly as it was is a fixed point: every later step leaves it so too.
+    Each step therefore runs only the rows the step before changed, and
+    the loop ends early once none did.  "Exactly" means bit for bit on
+    float64, where ``np.minimum`` can turn 0.0 into -0.0 and ``!=`` would
+    miss it; on object rows, which hold only ints, Fractions and ``INF``,
+    ``!=`` is exact, since ``np.minimum`` keeps the old object on a tie.
     """
     a = np.array(rows, dtype=g._in_arrays()[1].dtype)
     if a.ndim != 2 or a.shape[1] != g.n:
@@ -289,11 +298,17 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     dst = g._in_arrays()[4]
-    b = np.empty_like(a)
+    bits = (lambda x: x) if a.dtype == object else (lambda x: x.view(np.int64))
+    act = np.arange(len(a))
     for _ in range(steps):
-        np.copyto(b, a)
-        b[:, dst] = np.minimum(a[:, dst], _min_in_edges(g, a))
-        a, b = b, a
+        if not len(act):
+            break
+        cur = a[act]
+        old = cur[:, dst]
+        new = np.minimum(old, _min_in_edges(g, cur))
+        moved = (bits(old) != bits(new)).any(axis=1)
+        act = act[moved]
+        a[np.ix_(act, dst)] = new[moved]
     return a
 
 
@@ -456,6 +471,7 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
 def bf_run(g: Digraph, source: int, k: int) -> HopLabels:
     """k snapshot steps from one source; row i is the exact i-hop-limited distance.
 
+    :raises TypeError: on a source that is not an integer.
     :raises ValueError: on a source outside 0..n-1 or a negative k.
     """
     return _bf_run_numpy_batch(g, [source], k)[source]
@@ -467,6 +483,7 @@ def bf_run_multi(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
     Returns one `LabelRun` over the distinct sources; ``run[s]`` is source
     s's labels.  Distances *to* the sources are a run on ``g.reverse()``.
 
+    :raises TypeError: on a source that is not an integer.
     :raises ValueError: on a source outside 0..n-1 or a negative k.
     """
     return _bf_run_numpy_batch(g, sources, k)

@@ -11,6 +11,7 @@ keeps exact rather than let them round.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -83,9 +84,13 @@ class Digraph:
     def _vertex_set(self, vs) -> Tuple[int, ...]:
         """The distinct vertex ids of ``vs``, sorted, as ints.
 
+        Each id is read with `operator.index`, so numpy integers are taken
+        and a non-integer id is refused rather than truncated.
+
+        :raises TypeError: on an id that is not an integer (a float, say).
         :raises ValueError: on an id outside 0..n-1.
         """
-        out = tuple(sorted(set(map(int, vs))))
+        out = tuple(sorted(set(map(operator.index, vs))))
         if out and not (0 <= out[0] and out[-1] < self.n):
             bad = out[0] if out[0] < 0 else out[-1]
             raise ValueError(f"vertex {bad} out of range 0..{self.n - 1}")

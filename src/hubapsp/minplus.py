@@ -17,6 +17,13 @@ are bit for bit those of the dense product.  The meter still charges every
 product the paper's dense cost, on purpose: the work/depth model prices
 the algorithm, not this shortcut.
 
+The hub graph and the lift run their label steps through `relax`, which
+steps a row only while it still changes (a row that one step leaves bit
+for bit as it was is a fixed point).  Most lift rows start from exact
+distances to every higher hub and settle within a few of their 2h+1
+steps.  As with the closure, the meter still charges every row all of its
+steps: d+1 for a hub-graph row, 2h+1 for a lift row.
+
 Every matrix and row here takes the dtype of the graph's weight array
 (`Digraph._in_arrays`), so integer weights too large for float64 give
 exact Python-int distances on object arrays.
@@ -239,7 +246,11 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
 
 def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
                     meter: Optional[CostMeter] = None) -> DistMatrix:
-    """Complete graph on the top hub level, weighted by (d+1)-hop distances."""
+    """Complete graph on the top hub level, weighted by (d+1)-hop distances.
+
+    Each hub's row runs through `relax`, which stops stepping it once it
+    stops changing; the meter charges every row all d+1 steps.
+    """
     hubs = g._vertex_set(H_d)
     b = len(hubs)
     dtype = g._in_arrays()[1].dtype
@@ -267,7 +278,9 @@ def lift_level(g: Digraph, level: Iterable[int],
     higher-level hub, then takes 2h+1 label steps.  Any shortest path longer
     than that detours onto a higher-level hub within its last h hops, so the
     seeded hub plus the tail fits in the step budget.  A reverse-graph pass
-    fills the distances into the level.
+    fills the distances into the level.  `relax` stops stepping a row once
+    it stops changing, which for most rows is well before the budget ends;
+    the meter charges every new source all 2h+1 steps in each direction.
     """
     sources = g._vertex_set(level)
     steps = 2 * h + 1

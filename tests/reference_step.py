@@ -1,9 +1,12 @@
 """Plain-loop snapshot step, the reference the vectorized `bf_step` is checked against,
-and whole edge tables of a label run, for tests that compare runs edge by edge."""
+the two-buffer loop the row-freezing `relax` is checked against, a byte-for-byte
+array compare, and whole edge tables of a label run, for tests that compare
+runs edge by edge."""
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from hubapsp.bellman_ford import _min_in_edges
 from hubapsp.graph import INF, Digraph
 
 
@@ -37,6 +40,33 @@ def bf_step_python(g: Digraph, current, edge_order: Optional[Sequence[int]] = No
             nxt[v] = best[v]
             preds[v] = g.edges[edge[v]][0]
     return nxt, preds
+
+
+def relax_reference(g: Digraph, rows, steps: int) -> np.ndarray:
+    """`relax` without the row freeze: every row takes every one of ``steps`` steps.
+
+    Each step sets every label to the min of itself and its best in-edge
+    candidate, alternating between two buffers.  The result takes the dtype
+    of g's weights; the input is not modified.
+    """
+    a = np.array(rows, dtype=g._in_arrays()[1].dtype)
+    dst = g._in_arrays()[4]
+    b = np.empty_like(a)
+    for _ in range(steps):
+        np.copyto(b, a)
+        b[:, dst] = np.minimum(a[:, dst], _min_in_edges(g, a))
+        a, b = b, a
+    return a
+
+
+def assert_same_bytes(got, want):
+    """Assert equal arrays byte for byte; on object arrays, each value and its type."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert [[(type(x), x) for x in row] for row in got.tolist()] == \
+               [[(type(x), x) for x in row] for row in want.tolist()]
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def edge_tables(run) -> Tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,11 @@ from hubapsp.bellman_ford import (
     relax,
 )
 from hubapsp.generate import negative_cycle_free, random_digraph, ring_with_chords
-from hubapsp.graph import INF, Digraph, build_graph, hop_limited_oracle
+from hubapsp.graph import (INF, Digraph, build_graph, floyd_warshall_oracle,
+                           hop_limited_oracle)
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
-from hubapsp.minplus import ApspResult, apsp
+from hubapsp.minplus import (ApspResult, LevelDistances, apsp, build_hub_graph,
+                             lift_level)
 from reference_step import bf_step_python, edge_tables
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
@@ -131,6 +133,28 @@ def test_label_runs_reject_out_of_range_sources(sources):
         _run_multi_generic(g, sources, 2, NumberOps())
     with pytest.raises(ValueError, match="out of range"):
         bf_run(g, sources[-1], 2)
+
+
+def test_vertex_ids_must_be_integers():
+    # A float id was once truncated: source 1.5 ran as source 1.
+    g = build_graph(3, RING3)
+    dist = floyd_warshall_oracle(g)
+    known = LevelDistances((2,), dist[[2], :], dist[:, [2]].T)
+    calls = [lambda vs: bf_run_multi(g, vs, 2),
+             lambda vs: _run_multi_generic(g, vs, 2, NumberOps()),
+             lambda vs: build_hub_graph(g, vs, 2),
+             lambda vs: lift_level(g, vs, known, 1)]
+    for call in calls:
+        for vs in ([1.5], [0, 1.0], [np.float64(1)]):
+            with pytest.raises(TypeError):
+                call(vs)
+    ids = np.array([1, 0], dtype=np.int64)
+    assert bf_run_multi(g, ids, 2).sources == (0, 1)
+    assert _run_multi_generic(g, ids, 2, NumberOps()).sources == (0, 1)
+    assert build_hub_graph(g, ids, 2).index == (0, 1)
+    assert lift_level(g, ids, known, 1).vertices == (0, 1)
+    with pytest.raises(TypeError):
+        bf_run(g, 1.5, 2)
 
 
 def test_label_runs_reject_negative_step_counts():

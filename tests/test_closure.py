@@ -20,15 +20,7 @@ from hubapsp.meter import CostMeter
 from hubapsp.minplus import (DistMatrix, NegativeDiagonal, build_hub_graph,
                              minplus_closure, minplus_product)
 from reference_closure import reference_closure
-
-
-def _same_bytes(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    if got.dtype == object:
-        assert [[(type(x), x) for x in row] for row in got.tolist()] == \
-               [[(type(x), x) for x in row] for row in want.tolist()]
-    else:
-        assert got.tobytes() == want.tobytes()
+from reference_step import assert_same_bytes
 
 
 def _check(A):
@@ -51,7 +43,7 @@ def _check(A):
     assert meter.report() == ref_meter.report()
     if negative is None:
         assert raised is None
-        _same_bytes(got.values, want)
+        assert_same_bytes(got.values, want)
     else:
         assert raised == A.index[negative]
     return products, raised

@@ -1,0 +1,132 @@
+"""The row-freezing `relax` against the plain two-buffer loop.
+
+Each case runs `relax` and `relax_reference` from the same start rows and
+compares the results byte for byte (on object arrays, each value and its
+type).  The freeze tests count the rows `relax` hands to `_min_in_edges`.
+"""
+import random
+from fractions import Fraction
+
+import numpy as np
+
+from hubapsp import bellman_ford
+from hubapsp.bellman_ford import relax
+from hubapsp.generate import random_digraph, ring_with_chords
+from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
+from hubapsp.hubs import build_hub_hierarchy
+from hubapsp.minplus import LevelDistances, lift_level
+from reference_step import assert_same_bytes, relax_reference
+
+
+def _check(g, rows, steps):
+    assert_same_bytes(relax(g, rows, steps), relax_reference(g, rows, steps))
+
+
+def test_signed_zeros_match_the_plain_loop():
+    # np.minimum can turn 0.0 into -0.0: a row whose only change is the sign
+    # of a zero has changed, and must keep stepping.
+    rng = random.Random(12)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice([0.0, -0.0, 1, 2]))
+                 for _ in range(rng.randint(0, 8))]
+        rows = [[rng.choice([0.0, -0.0, 1, 2, 3, INF]) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        _check(build_graph(n, edges), rows, rng.randint(1, 5))
+
+
+def test_exact_integers_past_float_range():
+    scale = 2 ** 60
+    for seed in range(20):
+        g = random_digraph(9, 0.35, -3, 9, seed=600 + seed)
+        big = build_graph(g.n, [(u, v, w * scale) for (u, v, w) in g.edges])
+        assert big._in_arrays()[1].dtype == object
+        rng = random.Random(seed)
+        rows = np.full((4, g.n), INF, dtype=object)
+        for row in rows:
+            for v in rng.sample(range(g.n), 3):
+                row[v] = rng.randint(-5, 20) * scale + rng.randint(0, 3)
+        _check(big, rows, rng.randint(0, 12))
+
+
+def test_fraction_weights():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        edges = [(rng.randrange(n), rng.randrange(n),
+                  Fraction(rng.randint(-2, 9), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 3 * n))]
+        edges.append((0, 1, 1))       # an int beside the Fractions
+        choices = [0, 1, Fraction(1, 2), Fraction(4, 2), INF]
+        rows = np.array([[rng.choice(choices) for _ in range(n)]
+                         for _ in range(3)], dtype=object)
+        _check(build_graph(n, edges), rows, rng.randint(0, 8))
+
+
+def test_empty_cases():
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, -0.0), (2, 0, 2.0)])
+    _check(g, np.empty((0, 4)), 5)
+    _check(g, [[0.0, -0.0, INF, 3.0]], 0)
+    _check(Digraph(4, []), [[0.0, -0.0, INF, 3.0], [INF] * 4], 5)
+    assert relax(g, np.empty((0, 4)), 5).shape == (0, 4)
+
+
+def _spy(monkeypatch):
+    """Patch `_min_in_edges`; return the row counts handed to it, call by call."""
+    seen = []
+    real = bellman_ford._min_in_edges
+
+    def counting(g, cur):
+        seen.append(len(cur))
+        return real(g, cur)
+
+    monkeypatch.setattr(bellman_ford, "_min_in_edges", counting)
+    return seen
+
+
+def _ring_level(n=96, h=8):
+    """A reweighted ring, its level h and the exact rows of the level above."""
+    base = ring_with_chords(n, 3 * n, 7)
+    rng = random.Random(1)
+    p = [rng.randint(-50, 50) for _ in range(n)]
+    g = build_graph(n, [(u, v, w + p[u] - p[v]) for (u, v, w) in base.edges])
+    levels = build_hub_hierarchy(g, 2 * h).levels
+    k = h.bit_length() - 1
+    upper = sorted(levels[k + 1])
+    dist = floyd_warshall_oracle(g)
+    known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
+    return g, levels[k], known
+
+
+def test_lift_steps_only_changing_rows(monkeypatch):
+    g, level, known = _ring_level()
+    h = 8
+    new = len(level - set(known.vertices))
+    seen = _spy(monkeypatch)
+    out = lift_level(g, level, known, h)
+    rows = sum(seen)
+    # Both directions run every new vertex of the level; without the freeze
+    # each of those rows would be stepped all 2h+1 times.
+    assert rows < 2 * new * (2 * h + 1)
+    assert (new, rows) == (25, 383)
+    dist = floyd_warshall_oracle(g)
+    assert np.array_equal(out.from_hub, dist[sorted(level)])
+
+
+def test_relax_stops_after_the_last_change(monkeypatch):
+    g, level, known = _ring_level()
+    sources = sorted(level - set(known.vertices))
+    rows = np.full((len(sources), g.n), INF)
+    rows[:, list(known.vertices)] = known.to_hub[:, sources].T
+    rows[np.arange(len(sources)), sources] = 0.0
+    last, cur = 0, rows
+    for t in range(1, 60):
+        nxt = relax_reference(g, cur, 1)
+        if nxt.tobytes() != cur.tobytes():
+            last = t
+        cur = nxt
+    assert 0 < last < 50
+    seen = _spy(monkeypatch)
+    out = relax(g, rows, 10 * g.n)
+    assert len(seen) <= last + 1
+    assert out.tobytes() == cur.tobytes()
