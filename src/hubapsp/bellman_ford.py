@@ -6,31 +6,33 @@ source-to-v walk with at most k hops.  Edge relaxation order inside a step
 can never change the result: the step is a pure min over candidates, and
 ties pick the smallest attaining source vertex (then smallest edge index).
 
-Two engines share these semantics.  The default one vectorizes all sources
-of a run at once through numpy, in the dtype of the graph's weight array
-(`Digraph._in_arrays`): float64, or an object array that keeps exact
-weights exact (integers too large for float64 to add exactly, or
-Fractions).  Its tables, and those of `relax` and `bf_step`, take that
-dtype, and their zero is the int 0, so an object table never holds a float
-but infinity.  `_run_multi_generic` accepts any weight domain through an
-ops object (the parametric search runs its affine values through it),
-batching its comparisons into rounds so a comparison resolver can process
-each parallel round at once.
+One label engine, `_label_run`, runs all sources of a run in lockstep
+over whole tables, with one table setup, one resume and one step loop; the
+weight domain supplies only a step's candidate minimum and the `_less`
+that decides each improvement.  Without an ops object the tables take
+the dtype of the graph's weight array (`Digraph._in_arrays`): float64, or
+an object array that keeps exact weights exact (integers too large for
+float64 to add exactly, or Fractions).  Those tables, and those of `relax`
+and `bf_step`, have the int 0 as their zero, so an object table never
+holds a float but infinity, and every such step goes through
+`_min_in_edges`, which computes distances only.  With an ops object (the
+parametric search runs its affine values through one) the step's kernel
+is `_tournament`, which batches the comparisons of every candidate fold
+into rounds, so a comparison resolver processes each parallel round at
+once.  `relax` applies `_min_in_edges` from any start rows, and steps a
+row only while it still changes.
 
-Every numpy step goes through `_min_in_edges`, which computes distances
-only.  `relax` applies it from any start rows, and steps a row only while
-it still changes.  Both label engines return one `LabelRun`: the snapshot
-table of all sources plus each source's closed-walk candidates, which the
-hub layer reads whole; ``run[s]`` is the per-source `HopLabels` view.
-Neither engine keeps a predecessor table: `_attaining_edges` finds the
-in-edge that attains a label from the row before it, in the engines'
-shared tie order, `LabelRun.edges` asks it only for the entries a walk
-follows, and `LabelRun.walk_back` is the one walk from an entry back to
-its source.  Both engines also take an optional earlier run to resume
-from: a source it covers copies its first rows from there and steps on
-from the last, so the hub hierarchy runs each surviving hub's label steps
-once over all its levels, and the tables come out bit-identical to a run
-from scratch.
+A run is one `LabelRun`: the snapshot table of all sources plus each
+source's closed-walk candidates, which the hub layer reads whole;
+``run[s]`` is the per-source `HopLabels` view.  No run keeps a
+predecessor table: `_attaining_edges` finds the in-edge that attains a
+label from the row before it, in the step's tie order, `LabelRun.edges`
+asks it only for the entries a walk follows, and `LabelRun.walk_back` is
+the one walk from an entry back to its source.  A run may resume from an
+earlier one: a source it covers copies its first rows from there and
+steps on from the last, so the hub hierarchy runs each surviving hub's
+label steps once over all its levels, and the tables come out
+bit-identical to a run from scratch.
 """
 from __future__ import annotations
 
@@ -73,7 +75,7 @@ class LabelRun(Mapping):
 
     ``sources`` is sorted, and axis 1 of every table follows it.
     ``labels`` is the (steps+1, S, n) snapshot table, in the graph's weight
-    dtype from the numpy engine and object from an ops engine.  ``closed``
+    dtype, or object on an ops run.  ``closed``
     row i holds each source's best in-edge candidate into itself at step
     i+1, whether or not it improved, and ``inf`` where there is none; the
     cycle sweep reads closed-walk values there without the zero-weight
@@ -81,10 +83,10 @@ class LabelRun(Mapping):
     the ops domain's own.  As a mapping, ``run[s]`` is source s's
     `HopLabels` view.
 
-    Neither engine stores an edge: `edges` finds the in-edge attaining each
-    entry asked in the label rows (`_attaining_edges`), and `walk_back`
-    follows those edges back to the sources, so the hub layer pays only for
-    the edges its walks follow.  Both engines take the first minimal
+    No run stores an edge: `edges` finds the in-edge attaining each entry
+    asked in the label rows (`_attaining_edges`), and `walk_back` follows
+    those edges back to the sources, so the hub layer pays only for the
+    edges its walks follow.  Both step kernels take the first minimal
     candidate in (source vertex, edge index) order and change a label only
     on a strict decrease, so an entry improved exactly where it differs
     from the row before.  The search returns the first candidate equal to
@@ -235,7 +237,7 @@ def _attaining_edges(g: Digraph, rows: np.ndarray, at, ends, target) -> np.ndarr
     more than the (len(rows), m) candidates of a step over ``rows``; only a
     single request with more in-edges than the budget makes a larger one.
     """
-    src, w, eidx, _seg, _dst, in_ptr = g._in_arrays()
+    src, w, eidx, _seg, _dst, in_ptr, _edge_dst = g._in_arrays()
     at, ends = np.asarray(at, dtype=np.int64), np.asarray(ends, dtype=np.int64)
     out = np.full(len(ends), -1, dtype=np.int64)
     lo = in_ptr[ends]
@@ -264,7 +266,7 @@ def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     the least candidate into ``dst_with_in[j]`` of `Digraph._in_arrays`;
     `_attaining_edges` finds the edge that attains it.
     """
-    src, w, _eidx, seg_starts, _dst, _ptr = g._in_arrays()
+    src, w, _eidx, seg_starts, _dst, _ptr, _edge_dst = g._in_arrays()
     return np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
 
 
@@ -312,44 +314,6 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     return a
 
 
-def _bf_run_numpy_batch(g: Digraph, sources: Sequence[int], k: int,
-                        resume: Optional[LabelRun] = None) -> LabelRun:
-    """All sources advance in lockstep; one vectorized relaxation per step.
-
-    Sources that ``resume`` covers start from its rows (see
-    `LabelRun._resume_from`); until they catch up, a step advances only the
-    others, through a copy of their rows.  Steps that advance every source
-    work on the tables in place.
-    """
-    n = g.n
-    srcs = g._vertex_set(sources)
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    S = len(srcs)
-    _src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
-    src_ids = np.asarray(srcs, dtype=np.int64)
-
-    labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
-    labels[0, np.arange(S), src_ids] = 0
-    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=w.dtype))
-    r, fresh = run._resume_from(resume)
-    # A caller that handed over its only reference frees the copied rows
-    # here, before the steps add their own temporaries.
-    del resume
-
-    # A run from no sources has empty tables; the hub layer makes one from
-    # every empty level, so skip its steps.
-    for i in range(0 if len(fresh) else r, k if S else 0):
-        act = fresh if i < r else slice(None)
-        cur = labels[i, act]
-        val = np.full(cur.shape, INF, dtype=w.dtype)
-        if len(dst_with_in):
-            val[:, dst_with_in] = _min_in_edges(g, cur)
-        labels[i + 1, act] = np.where(val < cur, val, cur)
-        run.closed[i, act] = val[np.arange(len(cur)), src_ids[act]]
-    return run
-
-
 class NumberOps:
     """Plain ordered-number domain (floats, ints, Fractions)."""
 
@@ -363,82 +327,102 @@ class NumberOps:
         return [(-1 if a < b else (1 if a > b else 0)) for a, b in pairs]
 
 
-def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
-                       resume: Optional[LabelRun] = None) -> LabelRun:
-    """Sequential reference engine over an arbitrary weight domain.
+def _tournament(g: Digraph, cur: np.ndarray, ops) -> np.ndarray:
+    """One snapshot step's candidates in an ops domain, as an (R, n) array.
 
-    Runs all sources in lockstep so each step's comparisons form parallel
-    rounds: the per-destination candidate tournament round by round, then
-    one improvement round against the previous snapshot.  Candidates are
-    ``label + w`` over the in-edges of `Digraph._in_arrays`, in (source
-    vertex, edge index) order, formed as `LabelRun.edges` forms them; the
-    ops object supplies only the domain's infinity, zero and comparisons.
-    A tie keeps the earlier candidate, so the winner of every stretch of
-    candidates is its first minimal one, and the label is that winner; a
-    label changes only on a strict decrease.
-    ``resume`` works as in `_bf_run_numpy_batch`: a resumed source asks
-    none of the comparisons of the steps it copied.
+    ``cur`` is an (R, n) object array of label rows.  Entry (j, v) is the
+    winner among the candidates cur[j, u] + w over v's in-edges with a
+    finite cur[j, u], taken in `Digraph._in_arrays` order, and ``ops.INF``
+    where there is none.  The candidates of each (row, vertex) fold play
+    knock-out rounds: the survivors pair up (0, 1), (2, 3), ..., an odd
+    one passes, a tie keeps the earlier candidate, and each round signs
+    the pairs of every fold in one `ops.cmp_batch`.  So the winner is the
+    fold's first minimal candidate, the one `_attaining_edges` finds.
+    """
+    src, w, _eidx, _seg, _dst, _ptr, edge_dst = g._in_arrays()
+    rows, pos = np.nonzero((cur != ops.INF)[:, src])
+    vals = cur[rows, src[pos]] + w[pos]
+    # Folds are contiguous and in (row, vertex) order, as positions are
+    # sorted by destination.
+    fold = rows * g.n + edge_dst[pos]
+    while True:
+        rank = np.arange(len(fold)) - np.searchsorted(fold, fold)
+        left = np.flatnonzero((rank[:-1] % 2 == 0) & (fold[1:] == fold[:-1]))
+        if not len(left):
+            break
+        signs = np.asarray(ops.cmp_batch(list(zip(vals[left], vals[left + 1]))))
+        keep = np.ones(len(vals), dtype=bool)
+        keep[np.where(signs <= 0, left + 1, left)] = False
+        vals, fold = vals[keep], fold[keep]
+    out = np.full(cur.size, ops.INF, dtype=object)
+    out[fold] = vals
+    return out.reshape(cur.shape)
+
+
+def _less(ops, a, b) -> np.ndarray:
+    """``a < b`` elementwise for two label arrays of one shape, as bools.
+
+    Without ``ops`` that is exactly numpy's ``a < b``.  With ``ops``, on
+    object arrays in its domain, the pairs whose ``a`` is finite are signed
+    in one `ops.cmp_batch`; an infinite ``a`` is less than nothing.
+    """
+    if ops is None:
+        return a < b
+    out = np.zeros(a.shape, dtype=bool)
+    fin = a != ops.INF
+    if fin.any():
+        out[fin] = np.asarray(ops.cmp_batch(list(zip(a[fin], b[fin])))) < 0
+    return out
+
+
+def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
+               resume: Optional[LabelRun] = None) -> LabelRun:
+    """All sources advance in lockstep, k snapshot steps over whole tables.
+
+    Without ``ops`` the tables take the dtype of the graph's weight array
+    and a step's candidates are `_min_in_edges` of all its rows at once.
+    With ``ops`` they are object arrays in the ops domain, a step's
+    candidates are its `_tournament`, and `_less` signs the improvement
+    round against the previous snapshot, so every comparison of a step
+    falls into a few parallel rounds, each one `ops.cmp_batch`.  A label
+    changes only on a strict decrease.
+
+    Sources that ``resume`` covers start from its rows (see
+    `LabelRun._resume_from`) and ask none of the comparisons of the steps
+    they copied; until they catch up, a step advances only the others,
+    through a copy of their rows.  Steps that advance every source work on
+    the tables in place.
     """
     n = g.n
-    inf = ops.INF
-    src, w, _eidx, _seg, _dst, in_ptr = g._in_arrays()
-    src, w, in_ptr = src.tolist(), w.tolist(), in_ptr.tolist()
     srcs = g._vertex_set(sources)
     if k < 0:
         raise ValueError("step count must be nonnegative")
     S = len(srcs)
+    _src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
+    src_ids = np.asarray(srcs, dtype=np.int64)
+    inf, zero, dtype = (INF, 0, w.dtype) if ops is None else (ops.INF, ops.ZERO, object)
 
-    labels = np.full((k + 1, S, n), inf, dtype=object)
-    for j, s in enumerate(srcs):
-        labels[0, j, s] = ops.ZERO
-    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=object), inf)
+    labels = np.full((k + 1, S, n), inf, dtype=dtype)
+    labels[0, np.arange(S), src_ids] = zero
+    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=dtype), inf)
     r, fresh = run._resume_from(resume)
-    del resume  # frees the copied rows, as in `_bf_run_numpy_batch`
-    fresh = fresh.tolist()
-    rows = [list(labels[r, j]) for j in range(S)]
-    for j in fresh:
-        rows[j] = list(labels[0, j])
+    # A caller that handed over its only reference frees the copied rows
+    # here, before the steps add their own temporaries.
+    del resume
 
-    for i in range(k):
-        active = fresh if i < r else range(S)
-        folds = []  # [j, v, [candidate value, ...]]
-        for j in active:
-            cur = rows[j]
-            for v in range(n):
-                cands = [cur[src[p]] + w[p]
-                         for p in range(in_ptr[v], in_ptr[v + 1])
-                         if cur[src[p]] != inf]
-                if cands:
-                    folds.append([j, v, cands])
-        # Tournament rounds across all (source, vertex) pairs at once.
-        while True:
-            requests = []
-            slots = []
-            for item in folds:
-                cands = item[2]
-                for t in range(0, len(cands) - 1, 2):
-                    requests.append((cands[t], cands[t + 1]))
-                    slots.append((item, t))
-            if not requests:
-                break
-            signs = ops.cmp_batch(requests)
-            for (item, t), sg in zip(slots, signs):
-                # Mark the loser; a tie keeps the earlier candidate.
-                item[2][t + (1 if sg <= 0 else 0)] = None
-            for item in folds:
-                item[2] = [c for c in item[2] if c is not None]
-
-        # Improvement round against the previous snapshot.
-        requests = [(cands[0], rows[j][v]) for (j, v, cands) in folds]
-        signs = ops.cmp_batch(requests)
-
-        for (j, v, cands), sg in zip(folds, signs):
-            if v == srcs[j]:
-                run.closed[i, j] = cands[0]
-            if sg < 0:
-                rows[j][v] = cands[0]
-        for j in active:
-            labels[i + 1, j] = rows[j]
+    # A run from no sources has empty tables; the hub layer makes one from
+    # every empty level, so skip its steps.
+    for i in range(0 if len(fresh) else r, k if S else 0):
+        act = fresh if i < r else slice(None)
+        cur = labels[i, act]
+        if ops is None:
+            val = np.full(cur.shape, INF, dtype=w.dtype)
+            if len(dst_with_in):
+                val[:, dst_with_in] = _min_in_edges(g, cur)
+        else:
+            val = _tournament(g, cur, ops)
+        labels[i + 1, act] = np.where(_less(ops, val, cur), val, cur)
+        run.closed[i, act] = val[np.arange(len(cur)), src_ids[act]]
     return run
 
 
@@ -449,7 +433,7 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     vertex (None elsewhere).  The result is a pure function of ``current``;
     evaluation order cannot leak into it.
     """
-    src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
+    src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
     cur = np.asarray(current, dtype=w.dtype)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
@@ -474,7 +458,7 @@ def bf_run(g: Digraph, source: int, k: int) -> HopLabels:
     :raises TypeError: on a source that is not an integer.
     :raises ValueError: on a source outside 0..n-1 or a negative k.
     """
-    return _bf_run_numpy_batch(g, [source], k)[source]
+    return _label_run(g, [source], k)[source]
 
 
 def bf_run_multi(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
@@ -486,7 +470,7 @@ def bf_run_multi(g: Digraph, sources: Sequence[int], k: int) -> LabelRun:
     :raises TypeError: on a source that is not an integer.
     :raises ValueError: on a source outside 0..n-1 or a negative k.
     """
-    return _bf_run_numpy_batch(g, sources, k)
+    return _label_run(g, sources, k)
 
 
 def extract_minimal_path(labels: HopLabels, v: int, h: int) -> Path:

@@ -42,9 +42,9 @@ class Digraph:
     Self-loops and parallel edges are allowed.  `build_graph` validates its
     input, keeps integer weights as Python ints and makes every other
     weight a float; the constructor checks nothing, so internal callers
-    carry exact rational or affine weights through it.  The label engines
-    read the weights as one array whose dtype `_in_arrays` chooses:
-    float64, or an object array that keeps them exact, and find each
+    carry exact rational or affine weights through it.  The label engine
+    reads the weights as one array whose dtype `_in_arrays` chooses:
+    float64, or an object array that keeps them exact, and finds each
     vertex's in-edges through the CSR index it builds, the graph's one
     adjacency.
     """
@@ -108,11 +108,11 @@ class Digraph:
     def _in_arrays(self):
         """Numpy views of in-edges grouped by destination.
 
-        Returns (src, w, eidx, seg_starts, dst_with_in, in_ptr) where the
-        first three are edge arrays sorted by (dst, src, eidx), `seg_starts`
-        marks each destination's segment for reduceat, `dst_with_in` lists
-        destinations having at least one in-edge, and the in-edges of
-        vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
+        Returns (src, w, eidx, seg_starts, dst_with_in, in_ptr, edge_dst)
+        where src, w, eidx and edge_dst are edge arrays sorted by (dst, src,
+        eidx), `seg_starts` marks each destination's segment for reduceat,
+        `dst_with_in` lists destinations having at least one in-edge, and
+        the in-edges of vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
 
         ``w`` sets the dtype of every engine that reads it.  Weights that
         are neither int nor float (Fractions, the ratio search's affine
@@ -124,7 +124,7 @@ class Digraph:
         float64 is exact, because no engine forms an integer past 3n*W on
         an n-vertex graph:
 
-        - label runs (`_bf_run_numpy_batch`, `relax`, `bf_step`): after i
+        - label runs (`_label_run`, `relax`, `bf_step`): after i
           steps a label is a walk of at most i hops, and a candidate adds
           one edge.  `shortest_negative_cycle` steps at most 2n times (its
           depth is the least power of two >= max(2, n)), `apsp`'s hierarchy
@@ -152,7 +152,7 @@ class Digraph:
             if m == 0:
                 empty_i = np.empty(0, dtype=np.int64)
                 arrs = (empty_i, np.empty(0), empty_i, empty_i, empty_i,
-                        np.zeros(self.n + 1, dtype=np.int64))
+                        np.zeros(self.n + 1, dtype=np.int64), empty_i)
             else:
                 src = self._edge_src()
                 dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
@@ -166,7 +166,7 @@ class Digraph:
                 seg_starts = np.nonzero(boundary)[0]
                 dst_with_in = dst[seg_starts]
                 in_ptr = np.searchsorted(dst, np.arange(self.n + 1))
-                arrs = (src, w, eidx, seg_starts, dst_with_in, in_ptr)
+                arrs = (src, w, eidx, seg_starts, dst_with_in, in_ptr, dst)
             self._cache["in_arrays"] = arrs
         return arrs
 
@@ -244,7 +244,7 @@ def _oracle_candidates(g: Digraph, rows: np.ndarray) -> np.ndarray:
     ``rows`` holds label rows along its last axis; a vertex without in-edges
     gets inf.  The oracles' one relaxation, kept apart from the engines.
     """
-    src, w, _eidx, seg_starts, dst_with_in, _ptr = g._in_arrays()
+    src, w, _eidx, seg_starts, dst_with_in, _ptr, _edge_dst = g._in_arrays()
     out = np.full(rows.shape, INF)
     if len(src):
         out[..., dst_with_in] = np.minimum.reduceat(rows[..., src] + w, seg_starts,

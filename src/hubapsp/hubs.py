@@ -8,7 +8,7 @@ relaxation steps from the current level expose any negative cycle of at
 most 2h hops before the next level is built.  Iterating to h >= n/2 makes
 the sweep exhaustive, which is how `shortest_negative_cycle` works.
 
-The hub layer works on the tables of the engines' `LabelRun`: the sweep
+The hub layer works on the label engine's `LabelRun` tables: the sweep
 reads one (2h, S) array of closed-walk values, `collect_minimal_paths`
 walks back every improving pair at once into one (P, h+1) vertex array,
 and `greedy_hitting_set` runs on a CSR path-vertex incidence with numpy
@@ -32,6 +32,7 @@ levels draw from an explicit seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from typing import Collection, FrozenSet, Iterable, List, Optional, Sequence, Tu
 import numpy as np
 
 from .graph import Digraph, Path, INF, _oracle_candidates, hop_limited_oracle
-from .bellman_ford import LabelRun, _bf_run_numpy_batch, _run_multi_generic
+from .bellman_ford import LabelRun, _label_run, _less
 from .meter import CostMeter
 
 
@@ -143,19 +144,22 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     Strict mode reads the label diagonal d_k(z) < 0.  Nonstrict mode reads
     the closed-walk candidates, whose entry at z is the best closed-walk
     value over 1..k hops, and accepts <= 0; the empty walk never shadows
-    it.  An ops run signs each k's values in one `cmp_batch`.  In both
+    it.  Each k's values are compared with zero through `_less`, so an ops
+    run signs them in one `cmp_batch`.  In both
     modes the witness is `LabelRun.walk_back`'s closed walk: it ends with
     the edge of the closed-walk candidate ``closed[k-1]`` at z, and the
     walk back to that edge's tail is a chain of strict improvements because
     k is minimal.
     """
     src = np.asarray(run.sources, dtype=np.int64)
-    vals = run.closed if nonstrict else run.labels[1:, np.arange(len(src)), src]
+    # Row 0 of the diagonal is the empty walk: the domain's zero.
+    diag = run.labels[:, np.arange(len(src)), src]
+    zero = diag[0]
+    vals = run.closed if nonstrict else diag[1:]
     for k in range(1, len(vals) + 1):
         row = vals[k - 1]
-        signs = (np.sign(row) if ops is None
-                 else np.array(ops.cmp_batch([(v, ops.ZERO) for v in row])))
-        hit = np.flatnonzero(signs <= 0 if nonstrict else signs < 0)
+        hit = np.flatnonzero(~_less(ops, zero, row) if nonstrict
+                             else _less(ops, row, zero))
         if len(hit):
             i = int(hit[0])
             verts, edges = run.walk_back(k, [i])
@@ -173,24 +177,16 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     target.  There is one row per improving pair (s, t) in sorted(H) x V,
     where the h-hop label of t strictly beats the (h-1)-hop one, in
     (source, target) order; each row is `extract_minimal_path`'s walk.  The
-    numpy engine compares its label table directly; an ops engine signs all
-    pairs in one `cmp_batch`.  Both walk back h steps for all rows at once
+    two label rows are compared through `_less`, so an ops run signs all
+    pairs in one `cmp_batch`, and all rows walk back h steps at once
     (`LabelRun.walk_back`), one `LabelRun.edges` lookup per hop.
     ``_labels``, a `LabelRun` of at least h steps such as `extend_hubs`
     makes, stands in for a run over H.
     """
     if h < 1:
         raise ValueError("hop count must be at least 1")
-    run = _labels
-    if run is None:
-        run = (_bf_run_numpy_batch(g, H, h) if ops is None
-               else _run_multi_generic(g, H, h, ops))
-    if ops is None:
-        improving = run.labels[h] < run.labels[h - 1]
-    else:
-        pairs = list(zip(run.labels[h].ravel(), run.labels[h - 1].ravel()))
-        signs = np.asarray(ops.cmp_batch(pairs), dtype=np.int64)
-        improving = (signs < 0).reshape(len(run.sources), g.n)
+    run = _labels if _labels is not None else _label_run(g, H, h, ops)
+    improving = _less(ops, run.labels[h], run.labels[h - 1])
     return run.walk_back(h, *np.nonzero(improving))[0]
 
 
@@ -227,8 +223,7 @@ def _sweep_level(g: Digraph, H: Iterable[int], h: int, ops,
     steps = 2 * h
     # The engine gets the carry's only reference, so it frees the carried
     # rows once it has copied them.
-    run = (_bf_run_numpy_batch(g, H, steps, carry.take()) if ops is None
-           else _run_multi_generic(g, H, steps, ops, carry.take()))
+    run = _label_run(g, H, steps, ops, carry.take())
     carry.run = run
     if meter is not None:
         w, d = g._step_cost()
@@ -284,8 +279,10 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
     `seed`, which it requires; an empty graph has empty levels).  Sampled
     sweeps inherit only the sampled sets' high-probability hub quality.
     Hubs present at both levels resume their label runs from the level
-    below (see `_Carry`).
+    below (see `_Carry`).  ``d`` is read with `operator.index`, as vertex
+    ids are, so a float raises TypeError.
     """
+    d = operator.index(d)
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"level count must be a positive power of two, got {d}")
     if mode not in ("deterministic", "sampled"):

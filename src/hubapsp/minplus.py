@@ -31,6 +31,7 @@ exact Python-int distances on object arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
@@ -324,11 +325,14 @@ def lift_level(g: Digraph, level: Iterable[int],
 def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
     """All-pairs exact distances, or the graph's hop-shortest negative cycle.
 
-    d_requested is rounded down to a power of two d.  Negative cycles of at
-    most d hops surface during hierarchy construction; longer ones reach
-    the hub graph and trip the closure's diagonal check, after which the
-    full-depth detector reruns to produce a witness cycle.
+    d_requested is read with `operator.index`, so a numpy integer is taken
+    and a float raises TypeError, and rounded down to a power of two d.
+    Negative cycles of at most d hops surface during hierarchy
+    construction; longer ones reach the hub graph and trip the closure's
+    diagonal check, after which the full-depth detector reruns to produce
+    a witness cycle.
     """
+    d_requested = operator.index(d_requested)
     n = g.n
     if n == 0:
         raise ValueError("graph has no vertices")

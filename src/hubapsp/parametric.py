@@ -19,12 +19,13 @@ cycle.  Three routes to the optimum lam* are provided:
 Every concrete probe at a rational lam goes through `_probe_exact`.  Scaled
 by D, the lcm of the cost denominators and of lam's denominator times the
 time denominators, the reduced weights D*(w - lam*t) are integers, and the
-numpy engine decides them exactly, with the same tie-breaks as an exact
-rational run: on float64 while the integers are small enough to add
-exactly, and on Python ints in object arrays past that (late bisection
-probes, whose denominators reach 2^iterations, or float costs with long
-binary expansions); `Digraph._in_arrays` picks the dtype.  Only the one
-symbolic run over LinearValues needs the generic engine.
+label engine's numpy step decides them exactly, with the same tie-breaks
+as an exact rational run: on float64 while the integers are small enough
+to add exactly, and on Python ints in object arrays past that (late
+bisection probes, whose denominators reach 2^iterations, or float costs
+with long binary expansions); `Digraph._in_arrays` picks the dtype.  Only
+the one symbolic run over LinearValues takes the engine's ops step,
+`_tournament`.
 """
 
 from __future__ import annotations
@@ -141,13 +142,14 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     no parent table is kept.  Among the walk's repeated-vertex segments the
     witness is the (mean, hops, start)-lexicographic minimum, which is
     simple because an inner repeat would split it into a part at least as
-    good with fewer hops.  Integer weights give an exact Fraction;
-    otherwise a float.
+    good with fewer hops.  Integer and Fraction weights give an exact
+    Fraction, read off the exact table; a non-integral float weight gives
+    a float.
     """
     n = g.n
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    _src, w, _eidx, _seg, dst_with_in, _ptr = g._in_arrays()
+    _src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
     D = np.full((n + 1, n), INF, dtype=w.dtype)
     D[0] = 0
     for k in range(1, n + 1):
@@ -166,10 +168,10 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     lam_rows = quot.max(axis=0)
     v_star = int(np.nonzero(vmask)[0][int(np.argmin(lam_rows))])
 
-    exact = all(_is_integral(e[2]) for e in g.edges)
+    exact = all(isinstance(w, Fraction) or _is_integral(w) for (_, _, w) in g.edges)
     if exact:
-        dn = int(D[n][v_star])
-        lam = max(Fraction(dn - int(D[k][v_star]), n - k) for k in range(n))
+        col = [Fraction(x) for x in D[:, v_star]]
+        lam = max((col[n] - col[k]) / (n - k) for k in range(n))
     else:
         lam = float(lam_rows.min())
 
@@ -196,7 +198,7 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
         for i in seen.get(vtx, ()):
             hops = j - i
             wt = prefix[j] - prefix[i]
-            mean = Fraction(int(wt), hops) if exact else wt / hops
+            mean = Fraction(wt) / hops if exact else wt / hops
             key = (mean, hops, i)
             if best_key is None or key < best_key:
                 best_key, best_ij = key, (i, j)

@@ -2,9 +2,10 @@
 scaled-integer probes of `hubapsp.parametric` are checked against."""
 from fractions import Fraction
 
-from hubapsp.bellman_ford import NumberOps, _run_multi_generic
+from hubapsp.bellman_ford import NumberOps
 from hubapsp.graph import Digraph
 from hubapsp.hubs import shortest_negative_cycle
+from reference_engine import _run_multi_generic
 
 
 def fraction_reduced_graph(tg, lam) -> Digraph:

@@ -7,20 +7,22 @@ import pytest
 from hubapsp.bellman_ford import (
     LabelRun,
     NumberOps,
-    _bf_run_numpy_batch,
-    _run_multi_generic,
+    _label_run,
     bf_run,
     bf_run_multi,
     bf_step,
     extract_minimal_path,
     relax,
 )
-from hubapsp.generate import negative_cycle_free, random_digraph, ring_with_chords
+from hubapsp.generate import (negative_cycle_free, random_digraph, random_timed,
+                              ring_with_chords)
 from hubapsp.graph import (INF, Digraph, build_graph, floyd_warshall_oracle,
                            hop_limited_oracle)
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
 from hubapsp.minplus import (ApspResult, LevelDistances, apsp, build_hub_graph,
                              lift_level)
+from hubapsp.parametric import LinearValue, _LinearOps, _Resolver
+from reference_engine import _run_multi_generic
 from reference_step import bf_step_python, edge_tables
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
@@ -130,7 +132,7 @@ def test_label_runs_reject_out_of_range_sources(sources):
     with pytest.raises(ValueError, match="out of range"):
         bf_run_multi(g, sources, 2)
     with pytest.raises(ValueError, match="out of range"):
-        _run_multi_generic(g, sources, 2, NumberOps())
+        _label_run(g, sources, 2, NumberOps())
     with pytest.raises(ValueError, match="out of range"):
         bf_run(g, sources[-1], 2)
 
@@ -141,7 +143,7 @@ def test_vertex_ids_must_be_integers():
     dist = floyd_warshall_oracle(g)
     known = LevelDistances((2,), dist[[2], :], dist[:, [2]].T)
     calls = [lambda vs: bf_run_multi(g, vs, 2),
-             lambda vs: _run_multi_generic(g, vs, 2, NumberOps()),
+             lambda vs: _label_run(g, vs, 2, NumberOps()),
              lambda vs: build_hub_graph(g, vs, 2),
              lambda vs: lift_level(g, vs, known, 1)]
     for call in calls:
@@ -150,7 +152,7 @@ def test_vertex_ids_must_be_integers():
                 call(vs)
     ids = np.array([1, 0], dtype=np.int64)
     assert bf_run_multi(g, ids, 2).sources == (0, 1)
-    assert _run_multi_generic(g, ids, 2, NumberOps()).sources == (0, 1)
+    assert _label_run(g, ids, 2, NumberOps()).sources == (0, 1)
     assert build_hub_graph(g, ids, 2).index == (0, 1)
     assert lift_level(g, ids, known, 1).vertices == (0, 1)
     with pytest.raises(TypeError):
@@ -162,7 +164,7 @@ def test_label_runs_reject_negative_step_counts():
     with pytest.raises(ValueError, match="nonnegative"):
         bf_run_multi(g, [0], -1)
     with pytest.raises(ValueError, match="nonnegative"):
-        _run_multi_generic(g, [0], -1, NumberOps())
+        _label_run(g, [0], -1, NumberOps())
     with pytest.raises(ValueError, match="nonnegative"):
         bf_run(g, 0, -1)
 
@@ -215,7 +217,7 @@ def test_generic_engine_matches_numpy():
         g = random_digraph(9, 0.35, -4, 8, seed=400 + seed)
         k = 5
         fast = bf_run_multi(g, range(g.n), k)
-        slow = _run_multi_generic(g, list(range(g.n)), k, NumberOps())
+        slow = _label_run(g, list(range(g.n)), k, NumberOps())
         for s in range(g.n):
             assert np.array_equal(
                 fast[s].labels, np.array(slow[s].labels, dtype=float))
@@ -227,7 +229,7 @@ def test_generic_engine_exact_fractions():
     from hubapsp.graph import Digraph
     g = Digraph(
         3, ((0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3))))
-    lab = _run_multi_generic(g, [0], 2, NumberOps())[0]
+    lab = _label_run(g, [0], 2, NumberOps())[0]
     assert lab.labels[2][2] == Fraction(2, 3)
 
 
@@ -305,16 +307,16 @@ def test_hub_layer_never_builds_an_edge_table():
     cyc = shortest_negative_cycle(neg)
     assert cyc is not None and cyc.weight < 0
     assert isinstance(apsp(neg, 32), NegativeCycle)
-    run = _bf_run_numpy_batch(g, range(0, 64, 2), 4)
+    run = _label_run(g, range(0, 64, 2), 4)
     kept = run.select(range(0, 64, 6))
-    resumed = _bf_run_numpy_batch(g, range(0, 64, 3), 8, resume=kept)
+    resumed = _label_run(g, range(0, 64, 3), 8, resume=kept)
     for r in (run, kept, resumed):
         assert _holds_no_edge_table(r)
     # The ops engine keeps none either, and a single walk reads no table.
     small = random_digraph(9, 0.35, -2, 8, seed=41)
-    run = _run_multi_generic(small, range(0, 9, 2), 3, NumberOps())
+    run = _label_run(small, range(0, 9, 2), 3, NumberOps())
     kept = run.select(range(0, 9, 4))
-    resumed = _run_multi_generic(small, range(0, 9, 3), 6, NumberOps(), kept)
+    resumed = _label_run(small, range(0, 9, 3), 6, NumberOps(), kept)
     for r in (run, kept, resumed):
         assert _holds_no_edge_table(r)
         for s in r:
@@ -326,11 +328,13 @@ def test_hub_layer_never_builds_an_edge_table():
 
 
 ENGINES = {
-    "numpy": lambda g, sources, k, resume=None: _bf_run_numpy_batch(
-        g, sources, k, resume),
-    "object": lambda g, sources, k, resume=None: _bf_run_numpy_batch(
-        g, sources, k, resume),
-    "fraction": lambda g, sources, k, resume=None: _run_multi_generic(
+    "numpy": lambda g, sources, k, resume=None: _label_run(
+        g, sources, k, resume=resume),
+    "object": lambda g, sources, k, resume=None: _label_run(
+        g, sources, k, resume=resume),
+    "fraction": lambda g, sources, k, resume=None: _label_run(
+        g, sources, k, NumberOps(), resume),
+    "reference": lambda g, sources, k, resume=None: _run_multi_generic(
         g, sources, k, NumberOps(), resume),
 }
 
@@ -349,7 +353,7 @@ def test_resumed_run_equals_run_from_scratch(engine):
                rng.sample(range(7), rng.randint(0, 7))) for _ in range(6)]
     for seed, (first, then) in enumerate(cases):
         g = random_digraph(7, 0.35, -3, 9, seed=600 + seed)
-        if engine == "fraction":
+        if engine in ("fraction", "reference"):
             g = Digraph(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges])
         if engine == "object":
             g = _scaled(g)
@@ -365,6 +369,77 @@ def test_resumed_run_equals_run_from_scratch(engine):
                 assert a.shape == b.shape and np.array_equal(a, b), (seed, k)
 
 
+class _Recording:
+    """An ops domain that records every nonempty `cmp_batch` request."""
+
+    def __init__(self, ops):
+        self.ops, self.INF, self.ZERO = ops, ops.INF, ops.ZERO
+        self.rounds = []
+
+    def cmp_batch(self, pairs):
+        pairs = list(pairs)
+        if pairs:
+            self.rounds.append(pairs)
+        return self.ops.cmp_batch(pairs)
+
+
+def _same_rounds(g, sources, k, make_ops, first=(), k_first=0):
+    """Check that `_label_run` and the plain-loop reference ask the same
+    pairs in the same rounds and fill the same tables; with ``first``, each
+    resumes from its own k_first-step run over those sources.  Returns the
+    number of rounds."""
+    out = []
+    for engine in (_label_run, _run_multi_generic):
+        resume = engine(g, first, k_first, make_ops()) if len(first) else None
+        ops = _Recording(make_ops())
+        out.append((engine(g, sources, k, ops, resume), ops.rounds))
+    (got, got_rounds), (want, want_rounds) = out
+    assert got_rounds == want_rounds
+    assert got.sources == want.sources and got.ran == want.ran
+    for name in ("labels", "closed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == object and a.shape == b.shape, name
+        assert a.tolist() == b.tolist(), name
+    return len(got_rounds)
+
+
+def test_label_run_asks_the_reference_rounds_on_affine_weights():
+    # The ratio search's domain: every comparison with a breakpoint goes to
+    # a resolver, which signs it at lam*.
+    rounds = 0
+    for seed in range(6):
+        tg = random_timed(8, 0.4, -4, 8, seed=3300 + seed)
+        g = Digraph(tg.base.n, [(u, v, LinearValue(Fraction(t), Fraction(w)))
+                                for (u, v, w), t in zip(tg.base.edges, tg.times)])
+
+        def make_ops():
+            return _LinearOps(_Resolver(tg))
+
+        rounds += _same_rounds(g, range(g.n), 6, make_ops)
+        rounds += _same_rounds(g, range(0, g.n, 2), 6, make_ops,
+                               first=range(0, g.n, 3), k_first=3)
+    assert rounds >= 100
+
+
+def test_label_run_asks_the_reference_rounds_on_fractions():
+    # Halved small integers tie often, so the tie rule decides many rounds.
+    for seed in range(8):
+        base = random_digraph(8, 0.35, -3, 6, seed=700 + seed)
+        g = Digraph(8, [(u, v, Fraction(w, 2)) for (u, v, w) in base.edges])
+        assert _same_rounds(g, range(8), 5, NumberOps) > 0
+        _same_rounds(g, [1, 4, 6], 6, NumberOps, first=[0, 4, 6, 7], k_first=2)
+        _same_rounds(g, [1, 4], 4, NumberOps, first=range(8), k_first=2)
+        _same_rounds(g, [2, 5], 3, NumberOps, first=[2], k_first=0)
+        assert _same_rounds(g, [], 3, NumberOps) == 0
+        assert _same_rounds(g, range(8), 0, NumberOps) == 0
+    # Vertex 0 has no in-edge; parallel edges and a self-loop tie.
+    g = Digraph(4, [(0, 1, Fraction(1)), (1, 2, Fraction(-1)), (1, 2, Fraction(-1)),
+                    (2, 1, Fraction(2)), (1, 3, Fraction(1, 2)), (3, 1, Fraction(0)),
+                    (1, 1, Fraction(3)), (3, 2, Fraction(-1, 2))])
+    assert _same_rounds(g, range(4), 4, NumberOps) > 0
+    assert _same_rounds(g, [0], 4, NumberOps, first=[0, 2], k_first=1) > 0
+
+
 def test_numpy_engine_keeps_fraction_weights_exact():
     # Weights w/3 on the numpy engine stay Fractions on an object array, so
     # its labels, closed walks and edges are the exact ops engine's, and
@@ -374,7 +449,7 @@ def test_numpy_engine_keeps_fraction_weights_exact():
     exact = 0
     for seed, base in enumerate(graphs):
         g = Digraph(8, [(u, v, Fraction(w, 3)) for (u, v, w) in base.edges])
-        fast = _bf_run_numpy_batch(g, range(8), 8)
+        fast = _label_run(g, range(8), 8)
         slow = _run_multi_generic(g, range(8), 8, NumberOps())
         assert fast.labels.dtype == object
         for name in ("labels", "closed"):

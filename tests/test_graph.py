@@ -22,10 +22,11 @@ TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 def test_single_edge_adjacency():
     # Vertex v's in-edges are the in_ptr[v]:in_ptr[v+1] segment.
     g = build_graph(2, [(0, 1, 5.0)])
-    src, _w, eidx, _seg, _dst, in_ptr = g._in_arrays()
+    src, _w, eidx, _seg, _dst, in_ptr, edge_dst = g._in_arrays()
     segments = [slice(in_ptr[v], in_ptr[v + 1]) for v in range(g.n)]
     assert [eidx[s].tolist() for s in segments] == [[], [0]]
     assert [src[s].tolist() for s in segments] == [[], [0]]
+    assert [edge_dst[s].tolist() for s in segments] == [[], [1]]
     assert g.m == 1
 
 

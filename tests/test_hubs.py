@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hubapsp.bellman_ford import (LabelRun, NumberOps, _run_multi_generic,
-                                  bf_run_multi, extract_minimal_path)
+from hubapsp.bellman_ford import (LabelRun, NumberOps, bf_run_multi,
+                                  extract_minimal_path)
 from hubapsp.generate import (negative_cycle_free, random_digraph,
                               ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
@@ -23,6 +23,7 @@ from hubapsp.hubs import (
     verify_hub_property,
 )
 from hubapsp.meter import CostMeter
+from reference_engine import _run_multi_generic
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 RING3 = [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
@@ -245,6 +246,17 @@ def test_hierarchy_levels_verified_on_random_instances():
 def test_hierarchy_deterministic():
     g = negative_cycle_free(14, 0.3, -4, 12, seed=41)
     assert build_hub_hierarchy(g, 8) == build_hub_hierarchy(g, 8)
+
+
+def test_hierarchy_reads_d_as_an_integer():
+    g = negative_cycle_free(14, 0.3, -4, 12, seed=41)
+    want = build_hub_hierarchy(g, 8)
+    assert build_hub_hierarchy(g, np.int64(8)) == want
+    assert build_hub_hierarchy(g, np.uint8(8), mode="sampled", seed=3) == \
+        build_hub_hierarchy(g, 8, mode="sampled", seed=3)
+    for d in (8.0, np.float64(8)):
+        with pytest.raises(TypeError):
+            build_hub_hierarchy(g, d)
 
 
 def test_sampled_hierarchy_reproducible_and_tagged():

@@ -255,6 +255,19 @@ def test_apsp_d_one_degenerate_pipeline():
     assert len(res.hierarchy.levels) == 1
 
 
+def test_apsp_reads_d_as_an_integer():
+    # d.bit_length() once raised AttributeError on a numpy int and on a float.
+    g = negative_cycle_free(12, 0.3, -4, 12, seed=1090)
+    want = apsp(g, 4)
+    for d in (np.int64(4), np.int32(5)):
+        got = apsp(g, d)
+        assert np.array_equal(got.dist.values, want.dist.values)
+        assert got.hierarchy == want.hierarchy and got.meter == want.meter
+    for d in (4.0, np.float64(4)):
+        with pytest.raises(TypeError):
+            apsp(g, d)
+
+
 def test_apsp_matches_oracle_across_d():
     for seed in range(15):
         g = negative_cycle_free(14, 0.25, -4, 12, seed=1100 + seed)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hubapsp.bellman_ford import _run_multi_generic
+from hubapsp.bellman_ford import _label_run
 from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
 from hubapsp.graph import Digraph, build_graph, enumerate_simple_cycles
@@ -100,6 +100,26 @@ def test_karp_matches_enumeration():
         lam, cyc = min_mean_cycle_karp(tg.base)
         assert lam == mean_oracle(tg.base), seed
         assert Fraction(cyc.length) / cyc.hops == lam, seed
+        assert len(set(cyc.vertices[:-1])) == cyc.hops, seed
+
+
+def test_karp_is_exact_on_fraction_weights():
+    # Karp once truncated Fraction weights through int() and returned a
+    # float mean beside an exact witness.
+    g = Digraph(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)),
+                    (2, 0, Fraction(1, 3)), (1, 0, Fraction(1, 7))])
+    assert min_mean_cycle_karp(g)[0] == Fraction(5, 21)
+    for seed in range(20):
+        base = random_timed(8, 0.3, -5, 9, seed=2100 + seed).base
+        g = Digraph(8, [(u, v, Fraction(w, 1 + (u + 2 * v) % 5))
+                        for (u, v, w) in base.edges])
+        lam, cyc = min_mean_cycle_karp(g)
+        # Cycles of the float copy, each mean recomputed on the exact edges.
+        approx = Digraph(8, [(u, v, float(w)) for (u, v, w) in g.edges])
+        want = min(sum(g.edges[e][2] for e in c.edges) / c.hops
+                   for c in enumerate_simple_cycles(approx))
+        assert type(lam) is Fraction and lam == want, seed
+        assert type(cyc.length) is Fraction and cyc.length / cyc.hops == lam, seed
         assert len(set(cyc.vertices[:-1])) == cyc.hops, seed
 
 
@@ -376,7 +396,7 @@ def test_symbolic_run_edges_are_the_tournament_winners():
         g = Digraph(tg.base.n, [(u, v, LinearValue(Fraction(t), Fraction(w)))
                                 for (u, v, w), t in zip(tg.base.edges, tg.times)])
         resolver = _Resolver(tg)
-        run = _run_multi_generic(g, range(g.n), 8, _LinearOps(resolver))
+        run = _label_run(g, range(g.n), 8, _LinearOps(resolver))
         asked = resolver.breakpoints
         pred, closed = edge_tables(run)
         assert resolver.breakpoints == asked

@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hubapsp import bellman_ford, cli, parametric
-from hubapsp.bellman_ford import _bf_run_numpy_batch, bf_run_multi, bf_step, relax
+from hubapsp.bellman_ford import _label_run, bf_run_multi, bf_step, relax
 from hubapsp.fileio import parse_graph
 from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle)
@@ -204,9 +204,9 @@ def test_looked_up_edges_match_the_plain_loop(case, scaled, k, data):
     earlier = data.draw(st.sets(vertex))
     chunk = data.draw(st.sampled_from([1, 3, bellman_ford._LOOKUP_CHUNK]))
     with mock.patch.object(bellman_ford, "_LOOKUP_CHUNK", chunk):
-        resume = _bf_run_numpy_batch(g, earlier, data.draw(st.integers(0, k)))
-        run = _bf_run_numpy_batch(g, sources, k, resume)
-        assert np.array_equal(run.labels, _bf_run_numpy_batch(g, sources, k).labels)
+        resume = _label_run(g, earlier, data.draw(st.integers(0, k)))
+        run = _label_run(g, sources, k, resume=resume)
+        assert np.array_equal(run.labels, _label_run(g, sources, k).labels)
         pred, closed = edge_tables(run)
         for j, s in enumerate(run.sources):
             for i in range(k):
