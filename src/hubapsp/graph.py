@@ -128,14 +128,14 @@ class Digraph:
           steps a label is a walk of at most i hops, and a candidate adds
           one edge.  `shortest_negative_cycle` steps at most 2n times (its
           depth is the least power of two >= max(2, n)), `apsp`'s hierarchy
-          at most n and its hub graph d+1 <= n+1 times: at most 2n*W.
+          at most n, its hub graph d+1 <= n+1 times and the ratio search's
+          price row, relaxed from zeros on the probe graph itself, n times:
+          at most 2n*W.
         - the lift of level h seeds exact distances, at most (n-1)*W, and
           steps 2h+1 <= 2d+1 <= 2n+1 times from them: at most 3n*W.  This
           is the case that sets the factor.
         - Karp's table D_k is a k-edge walk for k <= n, and its rotation
           formula subtracts two entries: at most 2n*W.
-        - the ratio search's price run steps n+1 times on an n+1-vertex
-          graph: at most (n+2)*W, under that graph's own bound.
         - a closure product adds two hub-matrix entries.  An entry starts
           as a (d+1)-hop distance, at most (n+1)*W, and never grows, and a
           distance is at least -(n-1)*W, so a sum stays within
@@ -305,30 +305,23 @@ def floyd_warshall_oracle(g: Digraph) -> np.ndarray:
 def negative_cycle_hops_oracle(g: Digraph, k_max: Optional[int] = None) -> Optional[int]:
     """Smallest k with a negative closed walk of exactly k edges, or None.
 
-    Brute min-plus powers of the adjacency matrix; a negative diagonal in
-    the k-th power is exactly a negative k-edge closed walk.  Searching up
-    to n suffices for existence because the shortest negative closed walk
-    is a simple cycle.
+    Brute min-plus powers of the adjacency matrix, each one step of
+    `_oracle_candidates` from the last, starting at the 0-diagonal matrix;
+    a negative diagonal in the k-th power is exactly a negative k-edge
+    closed walk.  Searching up to n suffices for existence because the
+    shortest negative closed walk is a simple cycle.
     """
     _float_oracle(g)
     n = g.n
     if k_max is None:
         k_max = n
-    if n == 0 or g.m == 0:
-        return None
-    A = np.full((n, n), INF)
-    for (u, v, w) in g.edges:
-        if w < A[u, v]:
-            A[u, v] = w
-    power = A.copy()
+    # Row i of the k-th power holds the least exactly-k-edge walks from i.
+    power = np.full((n, n), INF)
+    np.fill_diagonal(power, 0.0)
     for k in range(1, k_max + 1):
+        power = _oracle_candidates(g, power)
         if (np.diagonal(power) < 0).any():
             return k
-        if k < k_max:
-            nxt = np.empty((n, n))
-            for i in range(n):
-                nxt[i] = (power[i][:, None] + A).min(axis=0)
-            power = nxt
     return None
 
 

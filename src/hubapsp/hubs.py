@@ -130,7 +130,11 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
 
 
 def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
-    """Uniform random vertex set of size min(n, ceil(4*(n/h)*ln(max(n,2))))."""
+    """Uniform random vertex set of size min(n, ceil(4*(n/h)*ln(max(n,2)))).
+
+    ``h`` is read with `operator.index`, as `apsp` reads d.
+    """
+    h = operator.index(h)
     if not (1 <= h <= n):
         raise ValueError(f"hop bound {h} outside 1..{n}")
     size = min(n, math.ceil(4.0 * (n / h) * math.log(max(n, 2))))

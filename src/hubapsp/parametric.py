@@ -13,23 +13,25 @@ cycle.  Three routes to the optimum lam* are provided:
   affine weight functions lam -> b - lam * a, resolving each batch of
   comparisons at the still-unknown lam* through breakpoint bisection with a
   concrete detector as the decision oracle.  All breakpoint arithmetic is
-  over exact rationals, so integer instances yield lam* as an exact
-  fraction.
+  over exact rationals, so lam* is an exact Fraction whenever every cost
+  and time is a Fraction or an integral number (`_exact`, the one
+  exactness rule, which Karp reads too), and a float otherwise.
 
-Every concrete probe at a rational lam goes through `_probe_exact`.  Scaled
-by D, the lcm of the cost denominators and of lam's denominator times the
-time denominators, the reduced weights D*(w - lam*t) are integers, and the
-label engine's numpy step decides them exactly, with the same tie-breaks
-as an exact rational run: on float64 while the integers are small enough
-to add exactly, and on Python ints in object arrays past that (late
-bisection probes, whose denominators reach 2^iterations, or float costs
-with long binary expansions); `Digraph._in_arrays` picks the dtype.  Only
-the one symbolic run over LinearValues takes the engine's ops step,
-`_tournament`.
+Every concrete probe, at a rational or a float lam, goes through `_probe`.
+At a rational lam, scaled by D, the lcm of the cost denominators and of
+lam's denominator times the time denominators, the reduced weights
+D*(w - lam*t) are integers, and the label engine's numpy step decides them
+exactly, with the same tie-breaks as an exact rational run: on float64
+while the integers are small enough to add exactly, and on Python ints in
+object arrays past that (late bisection probes, whose denominators reach
+2^iterations, or float costs with long binary expansions);
+`Digraph._in_arrays` picks the dtype.  Only the one symbolic run over
+LinearValues takes the engine's ops step, `_tournament`.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bellman_ford import _attaining_edges, _min_in_edges, bf_run
+from .bellman_ford import _attaining_edges, _min_in_edges, relax
 from .graph import INF, Digraph, Path, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
@@ -117,15 +119,16 @@ class RatioAnswer:
     breakpoints: int = 0
 
 
-def _is_integral(x) -> bool:
-    if isinstance(x, (int, np.integer)):
+def _exact(x) -> bool:
+    """A Fraction or an integral number: the one exactness rule."""
+    if isinstance(x, (int, np.integer, Fraction)):
         return True
     return isinstance(x, float) and math.isfinite(x) and x.is_integer()
 
 
-def _integral_instance(tg: TimedDigraph) -> bool:
-    return (all(_is_integral(w) for (_, _, w) in tg.base.edges)
-            and all(_is_integral(t) for t in tg.times))
+def _exact_instance(tg: TimedDigraph) -> bool:
+    return (all(_exact(w) for (_, _, w) in tg.base.edges)
+            and all(map(_exact, tg.times)))
 
 
 def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
@@ -168,7 +171,7 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     lam_rows = quot.max(axis=0)
     v_star = int(np.nonzero(vmask)[0][int(np.argmin(lam_rows))])
 
-    exact = all(isinstance(w, Fraction) or _is_integral(w) for (_, _, w) in g.edges)
+    exact = all(_exact(w) for (_, _, w) in g.edges)
     if exact:
         col = [Fraction(x) for x in D[:, v_star]]
         lam = max((col[n] - col[k]) / (n - k) for k in range(n))
@@ -219,21 +222,19 @@ def _reduced_graph(tg: TimedDigraph, lam: float) -> Digraph:
     return Digraph(tg.base.n, edges)
 
 
-def _price_function(gl: Digraph) -> np.ndarray:
-    """Shortest-path prices from a fresh super-source over zero-weight edges.
+def _price_function(g: Digraph) -> np.ndarray:
+    """Shortest-path prices from a virtual super-source over zero-weight edges.
 
-    A real vertex is appended so an ordinary single-source label run
-    computes them.  With no negative cycle the labels are stable by row n,
-    checked exactly.  The int 0 on the new edges keeps integer weights
-    integer, so the row is in the dtype `Digraph._in_arrays` picks for them.
+    That source's row is 0 everywhere after one step, so the prices are a
+    zero row relaxed n-1 steps on the probe graph itself; with no negative
+    cycle one more step leaves it as it is, checked exactly.  The int 0
+    keeps the row in the dtype `Digraph._in_arrays` picks for the weights.
     """
-    n = gl.n
-    aug = Digraph(n + 1, gl.edges + tuple((n, v, 0) for v in range(n)))
-    lab = bf_run(aug, n, n + 1)
-    prev, last = lab.labels[n], lab.labels[n + 1]
-    if not np.array_equal(prev, last):
+    n = g.n
+    row = relax(g, [[0] * n], max(n - 1, 0))
+    if n and not np.array_equal(relax(g, row, 1), row):
         raise AssertionError("prices not converged despite no negative cycle")
-    return last[:n]
+    return row[0]
 
 
 def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
@@ -254,45 +255,44 @@ def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     return Digraph(tg.base.n, edges), big_d
 
 
-def _probe_exact(tg: TimedDigraph, lam: Fraction, nonstrict: bool = False,
-                 prices: bool = False):
-    """Decide one rational lam exactly.
+def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
+           prices: bool = False):
+    """Decide one concrete lam.
 
     Returns the hop-shortest cycle of the reduced weights w - lam*t whose
-    weight is < 0 (<= 0 when `nonstrict`), with its weight as a Fraction.
-    Without one, returns Feasible prices when `prices` is set, else None.
-    Runs the numpy engine on `_scaled_reduced` weights, in the dtype
-    `Digraph._in_arrays` picks for them, and maps the results back over D.
+    weight is < 0 (<= 0 when `nonstrict`).  Without one, returns Feasible
+    prices when `prices` is set, else None.  A rational lam runs
+    `_scaled_reduced` weights and maps the results back over D to exact
+    Fractions; a float lam runs `_reduced_graph`'s and gives floats.
     """
-    gs, big_d = _scaled_reduced(tg, lam)
-    cyc = shortest_negative_cycle(gs, nonstrict=nonstrict)
+    if _exact(lam):
+        g, big_d = _scaled_reduced(tg, Fraction(lam))
+        back = lambda x: Fraction(int(x), big_d)
+    elif math.isfinite(lam):
+        g, back = _reduced_graph(tg, lam), float
+    else:
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    cyc = shortest_negative_cycle(g, nonstrict=nonstrict)
     if cyc is not None:
-        weight = Fraction(int(cyc.weight), big_d)
+        weight = back(cyc.weight)
         path = cyc.cycle
         return NegativeCycle(Path(path.vertices, weight, path.hops, path.edges),
                              cyc.hops, weight)
     if not prices:
         return None
-    return Feasible(tuple(Fraction(int(x), big_d) for x in _price_function(gs)))
+    return Feasible(tuple(back(x) for x in _price_function(g)))
 
 
 def evaluate_lambda(tg: TimedDigraph, lam: Real):
     """Probe one lam: Infeasible(cycle) when some cycle ratio beats lam,
     else Feasible(price) with w(e) - lam*t(e) + p(u) - p(v) >= 0 on every edge.
 
-    Exact rational arithmetic when lam is an integer or Fraction (costs and
-    times convert exactly whatever their type), through `_probe_exact`:
-    scaled integers on the numpy engine, on float64 or on object arrays of
-    Python ints as their size needs.  float64 otherwise.
+    One `_probe` call: exact when lam is a Fraction or an integral number
+    (costs and times convert exactly whatever their type), float64 for any
+    other float.  :raises ValueError: on a non-finite lam.
     """
-    if isinstance(lam, Fraction) or _is_integral(lam):
-        out = _probe_exact(tg, Fraction(lam), prices=True)
-        return out if isinstance(out, Feasible) else Infeasible(out)
-    gl = _reduced_graph(tg, lam)
-    cyc = shortest_negative_cycle(gl)
-    if cyc is not None:
-        return Infeasible(cyc)
-    return Feasible(tuple(float(x) for x in _price_function(gl)))
+    out = _probe(tg, lam, prices=True)
+    return out if isinstance(out, Feasible) else Infeasible(out)
 
 
 def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
@@ -315,7 +315,7 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
         raise ValueError("iterations must be >= 1")
     if not has_cycle(tg.base):
         raise AcyclicGraphError("ratio search needs a directed cycle")
-    ratios = _edge_ratios(tg, _integral_instance(tg))
+    ratios = _edge_ratios(tg, _exact_instance(tg))
     lo, hi = min(ratios), max(ratios)
     for _ in range(iterations):
         mid = (lo + hi) / 2
@@ -356,9 +356,9 @@ class _Resolver:
     (is lam* <= x).  A batch of undecided breakpoints is sorted and split by
     bisection on the strict oracle, then at most one nonpos call separates
     "equal to lam*" from "below", so a batch of p costs O(log p) detector
-    runs.  The interval only ever shrinks.  Each detector run is a
-    `_probe_exact` call: scaled integers on the numpy engine, in float64 or
-    in object arrays of Python ints.
+    runs.  The interval only ever shrinks.  Each detector run is a rational
+    `_probe` call: scaled integers on the numpy engine, in float64 or in
+    object arrays of Python ints.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
@@ -382,7 +382,7 @@ class _Resolver:
     def detect(self, x: Fraction, nonstrict: bool) -> Optional[NegativeCycle]:
         key = (x, nonstrict)
         if key not in self._runs:
-            self._runs[key] = _probe_exact(self.tg, x, nonstrict)
+            self._runs[key] = _probe(self.tg, x, nonstrict)
             self.oracle_calls += 1
         return self._runs[key]
 
@@ -422,14 +422,7 @@ class _Resolver:
     def _shrink(self, xs: List[Fraction]) -> None:
         # Least index whose strict test succeeds; everything at or past it
         # sits strictly above lam*.
-        lo_i, hi_i = 0, len(xs)
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            if self.strict_at(xs[mid]):
-                hi_i = mid
-            else:
-                lo_i = mid + 1
-        i = lo_i
+        i = bisect.bisect_left(xs, True, key=self.strict_at)
         if i < len(xs):
             self.hi = xs[i]
             self.hi_excl = True
@@ -513,16 +506,10 @@ def min_ratio_parametric(tg: TimedDigraph,
 
     cands = sorted(x for x in resolver.candidates
                    if resolver.lo <= x <= resolver.hi)
-    lo_i, hi_i = 0, len(cands)
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if resolver.nonpos_at(cands[mid]):
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    if lo_i == len(cands):
+    i = bisect.bisect_left(cands, True, key=resolver.nonpos_at)
+    if i == len(cands):
         raise AssertionError("no candidate admits a nonpositive cycle")
-    lam = cands[lo_i]
+    lam = cands[i]
     if lam != lam_sim:
         raise AssertionError("candidate selection disagrees with the simulation")
 
@@ -531,8 +518,9 @@ def min_ratio_parametric(tg: TimedDigraph,
         raise AssertionError("nonpositive cycle vanished at the selected lam")
     cyc = concrete.cycle
     wsum = sum(g.edges[e][2] for e in cyc.edges)
-    tsum = sum(tg.times[e] for e in cyc.edges)
-    if Fraction(wsum) / Fraction(tsum) != lam:
+    # Summed per edge as Fractions: a float sum would round before the check.
+    if (sum(Fraction(g.edges[e][2]) for e in cyc.edges)
+            / sum(Fraction(tg.times[e]) for e in cyc.edges)) != lam:
         raise AssertionError("witness ratio does not equal lam*")
     witness = Path(cyc.vertices, wsum, cyc.hops, cyc.edges)
 
@@ -540,6 +528,6 @@ def min_ratio_parametric(tg: TimedDigraph,
     if not isinstance(cert, Feasible):
         raise AssertionError("a cycle still beats lam*, selection was wrong")
 
-    lam_out: Real = lam if _integral_instance(tg) else float(lam)
+    lam_out: Real = lam if _exact_instance(tg) else float(lam)
     return RatioAnswer(lam_out, witness, cert.price,
                        resolver.oracle_calls + 1, resolver.breakpoints)

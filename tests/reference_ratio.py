@@ -1,5 +1,7 @@
-"""Exact-rational ratio probes on the Fraction engine, the reference the
-scaled-integer probes of `hubapsp.parametric` are checked against."""
+"""Ratio probes on the generic engine, the reference the probes of
+`hubapsp.parametric` are checked against: exact rationals for the
+scaled-integer probes, and the same super-source prices on floats for the
+float64 ones."""
 from fractions import Fraction
 
 from hubapsp.bellman_ford import NumberOps
@@ -24,12 +26,15 @@ def fraction_negative_cycle(gl, nonstrict=False):
 def fraction_prices(gl):
     """Shortest-path prices from a fresh super-source over zero-weight edges.
 
-    Raises AssertionError unless the labels are stable by row n, as they are
-    with no negative cycle.
+    The zero edges take the graph's domain: Fractions, or floats when some
+    weight is a float, since no one weight array holds both.  Raises
+    AssertionError unless the labels are stable by row n, as they are with
+    no negative cycle.
     """
     n = gl.n
-    aug = Digraph(
-        n + 1, gl.edges + tuple((n, v, Fraction(0)) for v in range(n)))
+    zero = (0.0 if any(isinstance(w, float) for (_, _, w) in gl.edges)
+            else Fraction(0))
+    aug = Digraph(n + 1, gl.edges + tuple((n, v, zero) for v in range(n)))
     lab = _run_multi_generic(aug, [n], n + 1, NumberOps())[n]
     prev, last = lab.labels[n], lab.labels[n + 1]
     if any(a != b for a, b in zip(prev, last)):

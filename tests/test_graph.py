@@ -199,6 +199,15 @@ def test_negative_cycle_hops_oracle():
     assert negative_cycle_hops_oracle(g) == 2
     assert negative_cycle_hops_oracle(build_graph(2, [(0, 1, -5)])) is None
     assert negative_cycle_hops_oracle(build_graph(1, [(0, 0, -1)])) == 1
+    # The cheaper of two parallel edges closes the cycle; a hop budget below
+    # its length finds nothing, and graphs without edges or vertices neither.
+    g = build_graph(2, [(0, 1, 5), (0, 1, -3), (1, 0, 2)])
+    assert negative_cycle_hops_oracle(g) == 2
+    assert negative_cycle_hops_oracle(g, k_max=1) is None
+    assert negative_cycle_hops_oracle(build_graph(3, TRIANGLE), k_max=2) is None
+    assert negative_cycle_hops_oracle(build_graph(3, TRIANGLE), k_max=0) is None
+    assert negative_cycle_hops_oracle(build_graph(3, [])) is None
+    assert negative_cycle_hops_oracle(build_graph(0, [])) is None
 
 
 def test_digraph_equality_and_hash():

@@ -106,6 +106,14 @@ def test_sample_hubs_deterministic_per_seed():
     assert sample_hubs(200, 100, seed=123) != sample_hubs(200, 100, seed=124)
 
 
+def test_sample_hubs_reads_h_as_an_integer():
+    # A float hop bound once shrank the size formula silently: h = 2.5 on
+    # 10 vertices gave all 10.
+    assert sample_hubs(10, np.int64(5), seed=1) == sample_hubs(10, 5, seed=1)
+    with pytest.raises(TypeError):
+        sample_hubs(10, 2.5, 1)
+
+
 # ---------------------------------------------------------------- collection
 
 def _walk_weight(g, row):

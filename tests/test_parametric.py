@@ -23,7 +23,9 @@ from hubapsp.parametric import (
     _LINF,
     _LinearOps,
     _Resolver,
+    _reduced_graph,
 )
+from reference_ratio import fraction_prices
 from reference_step import edge_tables
 
 
@@ -158,6 +160,34 @@ def test_evaluate_at_lambda_star_is_feasible():
     # the reduced triangle has weight exactly zero, which is not negative
     out = evaluate_lambda(UNIT_TRIANGLE, 1)
     assert isinstance(out, Feasible)
+
+
+def test_evaluate_lambda_rejects_non_finite():
+    # nan once read as feasible with infinite prices, inf as a cycle of
+    # weight -inf, and -inf as feasible with zero prices.
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            evaluate_lambda(UNIT_TRIANGLE, lam)
+
+
+def test_float_lambda_prices_match_the_augmented_reference():
+    # A float lam takes the same probe as a rational one, on float64
+    # reduced weights; its prices are those of the super-source run.
+    checked = 0
+    for seed in range(12):
+        tg = random_timed(7, 0.35, -4, 8, seed=3300 + seed)
+        half = TimedDigraph(Digraph(tg.base.n, [(u, v, w / 2) for (u, v, w)
+                                                in tg.base.edges]), tg.times)
+        lam_star = ratio_oracle(tg) / 2
+        for lam in (float(lam_star) - 0.3, float(lam_star) - 2.75, -5.1):
+            out = evaluate_lambda(half, lam)
+            assert isinstance(out, Feasible), (seed, lam)
+            want = fraction_prices(_reduced_graph(half, lam))
+            assert all(type(p) is float for p in out.price)
+            assert out.price == want, (seed, lam)
+            _check_certificate(half, lam, out.price, tol=1e-9)
+            checked += 1
+    assert checked == 36
 
 
 def _check_certificate(tg, lam, price, tol=0):
@@ -313,6 +343,30 @@ def test_parametric_on_float_weights():
     ans = min_ratio_parametric(halves)
     assert isinstance(ans.lambda_star, float)
     assert abs(ans.lambda_star - want) <= 1e-9
+
+
+def test_parametric_witness_check_sums_exactly():
+    # 0.1 + 0.2 rounds up in float64; summed as Fractions the witness
+    # ratio is lam* exactly, and the reported weight stays the float sum.
+    ans = min_ratio_parametric(build_timed_graph(
+        2, [(0, 1, 0.1, 1), (1, 0, 0.2, 1)]))
+    assert ans.lambda_star == float((Fraction(0.1) + Fraction(0.2)) / 2)
+    assert ans.witness.length == 0.1 + 0.2 and ans.witness.hops == 2
+
+
+def test_parametric_is_exact_on_fraction_instances():
+    # Fraction costs or times are exact, as they are for Karp: lam* comes
+    # back as a Fraction, not rounded to a float.
+    g = Digraph(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 3)),
+                    (2, 0, Fraction(1, 3)), (1, 0, Fraction(1, 7))])
+    ans = min_ratio_parametric(TimedDigraph(g, (1, 1, 1, 1)))
+    assert type(ans.lambda_star) is Fraction
+    assert ans.lambda_star == Fraction(5, 21) == min_mean_cycle_karp(g)[0]
+    assert ans.witness.length == Fraction(10, 21)
+    timed = TimedDigraph(Digraph(2, [(0, 1, 1), (1, 0, 2)]),
+                         (Fraction(1, 3), Fraction(2, 3)))
+    lam = min_ratio_parametric(timed).lambda_star
+    assert type(lam) is Fraction and lam == 3
 
 
 def test_parametric_reports_its_search_cost():

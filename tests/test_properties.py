@@ -27,8 +27,9 @@ from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle)
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from hubapsp.parametric import (Feasible, _probe_exact, _scaled_reduced,
-                                build_timed_graph, min_ratio_binary_search)
+from hubapsp.parametric import (Feasible, _probe as _probe_exact,
+                                _scaled_reduced, build_timed_graph,
+                                min_ratio_binary_search)
 from reference_greedy import greedy_hitting_set_sets
 from reference_step import best_in_edges_python, bf_step_python, edge_tables
 from reference_ratio import (fraction_bisection, fraction_negative_cycle,
