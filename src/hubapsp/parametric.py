@@ -12,10 +12,15 @@ cycle.  Three routes to the optimum lam* are provided:
 - `min_ratio_parametric`: runs the negative-cycle detector generically over
   affine weight functions lam -> b - lam * a, resolving each batch of
   comparisons at the still-unknown lam* through breakpoint bisection with a
-  concrete detector as the decision oracle.  All breakpoint arithmetic is
-  over exact rationals, so lam* is an exact Fraction whenever every cost
-  and time is a Fraction or an integral number (`_exact`, the one
-  exactness rule, which Karp reads too), and a float otherwise.
+  concrete detector as the decision oracle.  The symbolic run is exact on
+  integers: times are scaled by D_t and costs by D_c, the lcms of their
+  denominators (`_linear_graph`), each comparison's breakpoint is an
+  integer pair (num, den), and `_Resolver` decides it against the interval
+  around lam* by cross-multiplication; only the breakpoints the interval
+  leaves undecided become Fractions.  So lam* is exact, and it is returned
+  as a Fraction whenever every cost and time is a Fraction or an integral
+  number (`_exact`, the one exactness rule, which Karp reads too), and as
+  a float otherwise.
 
 Every concrete probe, at a rational or a float lam, goes through `_probe`.
 At a rational lam, scaled by D, the lcm of the cost denominators and of
@@ -76,10 +81,17 @@ def build_timed_graph(n: int, items) -> TimedDigraph:
 
 @dataclass(frozen=True)
 class LinearValue:
-    """The affine map lam -> b - lam * a; a carries time, b carries cost."""
+    """The affine map lam -> b - lam * a; a carries time, b carries cost.
 
-    a: Fraction
-    b: Fraction
+    The symbolic run holds scaled integer coefficients, a = D_t * time and
+    b = D_c * cost (`_linear_graph`), so its sums are Python ints.  `at`
+    evaluates b - lam * a on the scaled coefficients as they stand; where
+    every cost and time is integral, D_t = D_c = 1 and that is the reduced
+    weight at lam.
+    """
+
+    a: int
+    b: int
 
     def __add__(self, other: "LinearValue") -> "LinearValue":
         return LinearValue(self.a + other.a, self.b + other.b)
@@ -237,22 +249,40 @@ def _price_function(g: Digraph) -> np.ndarray:
     return row[0]
 
 
+def _exact_parts(tg: TimedDigraph
+                 ) -> Tuple[List[Fraction], List[Fraction], int, int]:
+    """(costs, times, D_c, D_t): both as Fractions, and the lcms of their
+    denominators."""
+    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
+    ts = [Fraction(t) for t in tg.times]
+    return (ws, ts, math.lcm(*(x.denominator for x in ws)),
+            math.lcm(*(y.denominator for y in ts)))
+
+
 def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     """(D*(w - lam*t) on integer weights, D).
 
-    D is the lcm of the cost denominators and of lam's denominator times
-    the lcm of the time denominators, so D*w and D*lam*t are integers.
+    D is the lcm of D_c and of lam's denominator times D_t (`_exact_parts`),
+    so D*w and D*lam*t are integers.
     """
-    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
-    ts = [Fraction(t) for t in tg.times]
+    ws, ts, d_c, d_t = _exact_parts(tg)
     p, q = lam.numerator, lam.denominator
-    big_d = math.lcm(math.lcm(*(x.denominator for x in ws)),
-                     q * math.lcm(*(y.denominator for y in ts)))
+    big_d = math.lcm(d_c, q * d_t)
     scaled = [x.numerator * (big_d // x.denominator)
               - p * y.numerator * (big_d // (q * y.denominator))
               for x, y in zip(ws, ts)]
     edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
     return Digraph(tg.base.n, edges), big_d
+
+
+def _linear_graph(tg: TimedDigraph) -> Tuple[Digraph, int, int]:
+    """(graph, D_t, D_c): the symbolic run's graph on integer coefficients,
+    LinearValue(D_t * t, D_c * w) on every edge (`_exact_parts`)."""
+    ws, ts, d_c, d_t = _exact_parts(tg)
+    edges = tuple((u, v, LinearValue(y.numerator * (d_t // y.denominator),
+                                     x.numerator * (d_c // x.denominator)))
+                  for (u, v, _), x, y in zip(tg.base.edges, ws, ts))
+    return Digraph(tg.base.n, edges), d_t, d_c
 
 
 def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
@@ -263,13 +293,15 @@ def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
     weight is < 0 (<= 0 when `nonstrict`).  Without one, returns Feasible
     prices when `prices` is set, else None.  A rational lam runs
     `_scaled_reduced` weights and maps the results back over D to exact
-    Fractions; a float lam runs `_reduced_graph`'s and gives floats.
+    Fractions; any other lam is read as a Python float, so a numpy float32
+    or float16 is widened first, and runs `_reduced_graph`'s weights in
+    float64, giving floats.
     """
     if _exact(lam):
         g, big_d = _scaled_reduced(tg, Fraction(lam))
         back = lambda x: Fraction(int(x), big_d)
     elif math.isfinite(lam):
-        g, back = _reduced_graph(tg, lam), float
+        g, back = _reduced_graph(tg, float(lam)), float
     else:
         raise ValueError(f"lam must be finite, got {lam!r}")
     cyc = shortest_negative_cycle(g, nonstrict=nonstrict)
@@ -348,17 +380,22 @@ _LINF = _Infinity()
 
 
 class _Resolver:
-    """Sign oracle for x - lam* over the exact rationals.
+    """Sign oracle for x - lam* at breakpoints x given as integer pairs.
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
-    the set of every breakpoint ever generated, and two memoized concrete
-    detectors on the reduced graph at x: strict (is lam* < x) and nonpos
-    (is lam* <= x).  A batch of undecided breakpoints is sorted and split by
-    bisection on the strict oracle, then at most one nonpos call separates
-    "equal to lam*" from "below", so a batch of p costs O(log p) detector
-    runs.  The interval only ever shrinks.  Each detector run is a rational
-    `_probe` call: scaled integers on the numpy engine, in float64 or in
-    object arrays of Python ints.
+    the candidates (both initial ends and every breakpoint the interval
+    ever left undecided), and two memoized concrete detectors on the
+    reduced graph at x: strict (is lam* < x) and nonpos (is lam* <= x).  A
+    breakpoint x = num/den, den > 0, is decided against the interval by
+    cross-multiplying with the ends' numerators and denominators
+    (`_interval_sign`); only the undecided ones become Fractions.  A batch
+    of those is sorted and split by bisection on the strict oracle, then at
+    most one nonpos call separates "equal to lam*" from "below", so a batch
+    of p costs O(log p) detector runs.  A decided breakpoint lies outside
+    the interval, which only ever shrinks, or on an end that is already a
+    candidate, so leaving it out of the candidates changes nothing.  Each
+    detector run is a rational `_probe` call: scaled integers on the numpy
+    engine, in float64 or in object arrays of Python ints.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
@@ -392,29 +429,35 @@ class _Resolver:
     def nonpos_at(self, x: Fraction) -> bool:
         return self.detect(x, True) is not None
 
-    def _interval_sign(self, x: Fraction) -> Optional[int]:
-        if x < self.lo:
+    def _interval_sign(self, num: int, den: int) -> Optional[int]:
+        """Sign of num/den - lam* where the interval decides it, else None."""
+        lo, hi = self.lo, self.hi
+        below = num * lo.denominator - lo.numerator * den
+        if below < 0:
             return -1
-        if x > self.hi:
+        above = num * hi.denominator - hi.numerator * den
+        if above > 0:
             return 1
-        if self.lo == self.hi:
+        if lo == hi:
             return 0
-        if x == self.lo and self.lo_excl:
+        if below == 0 and self.lo_excl:
             return -1
-        if x == self.hi and self.hi_excl:
+        if above == 0 and self.hi_excl:
             return 1
         return None
 
-    def resolve(self, xs: Sequence[Fraction]) -> List[int]:
-        """Signs of x - lam* for each breakpoint, shrinking the interval."""
-        self.candidates.update(xs)
-        self.breakpoints += len(xs)
-        signs = [self._interval_sign(x) for x in xs]
-        pending = sorted({x for x, s in zip(xs, signs) if s is None})
+    def resolve(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
+        """Signs of x - lam* for each breakpoint (num, den), den > 0,
+        shrinking the interval."""
+        self.breakpoints += len(pairs)
+        signs = [self._interval_sign(num, den) for num, den in pairs]
+        pending = {Fraction(num, den)
+                   for (num, den), s in zip(pairs, signs) if s is None}
         if pending:
-            self._shrink(pending)
-            signs = [s if s is not None else self._interval_sign(x)
-                     for x, s in zip(xs, signs)]
+            self.candidates.update(pending)
+            self._shrink(sorted(pending))
+            signs = [s if s is not None else self._interval_sign(num, den)
+                     for (num, den), s in zip(pairs, signs)]
             if any(s is None for s in signs):
                 raise AssertionError("interval failed to separate a breakpoint")
         return signs
@@ -439,19 +482,28 @@ class _Resolver:
 
 
 class _LinearOps:
-    """Weight domain of LinearValues compared at lam* via a _Resolver."""
+    """Weight domain of scaled LinearValues compared at lam* via a _Resolver.
+
+    The values carry a = D_t * time and b = D_c * cost (`_linear_graph`).
+    Two of them differ by db - lam*da in scaled units, which is
+    D_c * (db/D_c - lam * da/D_t) unscaled, so the difference crosses zero
+    at lam = (db*D_t)/(da*D_c): one integer breakpoint pair per comparison.
+    """
 
     INF = _LINF
-    ZERO = LinearValue(Fraction(0), Fraction(0))
+    ZERO = LinearValue(0, 0)
 
-    def __init__(self, resolver: _Resolver):
+    def __init__(self, resolver: _Resolver, d_t: int, d_c: int):
         self.resolver = resolver
+        self.d_t = d_t
+        self.d_c = d_c
 
     def cmp_batch(self, pairs) -> List[int]:
         signs: List[Optional[int]] = [None] * len(pairs)
-        xs: List[Fraction] = []
+        bps: List[Tuple[int, int]] = []
         slots: List[int] = []
         dirs: List[int] = []
+        d_t, d_c = self.d_t, self.d_c
         for idx, (f, g) in enumerate(pairs):
             fi = f is _LINF
             gi = g is _LINF
@@ -463,13 +515,17 @@ class _LinearOps:
             if da == 0:
                 signs[idx] = -1 if db < 0 else (1 if db > 0 else 0)
                 continue
-            # (f - g)(lam) = db - lam*da crosses zero at x = db/da, and its
-            # sign at lam* is sign(da) * sign(x - lam*).
-            xs.append(db / da)
+            # The sign of (f - g) at lam* is sign(da) * sign(x - lam*) for
+            # the breakpoint x = (db*D_t)/(da*D_c), kept with den > 0.
+            if da > 0:
+                bps.append((db * d_t, da * d_c))
+                dirs.append(1)
+            else:
+                bps.append((-db * d_t, -da * d_c))
+                dirs.append(-1)
             slots.append(idx)
-            dirs.append(1 if da > 0 else -1)
-        if xs:
-            for idx, s, d in zip(slots, self.resolver.resolve(xs), dirs):
+        if bps:
+            for idx, s, d in zip(slots, self.resolver.resolve(bps), dirs):
                 signs[idx] = d * s
         return signs
 
@@ -478,31 +534,27 @@ def min_ratio_parametric(tg: TimedDigraph,
                          *, _trace: Optional[list] = None) -> RatioAnswer:
     """lam* exactly, with a witness cycle of that ratio and a price certificate.
 
-    Runs the nonpositive-cycle detector over LinearValue weights.  At lam*
-    every cycle's reduced weight is >= 0 and the optimal cycle's is exactly 0,
-    so the nonstrict run must surface a cycle, and the comparison of its
-    closed-walk value against zero has breakpoint exactly lam*: the candidate
-    set provably contains the answer.  lam* is then selected as the least
-    candidate in the final interval whose reduced graph has a nonpositive
-    cycle, and cross-checked from both sides: the witness ratio equals the
-    selected value (pinning lam* from above) and the Feasible certificate at
-    it proves no cycle does better (pinning lam* from below).
+    Runs the nonpositive-cycle detector over `_linear_graph`'s weights.
+    At lam* every cycle's reduced weight is >= 0 and the optimal cycle's is
+    exactly 0, so the nonstrict run must surface a cycle, and the comparison
+    of its closed-walk value against zero has breakpoint exactly lam*: the
+    candidate set provably contains the answer.  lam* is then selected as
+    the least candidate in the final interval whose reduced graph has a
+    nonpositive cycle, and cross-checked from both sides: the witness ratio
+    equals the selected value (pinning lam* from above) and the Feasible
+    certificate at it proves no cycle does better (pinning lam* from below).
     """
     g = tg.base
     if not has_cycle(g):
         raise AcyclicGraphError("ratio search needs a directed cycle")
+    glin, d_t, d_c = _linear_graph(tg)
     resolver = _Resolver(tg, trace=_trace)
-    ops = _LinearOps(resolver)
-    lin_edges = tuple(
-        (u, v, LinearValue(Fraction(t), Fraction(w)))
-        for (u, v, w), t in zip(g.edges, tg.times))
-    glin = Digraph(g.n, lin_edges)
-
-    sim = shortest_negative_cycle(glin, nonstrict=True, ops=ops)
+    sim = shortest_negative_cycle(glin, nonstrict=True,
+                                  ops=_LinearOps(resolver, d_t, d_c))
     if not isinstance(sim, NegativeCycle):
         raise AssertionError("nonstrict run found no cycle despite one existing")
     value = sim.cycle.length
-    lam_sim = value.b / value.a
+    lam_sim = Fraction(value.b * d_t, value.a * d_c)
 
     cands = sorted(x for x in resolver.candidates
                    if resolver.lo <= x <= resolver.hi)

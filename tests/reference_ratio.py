@@ -56,3 +56,20 @@ def fraction_bisection(tg, iterations):
             lo = mid
         trace.append((lo, hi))
     return trace
+
+
+def fraction_interval_sign(x, lo, hi, lo_excl, hi_excl):
+    """Sign of x - lam* where the interval [lo, hi] around lam* decides it,
+    else None, on Fractions: an excluded end signs a breakpoint equal to
+    it, and a one-point interval is lam* itself."""
+    if x < lo:
+        return -1
+    if x > hi:
+        return 1
+    if lo == hi:
+        return 0
+    if x == lo and lo_excl:
+        return -1
+    if x == hi and hi_excl:
+        return 1
+    return None

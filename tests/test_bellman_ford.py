@@ -21,7 +21,7 @@ from hubapsp.graph import (INF, Digraph, build_graph, floyd_warshall_oracle,
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
 from hubapsp.minplus import (ApspResult, LevelDistances, apsp, build_hub_graph,
                              lift_level)
-from hubapsp.parametric import LinearValue, _LinearOps, _Resolver
+from hubapsp.parametric import _LinearOps, _Resolver, _linear_graph
 from reference_engine import _run_multi_generic
 from reference_step import bf_step_python, edge_tables
 
@@ -409,11 +409,10 @@ def test_label_run_asks_the_reference_rounds_on_affine_weights():
     rounds = 0
     for seed in range(6):
         tg = random_timed(8, 0.4, -4, 8, seed=3300 + seed)
-        g = Digraph(tg.base.n, [(u, v, LinearValue(Fraction(t), Fraction(w)))
-                                for (u, v, w), t in zip(tg.base.edges, tg.times)])
+        g, d_t, d_c = _linear_graph(tg)
 
         def make_ops():
-            return _LinearOps(_Resolver(tg))
+            return _LinearOps(_Resolver(tg), d_t, d_c)
 
         rounds += _same_rounds(g, range(g.n), 6, make_ops)
         rounds += _same_rounds(g, range(0, g.n, 2), 6, make_ops,

@@ -223,10 +223,11 @@ GOLDEN = DATA / "golden"
 
 
 @pytest.mark.parametrize("method", ["parametric", "binary"])
-@pytest.mark.parametrize("name", ["timed6", "triangle-timed"])
+@pytest.mark.parametrize("name", ["timed6", "triangle-timed", "timed6-tenths"])
 def test_minratio_matches_golden_document(tmp_path, method, name):
     # Written by the all-Fraction ratio search; every later engine must
-    # reproduce it byte for byte.
+    # reproduce it byte for byte.  timed6-tenths is timed6 with every cost
+    # times 0.1, written as decimals: float costs with long binary expansions.
     code, doc = run(tmp_path, ["minratio", "--method", method,
                                str(DATA / f"{name}.gr")])
     assert code == 0

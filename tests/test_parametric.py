@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hubapsp.bellman_ford import _label_run
@@ -23,6 +24,7 @@ from hubapsp.parametric import (
     _LINF,
     _LinearOps,
     _Resolver,
+    _linear_graph,
     _reduced_graph,
 )
 from reference_ratio import fraction_prices
@@ -188,6 +190,18 @@ def test_float_lambda_prices_match_the_augmented_reference():
             _check_certificate(half, lam, out.price, tol=1e-9)
             checked += 1
     assert checked == 36
+
+
+def test_numpy_float_lambda_is_read_as_float64():
+    # A float32 or float16 lam once reached the reduced weights as it was,
+    # so w - lam*t came out rounded to that type.
+    tg = build_timed_graph(2, [(0, 1, -1, 3), (1, 0, 2.3, 1)])
+    for kind in (np.float32, np.float16):
+        for lam in (kind(0.1), kind(0.5)):
+            got, want = evaluate_lambda(tg, lam), evaluate_lambda(tg, float(lam))
+            assert type(got) is type(want) and got == want, (kind, lam)
+            values = got.price if isinstance(got, Feasible) else [got.cycle.weight]
+            assert all(type(x) is float for x in values)
 
 
 def _check_certificate(tg, lam, price, tol=0):
@@ -428,6 +442,44 @@ def test_benchmark_instances_search_cost_is_pinned(seed, lam, calls, breakpoints
     assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == (lam, calls, breakpoints)
 
 
+F = Fraction
+
+
+@pytest.mark.parametrize("variant,lam,calls,breakpoints,trace", [
+    # Costs times 0.1 as floats: the cost denominators' lcm is 2^55.
+    ("tenth", 0.07857142857142858, 18, 369, [
+        (F(-3602879701896397, 2 ** 55), F(8106479329266893, 2 ** 53)),
+        (F(-1801439850948197, 2 ** 55), F(1801439850948199, 2 ** 54)),
+        (F(-1801439850948197, 2 ** 55), F(9007199254740993, 10 * 2 ** 53)),
+        (F(3602879701896397, 2 ** 56), F(9007199254740993, 10 * 2 ** 53)),
+        (F(3602879701896397, 2 ** 56), F(28823037615171175, 2 ** 58)),
+        (F(18014398509481981, 2 ** 58), F(28823037615171175, 2 ** 58)),
+        (F(18014398509481981, 2 ** 58), F(16212958658533787, 10 * 2 ** 54)),
+        (F(3602879701896397, 3 * 2 ** 54), F(16212958658533787, 10 * 2 ** 54)),
+        (F(2476979795053773, 7 * 2 ** 52), F(2476979795053773, 7 * 2 ** 52))]),
+    # Fraction times t / (1 + e % 3): the time denominators' lcm is 6.
+    ("fraction-times", F(6, 5), 13, 394, [
+        (-2, F(27, 2)), (F(2, 7), 2), (1, F(9, 7)), (F(54, 49), F(9, 7)),
+        (F(6, 5), F(6, 5))]),
+])
+def test_non_integral_instances_search_cost_is_pinned(variant, lam, calls,
+                                                      breakpoints, trace):
+    # The seed-24 instance of test_parametric_search_path_is_pinned with
+    # non-integral costs or times, pinned as the all-Fraction search ran it.
+    tg = random_timed(8, 0.3, -3, 9, seed=24)
+    if variant == "tenth":
+        tg = TimedDigraph(Digraph(tg.base.n, [(u, v, w * 0.1)
+                                              for (u, v, w) in tg.base.edges]),
+                          tg.times)
+    else:
+        tg = TimedDigraph(tg.base, [F(t, 1 + e % 3)
+                                    for e, t in enumerate(tg.times)])
+    seen = []
+    ans = min_ratio_parametric(tg, _trace=seen)
+    assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == (lam, calls, breakpoints)
+    assert seen == trace
+
+
 def test_parametric_builds_no_edge_table():
     # The sweep's witness and the hub paths of the symbolic run look up only
     # the edges they follow, through `LabelRun.edges`.
@@ -447,10 +499,9 @@ def test_symbolic_run_edges_are_the_tournament_winners():
     for seed in range(8):
         tg = random_timed(10, 0.4, -4, 8, seed=3200 + seed)
         lam = ratio_oracle(tg)
-        g = Digraph(tg.base.n, [(u, v, LinearValue(Fraction(t), Fraction(w)))
-                                for (u, v, w), t in zip(tg.base.edges, tg.times)])
+        g, d_t, d_c = _linear_graph(tg)
         resolver = _Resolver(tg)
-        run = _label_run(g, range(g.n), 8, _LinearOps(resolver))
+        run = _label_run(g, range(g.n), 8, _LinearOps(resolver, d_t, d_c))
         asked = resolver.breakpoints
         pred, closed = edge_tables(run)
         assert resolver.breakpoints == asked

@@ -1,8 +1,9 @@
 """Property tests: exact integer APSP at every d, also past 2^53,
 edge-order invariance, `relax` against the label engine, the numpy
 engine's looked-up edges against a plain loop, the scaled-integer ratio
-probe against the Fraction engine, and the array greedy hitting set
-against the set-based one.
+probe against the Fraction engine, the ratio search's integer interval
+rule against the Fraction one, and the array greedy hitting set against
+the set-based one.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
@@ -27,13 +28,14 @@ from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle)
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from hubapsp.parametric import (Feasible, _probe as _probe_exact,
+from hubapsp.parametric import (Feasible, _Resolver, _probe as _probe_exact,
                                 _scaled_reduced, build_timed_graph,
                                 min_ratio_binary_search)
 from reference_greedy import greedy_hitting_set_sets
 from reference_step import best_in_edges_python, bf_step_python, edge_tables
-from reference_ratio import (fraction_bisection, fraction_negative_cycle,
-                             fraction_prices, fraction_reduced_graph)
+from reference_ratio import (fraction_bisection, fraction_interval_sign,
+                             fraction_negative_cycle, fraction_prices,
+                             fraction_reduced_graph)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -289,6 +291,43 @@ def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
     assert len(dtypes) == 60
     assert dtypes[0] == np.float64 and dtypes[-1] == object
     assert trace == fraction_bisection(tg, 60)
+
+
+PAST_2_63 = st.integers(-2 ** 70, 2 ** 70)
+DENOMINATOR_LCM = st.one_of(st.integers(1, 12),
+                            st.integers(0, 64).map(lambda k: 2 ** k),
+                            st.integers(1, 2 ** 70))
+
+
+@st.composite
+def interval_and_breakpoint(draw):
+    # An interval with any exclusivity flags, possibly one point, and a
+    # comparison's breakpoint pair (db*D_t, da*D_c), sign-normalised as
+    # `_LinearOps` forms it; two in three sit exactly on an end, and
+    # none is reduced to lowest terms.
+    lo = Fraction(draw(PAST_2_63), draw(st.integers(1, 2 ** 70)))
+    hi = lo if draw(st.booleans()) else lo + Fraction(
+        draw(st.integers(1, 2 ** 70)), draw(st.integers(1, 2 ** 70)))
+    d_t, d_c = draw(DENOMINATOR_LCM), draw(DENOMINATOR_LCM)
+    at = draw(st.sampled_from([None, lo, hi]))
+    if at is None:
+        da = draw(PAST_2_63.filter(bool))
+        db = draw(PAST_2_63)
+    else:
+        j = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
+        da, db = at.denominator * d_t * j, at.numerator * d_c * j
+    num, den = (db * d_t, da * d_c) if da > 0 else (-db * d_t, -da * d_c)
+    return lo, hi, draw(st.booleans()), draw(st.booleans()), num, den
+
+
+@settings(SETTINGS, max_examples=400)
+@given(interval_and_breakpoint())
+def test_integer_interval_rule_matches_fractions(case):
+    lo, hi, lo_excl, hi_excl, num, den = case
+    res = _Resolver(build_timed_graph(2, [(0, 1, 1, 1), (1, 0, 1, 1)]))
+    res.lo, res.hi, res.lo_excl, res.hi_excl = lo, hi, lo_excl, hi_excl
+    want = fraction_interval_sign(Fraction(num, den), lo, hi, lo_excl, hi_excl)
+    assert res._interval_sign(num, den) == want
 
 
 @st.composite
