@@ -7,20 +7,23 @@ can never change the result: the step is a pure min over candidates, and
 ties pick the smallest attaining source vertex (then smallest edge index).
 
 One label engine, `_label_run`, runs all sources of a run in lockstep
-over whole tables, with one table setup, one resume and one step loop; the
-weight domain supplies only a step's candidate minimum and the `_less`
-that decides each improvement.  Without an ops object the tables take
-the dtype of the graph's weight array (`Digraph._in_arrays`): float64, or
-an object array that keeps exact weights exact (integers too large for
-float64 to add exactly, or Fractions).  Those tables, and those of `relax`
-and `bf_step`, have the int 0 as their zero, so an object table never
-holds a float but infinity, and every such step goes through
-`_min_in_edges`, which computes distances only.  With an ops object (the
-parametric search runs its affine values through one) the step's kernel
-is `_tournament`, which batches the comparisons of every candidate fold
-into rounds, so a comparison resolver processes each parallel round at
-once.  `relax` applies `_min_in_edges` from any start rows, and steps a
-row only while it still changes.
+over whole tables, with one table setup, one resume and one step loop.
+Its tables, and those of `relax` and `bf_step`, take the dtype of the
+graph's weight array (`Digraph._in_arrays`): float64, or an object array
+that keeps exact weights exact (integers too large for float64 to add
+exactly, or Fractions).  Their zero is the int 0 and their infinity `INF`,
+so an object table never holds a float but infinity.  Labels are stored,
+added, equated and looked up the same way whatever decides their order;
+only a step's candidate minimum and the `_less` that decides each
+improvement depend on it.  Without an ops object the step goes through
+`_min_in_edges`, which computes distances only.  An ops object orders the
+labels by its one method, ``cmp_batch(a, b)``, the signs of a - b over two
+arrays (the ratio search's symbolic run signs its packed affine values at
+the unknown optimum through one); the step's kernel is then `_tournament`,
+which batches the comparisons of every candidate fold into rounds, so a
+comparison resolver processes each parallel round at once.  `relax`
+applies `_min_in_edges` from any start rows, and steps a row only while
+it still changes.
 
 A run is one `LabelRun`: the snapshot table of all sources plus each
 source's closed-walk candidates, which the hub layer reads whole;
@@ -75,13 +78,11 @@ class LabelRun(Mapping):
 
     ``sources`` is sorted, and axis 1 of every table follows it.
     ``labels`` is the (steps+1, S, n) snapshot table, in the graph's weight
-    dtype, or object on an ops run.  ``closed``
-    row i holds each source's best in-edge candidate into itself at step
-    i+1, whether or not it improved, and ``inf`` where there is none; the
-    cycle sweep reads closed-walk values there without the zero-weight
-    empty walk shadowing them.  ``inf`` is the run's infinity: `INF`, or
-    the ops domain's own.  As a mapping, ``run[s]`` is source s's
-    `HopLabels` view.
+    dtype.  ``closed`` row i holds each source's best in-edge candidate
+    into itself at step i+1, whether or not it improved, and `INF` where
+    there is none; the cycle sweep reads closed-walk values there without
+    the zero-weight empty walk shadowing them.  As a mapping, ``run[s]`` is
+    source s's `HopLabels` view.
 
     No run stores an edge: `edges` finds the in-edge attaining each entry
     asked in the label rows (`_attaining_edges`), and `walk_back` follows
@@ -104,12 +105,11 @@ class LabelRun(Mapping):
     after the rows it resumed.
     """
 
-    def __init__(self, graph, sources, labels, closed, inf=INF):
+    def __init__(self, graph, sources, labels, closed):
         self.graph = graph
         self.sources = sources
         self.labels = labels
         self.closed = closed
-        self.inf = inf
         self.steps = len(labels) - 1
         self.ran = [self.steps] * len(sources)
         self._index = {s: i for i, s in enumerate(sources)}
@@ -138,7 +138,7 @@ class LabelRun(Mapping):
         if ends is None:
             ends = np.asarray(self.sources, dtype=np.int64)[at]
             target = self.closed[i, at]
-            live = target != self.inf
+            live = target != INF
         else:
             ends = np.asarray(ends, dtype=np.int64)
             target = self.labels[i + 1, at, ends]
@@ -188,8 +188,7 @@ class LabelRun(Mapping):
         """A run over the given subset of the sources, with copies of their rows."""
         keep = tuple(sorted(set(sources)))
         at = [self._index[s] for s in keep]
-        out = LabelRun(self.graph, keep, self.labels[:, at], self.closed[:, at],
-                       self.inf)
+        out = LabelRun(self.graph, keep, self.labels[:, at], self.closed[:, at])
         out.ran = [self.ran[i] for i in at]
         return out
 
@@ -315,32 +314,33 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
 
 
 class NumberOps:
-    """Plain ordered-number domain (floats, ints, Fractions)."""
+    """Plain ordered-number domain (floats, ints, Fractions).
 
-    INF = INF
-    ZERO = 0
+    An ops object has one method, ``cmp_batch(a, b)``: the signs of a - b
+    for two equal-length arrays, as an int array.
+    """
 
     @staticmethod
-    def cmp_batch(pairs):
-        # math.inf orders correctly against ints and Fractions, so plain
+    def cmp_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # INF orders correctly against ints and Fractions, so plain
         # comparisons cover the whole domain.
-        return [(-1 if a < b else (1 if a > b else 0)) for a, b in pairs]
+        return (a > b).astype(np.int64) - (a < b)
 
 
 def _tournament(g: Digraph, cur: np.ndarray, ops) -> np.ndarray:
     """One snapshot step's candidates in an ops domain, as an (R, n) array.
 
-    ``cur`` is an (R, n) object array of label rows.  Entry (j, v) is the
+    ``cur`` is an (R, n) array of label rows.  Entry (j, v) is the
     winner among the candidates cur[j, u] + w over v's in-edges with a
-    finite cur[j, u], taken in `Digraph._in_arrays` order, and ``ops.INF``
-    where there is none.  The candidates of each (row, vertex) fold play
+    finite cur[j, u], taken in `Digraph._in_arrays` order, and `INF` where
+    there is none.  The candidates of each (row, vertex) fold play
     knock-out rounds: the survivors pair up (0, 1), (2, 3), ..., an odd
     one passes, a tie keeps the earlier candidate, and each round signs
     the pairs of every fold in one `ops.cmp_batch`.  So the winner is the
     fold's first minimal candidate, the one `_attaining_edges` finds.
     """
     src, w, _eidx, _seg, _dst, _ptr, edge_dst = g._in_arrays()
-    rows, pos = np.nonzero((cur != ops.INF)[:, src])
+    rows, pos = np.nonzero((cur != INF)[:, src])
     vals = cur[rows, src[pos]] + w[pos]
     # Folds are contiguous and in (row, vertex) order, as positions are
     # sorted by destination.
@@ -350,11 +350,11 @@ def _tournament(g: Digraph, cur: np.ndarray, ops) -> np.ndarray:
         left = np.flatnonzero((rank[:-1] % 2 == 0) & (fold[1:] == fold[:-1]))
         if not len(left):
             break
-        signs = np.asarray(ops.cmp_batch(list(zip(vals[left], vals[left + 1]))))
+        signs = ops.cmp_batch(vals[left], vals[left + 1])
         keep = np.ones(len(vals), dtype=bool)
         keep[np.where(signs <= 0, left + 1, left)] = False
         vals, fold = vals[keep], fold[keep]
-    out = np.full(cur.size, ops.INF, dtype=object)
+    out = np.full(cur.size, INF, dtype=cur.dtype)
     out[fold] = vals
     return out.reshape(cur.shape)
 
@@ -362,16 +362,16 @@ def _tournament(g: Digraph, cur: np.ndarray, ops) -> np.ndarray:
 def _less(ops, a, b) -> np.ndarray:
     """``a < b`` elementwise for two label arrays of one shape, as bools.
 
-    Without ``ops`` that is exactly numpy's ``a < b``.  With ``ops``, on
-    object arrays in its domain, the pairs whose ``a`` is finite are signed
-    in one `ops.cmp_batch`; an infinite ``a`` is less than nothing.
+    Without ``ops`` that is exactly numpy's ``a < b``.  With ``ops``, the
+    pairs whose ``a`` is finite are signed in one `ops.cmp_batch`; an
+    infinite ``a`` is less than nothing.
     """
     if ops is None:
         return a < b
     out = np.zeros(a.shape, dtype=bool)
-    fin = a != ops.INF
+    fin = a != INF
     if fin.any():
-        out[fin] = np.asarray(ops.cmp_batch(list(zip(a[fin], b[fin])))) < 0
+        out[fin] = ops.cmp_batch(a[fin], b[fin]) < 0
     return out
 
 
@@ -379,13 +379,12 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
                resume: Optional[LabelRun] = None) -> LabelRun:
     """All sources advance in lockstep, k snapshot steps over whole tables.
 
-    Without ``ops`` the tables take the dtype of the graph's weight array
-    and a step's candidates are `_min_in_edges` of all its rows at once.
-    With ``ops`` they are object arrays in the ops domain, a step's
-    candidates are its `_tournament`, and `_less` signs the improvement
-    round against the previous snapshot, so every comparison of a step
-    falls into a few parallel rounds, each one `ops.cmp_batch`.  A label
-    changes only on a strict decrease.
+    The tables take the dtype of the graph's weight array.  Without
+    ``ops`` a step's candidates are `_min_in_edges` of all its rows at
+    once.  With ``ops`` they are its `_tournament`, and `_less` signs the
+    improvement round against the previous snapshot, so every comparison
+    of a step falls into a few parallel rounds, each one `ops.cmp_batch`.
+    A label changes only on a strict decrease.
 
     Sources that ``resume`` covers start from its rows (see
     `LabelRun._resume_from`) and ask none of the comparisons of the steps
@@ -400,11 +399,9 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     S = len(srcs)
     _src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
     src_ids = np.asarray(srcs, dtype=np.int64)
-    inf, zero, dtype = (INF, 0, w.dtype) if ops is None else (ops.INF, ops.ZERO, object)
-
-    labels = np.full((k + 1, S, n), inf, dtype=dtype)
-    labels[0, np.arange(S), src_ids] = zero
-    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=dtype), inf)
+    labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
+    labels[0, np.arange(S), src_ids] = 0
+    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=w.dtype))
     r, fresh = run._resume_from(resume)
     # A caller that handed over its only reference frees the copied rows
     # here, before the steps add their own temporaries.

@@ -68,10 +68,13 @@ def ring_with_chords(n: int, chords: int, seed: int, *,
 
     Shortest paths hug the ring for most pairs, so minimal paths reach n-1
     hops; chord shortcuts keep the instances from being pure cycles.  Useful
-    where hub levels must stay meaningful at large hop counts.
+    where hub levels must stay meaningful at large hop counts.  A chord
+    joins two vertices that are not ring neighbours, so chords need n >= 3.
     """
     if n < 2:
         raise ValueError("ring needs n >= 2")
+    if chords > 0 and n < 3:
+        raise ValueError("chords need n >= 3: every pair of 2 vertices is a ring edge")
     if ring_lo < 0 or chord_lo < 0:
         raise ValueError("ring and chord weights must be nonnegative")
     rng = random.Random(seed)

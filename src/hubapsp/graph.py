@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-INF = math.inf
+INF = float("inf")
 # Integers of magnitude up to 2^53 add exactly in float64.
 _EXACT_FLOAT = 2 ** 53
 
@@ -42,11 +42,10 @@ class Digraph:
     Self-loops and parallel edges are allowed.  `build_graph` validates its
     input, keeps integer weights as Python ints and makes every other
     weight a float; the constructor checks nothing, so internal callers
-    carry exact rational or affine weights through it.  The label engine
-    reads the weights as one array whose dtype `_in_arrays` chooses:
-    float64, or an object array that keeps them exact, and finds each
-    vertex's in-edges through the CSR index it builds, the graph's one
-    adjacency.
+    carry exact rational weights through it.  The label engine reads the
+    weights as one array whose dtype `_in_arrays` chooses: float64, or an
+    object array that keeps them exact, and finds each vertex's in-edges
+    through the CSR index it builds, the graph's one adjacency.
     """
 
     __slots__ = ("n", "edges", "_cache")
@@ -115,14 +114,13 @@ class Digraph:
         the in-edges of vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
 
         ``w`` sets the dtype of every engine that reads it.  Weights that
-        are neither int nor float (Fractions, the ratio search's affine
-        values) stay as they are on an object array.  Otherwise ``w`` is
-        float64 unless every weight is an integer and 3n*W >= 2^53, with W
-        the largest integer magnitude; then it holds the exact Python ints
-        on an object array.  A float beside exact weights of either kind
-        raises ValueError: no one dtype holds both exactly.  Below the bound
-        float64 is exact, because no engine forms an integer past 3n*W on
-        an n-vertex graph:
+        are neither int nor float (Fractions) stay as they are on an object
+        array.  Otherwise ``w`` is float64 unless every weight is an integer
+        and 3n*W >= 2^53, with W the largest integer magnitude; then it
+        holds the exact Python ints on an object array.  A float beside
+        exact weights of either kind raises ValueError: no one dtype holds
+        both exactly.  Below the bound float64 is exact, because no engine
+        forms an integer past 3n*W on an n-vertex graph:
 
         - label runs (`_label_run`, `relax`, `bf_step`): after i
           steps a label is a walk of at most i hops, and a candidate adds
@@ -130,7 +128,10 @@ class Digraph:
           depth is the least power of two >= max(2, n)), `apsp`'s hierarchy
           at most n, its hub graph d+1 <= n+1 times and the ratio search's
           price row, relaxed from zeros on the probe graph itself, n times:
-          at most 2n*W.
+          at most 2n*W.  The ratio search's symbolic run is such a run on
+          packed integer weights (`parametric._Resolver`); the difference
+          of two of its labels, which it unpacks to compare them, stays
+          below 3n*W.
         - the lift of level h seeds exact distances, at most (n-1)*W, and
           steps 2h+1 <= 2d+1 <= 2n+1 times from them: at most 3n*W.  This
           is the case that sets the factor.
@@ -182,7 +183,7 @@ class Digraph:
         if not exact and 3 * self.n * max(map(abs, ints), default=0) < _EXACT_FLOAT:
             return np.array(ws, dtype=np.float64)
         if float in kinds:
-            what = "rational or affine weights" if exact else "integer weights this large"
+            what = "rational weights" if exact else "integer weights this large"
             raise ValueError(f"{what} need exact arithmetic, which float "
                              "weights beside them rule out")
         return np.array(ws, dtype=object)
@@ -234,8 +235,8 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int, float]]) -> Digraph:
 def _float_oracle(g: Digraph) -> None:
     """The oracles compute in float64: refuse weights `_in_arrays` keeps exact."""
     if g._in_arrays()[1].dtype == object:
-        raise ValueError("exact weights (integers this large, rationals or affine "
-                         "values) would round in a float64 oracle")
+        raise ValueError("exact weights (integers this large, or rationals) "
+                         "would round in a float64 oracle")
 
 
 def _oracle_candidates(g: Digraph, rows: np.ndarray) -> np.ndarray:

@@ -14,13 +14,15 @@ cycle.  Three routes to the optimum lam* are provided:
   comparisons at the still-unknown lam* through breakpoint bisection with a
   concrete detector as the decision oracle.  The symbolic run is exact on
   integers: times are scaled by D_t and costs by D_c, the lcms of their
-  denominators (`_linear_graph`), each comparison's breakpoint is an
-  integer pair (num, den), and `_Resolver` decides it against the interval
-  around lam* by cross-multiplication; only the breakpoints the interval
-  leaves undecided become Fractions.  So lam* is exact, and it is returned
-  as a Fraction whenever every cost and time is a Fraction or an integral
-  number (`_exact`, the one exactness rule, which Karp reads too), and as
-  a float otherwise.
+  denominators, and each edge's pair is packed into one integer
+  time*M + cost, so the run is an ordinary integer run of the label engine
+  (`_Resolver`).  Each comparison's breakpoint is an integer pair
+  (num, den), unpacked from a difference of two labels, and `_Resolver`
+  decides it against the interval around lam* by cross-multiplication;
+  only the breakpoints the interval leaves undecided become Fractions.
+  So lam* is exact, and it is returned as a Fraction whenever every cost
+  and time is a Fraction or an integral number (`_exact`, the one
+  exactness rule, which Karp reads too), and as a float otherwise.
 
 Every concrete probe, at a rational or a float lam, goes through `_probe`.
 At a rational lam, scaled by D, the lcm of the cost denominators and of
@@ -30,8 +32,9 @@ exactly, with the same tie-breaks as an exact rational run: on float64
 while the integers are small enough to add exactly, and on Python ints in
 object arrays past that (late bisection probes, whose denominators reach
 2^iterations, or float costs with long binary expansions);
-`Digraph._in_arrays` picks the dtype.  Only the one symbolic run over
-LinearValues takes the engine's ops step, `_tournament`.
+`Digraph._in_arrays` picks the dtype.  Only the one symbolic run, whose
+comparisons `_Resolver.cmp_batch` signs, takes the engine's ops step,
+`_tournament`.
 """
 
 from __future__ import annotations
@@ -77,30 +80,6 @@ def build_timed_graph(n: int, items) -> TimedDigraph:
     items = list(items)
     base = build_graph(n, [(u, v, w) for (u, v, w, _) in items])
     return TimedDigraph(base, tuple(t for (_, _, _, t) in items))
-
-
-@dataclass(frozen=True)
-class LinearValue:
-    """The affine map lam -> b - lam * a; a carries time, b carries cost.
-
-    The symbolic run holds scaled integer coefficients, a = D_t * time and
-    b = D_c * cost (`_linear_graph`), so its sums are Python ints.  `at`
-    evaluates b - lam * a on the scaled coefficients as they stand; where
-    every cost and time is integral, D_t = D_c = 1 and that is the reduced
-    weight at lam.
-    """
-
-    a: int
-    b: int
-
-    def __add__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "LinearValue") -> "LinearValue":
-        return LinearValue(self.a - other.a, self.b - other.b)
-
-    def at(self, lam: Real):
-        return self.b - lam * self.a
 
 
 @dataclass(frozen=True)
@@ -275,16 +254,6 @@ def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     return Digraph(tg.base.n, edges), big_d
 
 
-def _linear_graph(tg: TimedDigraph) -> Tuple[Digraph, int, int]:
-    """(graph, D_t, D_c): the symbolic run's graph on integer coefficients,
-    LinearValue(D_t * t, D_c * w) on every edge (`_exact_parts`)."""
-    ws, ts, d_c, d_t = _exact_parts(tg)
-    edges = tuple((u, v, LinearValue(y.numerator * (d_t // y.denominator),
-                                     x.numerator * (d_c // x.denominator)))
-                  for (u, v, _), x, y in zip(tg.base.edges, ws, ts))
-    return Digraph(tg.base.n, edges), d_t, d_c
-
-
 def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
            prices: bool = False):
     """Decide one concrete lam.
@@ -360,27 +329,24 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
     return lo, hi
 
 
-class _Infinity:
-    """Identity sentinel ordered above every LinearValue.
-
-    Adding a weight leaves it infinite, as it leaves `INF`, so
-    `LabelRun.edges` can form candidates from infinite labels too.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self
-
-    def __repr__(self):
-        return "LINF"
-
-
-_LINF = _Infinity()
-
-
 class _Resolver:
-    """Sign oracle for x - lam* at breakpoints x given as integer pairs.
+    """The symbolic run's weight domain: packed affine values signed at lam*.
+
+    Each edge's affine weight lam -> C - lam*T, with T = D_t*time and
+    C = D_c*cost scaled to integers by the lcms of their denominators
+    (`_exact_parts`), is packed into the one integer T*M + C of ``graph``,
+    with M = 8*n*max|C| + 1.  So the symbolic run is an ordinary integer
+    run: `Digraph._in_arrays` holds it in float64, or in Python ints past
+    its bound, and the label engine adds, stores, equates and looks up its
+    labels as it does distances.  Every value the run forms, compares or
+    returns is a walk of at most 2n hops (`shortest_negative_cycle` steps
+    at most its depth, the least power of two >= max(2, n)), whose b lies
+    within 2n*max|C|, so a difference of two has |b| <= 4n*max|C| < M/2,
+    and `unpack` reads (a, b) back from it exactly; two values are equal
+    exactly when their pairs are.  On float64 such a difference stays below
+    3n times the largest weight, so it is exact too.  Only the order of the
+    labels goes through `cmp_batch`, which turns each comparison into a
+    breakpoint for `resolve`.
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
     the candidates (both initial ends and every breakpoint the interval
@@ -400,7 +366,13 @@ class _Resolver:
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
         self.tg = tg
-        ratios = _edge_ratios(tg, True)
+        ws, ts, self.d_c, self.d_t = _exact_parts(tg)
+        costs = [x.numerator * (self.d_c // x.denominator) for x in ws]
+        self.radix = 8 * tg.base.n * max(map(abs, costs), default=0) + 1
+        self.graph = Digraph(tg.base.n, tuple(
+            (u, v, y.numerator * (self.d_t // y.denominator) * self.radix + c)
+            for (u, v, _), y, c in zip(tg.base.edges, ts, costs)))
+        ratios = [x / y for x, y in zip(ws, ts)]
         self.lo: Fraction = min(ratios)
         self.hi: Fraction = max(ratios)
         self.lo_excl = False
@@ -415,6 +387,36 @@ class _Resolver:
     def _snap(self):
         if self.trace is not None:
             self.trace.append((self.lo, self.hi))
+
+    def unpack(self, x):
+        """(a, b) with x = a*M + b and |b| < M/2, elementwise: exact on Python
+        ints, and on float64 integers below 2^53."""
+        half = self.radix // 2
+        b = (x + half) % self.radix - half
+        return (x - b) // self.radix, b
+
+    def cmp_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Signs at lam* of x - y, elementwise, for packed values; x is finite.
+
+        An infinite y gives -1, and equal times the sign of the cost
+        difference.  Otherwise x - y unpacks to (da, db), and unscaled the
+        two values differ by db/D_c - lam*da/D_t, which crosses zero at the
+        breakpoint (db*D_t)/(da*D_c): one integer pair, kept with den > 0,
+        whose sign against lam* `resolve` decides.  The sign of x - y is
+        sign(da) times that.
+        """
+        out = np.full(len(x), -1, dtype=np.int64)
+        at = np.flatnonzero(y != INF)
+        da, db = self.unpack(x[at] - y[at])
+        flat = da == 0
+        out[at[flat]] = np.sign(db[flat])
+        at, da, db = at[~flat], da[~flat], db[~flat]
+        if len(at):
+            up = np.where(da > 0, 1, -1)
+            out[at] = up * np.asarray(self.resolve([
+                (int(b) * s * self.d_t, int(a) * s * self.d_c)
+                for a, b, s in zip(da.tolist(), db.tolist(), up.tolist())]))
+        return out
 
     def detect(self, x: Fraction, nonstrict: bool) -> Optional[NegativeCycle]:
         key = (x, nonstrict)
@@ -481,60 +483,12 @@ class _Resolver:
         self._snap()
 
 
-class _LinearOps:
-    """Weight domain of scaled LinearValues compared at lam* via a _Resolver.
-
-    The values carry a = D_t * time and b = D_c * cost (`_linear_graph`).
-    Two of them differ by db - lam*da in scaled units, which is
-    D_c * (db/D_c - lam * da/D_t) unscaled, so the difference crosses zero
-    at lam = (db*D_t)/(da*D_c): one integer breakpoint pair per comparison.
-    """
-
-    INF = _LINF
-    ZERO = LinearValue(0, 0)
-
-    def __init__(self, resolver: _Resolver, d_t: int, d_c: int):
-        self.resolver = resolver
-        self.d_t = d_t
-        self.d_c = d_c
-
-    def cmp_batch(self, pairs) -> List[int]:
-        signs: List[Optional[int]] = [None] * len(pairs)
-        bps: List[Tuple[int, int]] = []
-        slots: List[int] = []
-        dirs: List[int] = []
-        d_t, d_c = self.d_t, self.d_c
-        for idx, (f, g) in enumerate(pairs):
-            fi = f is _LINF
-            gi = g is _LINF
-            if fi or gi:
-                signs[idx] = 0 if (fi and gi) else (1 if fi else -1)
-                continue
-            da = f.a - g.a
-            db = f.b - g.b
-            if da == 0:
-                signs[idx] = -1 if db < 0 else (1 if db > 0 else 0)
-                continue
-            # The sign of (f - g) at lam* is sign(da) * sign(x - lam*) for
-            # the breakpoint x = (db*D_t)/(da*D_c), kept with den > 0.
-            if da > 0:
-                bps.append((db * d_t, da * d_c))
-                dirs.append(1)
-            else:
-                bps.append((-db * d_t, -da * d_c))
-                dirs.append(-1)
-            slots.append(idx)
-        if bps:
-            for idx, s, d in zip(slots, self.resolver.resolve(bps), dirs):
-                signs[idx] = d * s
-        return signs
-
-
 def min_ratio_parametric(tg: TimedDigraph,
                          *, _trace: Optional[list] = None) -> RatioAnswer:
     """lam* exactly, with a witness cycle of that ratio and a price certificate.
 
-    Runs the nonpositive-cycle detector over `_linear_graph`'s weights.
+    Runs the nonpositive-cycle detector over the packed affine weights of
+    a `_Resolver`, which signs its comparisons at lam*.
     At lam* every cycle's reduced weight is >= 0 and the optimal cycle's is
     exactly 0, so the nonstrict run must surface a cycle, and the comparison
     of its closed-walk value against zero has breakpoint exactly lam*: the
@@ -547,14 +501,12 @@ def min_ratio_parametric(tg: TimedDigraph,
     g = tg.base
     if not has_cycle(g):
         raise AcyclicGraphError("ratio search needs a directed cycle")
-    glin, d_t, d_c = _linear_graph(tg)
     resolver = _Resolver(tg, trace=_trace)
-    sim = shortest_negative_cycle(glin, nonstrict=True,
-                                  ops=_LinearOps(resolver, d_t, d_c))
+    sim = shortest_negative_cycle(resolver.graph, nonstrict=True, ops=resolver)
     if not isinstance(sim, NegativeCycle):
         raise AssertionError("nonstrict run found no cycle despite one existing")
-    value = sim.cycle.length
-    lam_sim = Fraction(value.b * d_t, value.a * d_c)
+    a, b = map(int, resolver.unpack(sim.cycle.length))
+    lam_sim = Fraction(b * resolver.d_t, a * resolver.d_c)
 
     cands = sorted(x for x in resolver.candidates
                    if resolver.lo <= x <= resolver.hi)

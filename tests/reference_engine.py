@@ -10,7 +10,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from hubapsp.bellman_ford import LabelRun
-from hubapsp.graph import Digraph
+from hubapsp.graph import INF, Digraph
+
+
+def _cmp(ops, pairs, dtype):
+    """Signs of a - b for a list of pairs, as one `cmp_batch` over arrays."""
+    a = np.array([x for x, _ in pairs], dtype=dtype)
+    b = np.array([y for _, y in pairs], dtype=dtype)
+    return ops.cmp_batch(a, b).tolist()
 
 
 def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
@@ -21,8 +28,10 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
     rounds: the per-destination candidate tournament round by round, then
     one improvement round against the previous snapshot.  Candidates are
     ``label + w`` over the in-edges of `Digraph._in_arrays`, in (source
-    vertex, edge index) order, formed as `LabelRun.edges` forms them; the
-    ops object supplies only the domain's infinity, zero and comparisons.
+    vertex, edge index) order, formed as `LabelRun.edges` forms them.  The
+    tables take the dtype of the graph's weight array, with `INF` and 0,
+    and the ops object supplies only the comparisons: each round is one
+    ``cmp_batch(a, b)`` over two arrays in that dtype.
     A tie keeps the earlier candidate, so the winner of every stretch of
     candidates is its first minimal one, and the label is that winner; a
     label changes only on a strict decrease.
@@ -30,18 +39,18 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
     none of the comparisons of the steps it copied.
     """
     n = g.n
-    inf = ops.INF
     src, w, _eidx, _seg, _dst, in_ptr, _edge_dst = g._in_arrays()
+    dtype = w.dtype
     src, w, in_ptr = src.tolist(), w.tolist(), in_ptr.tolist()
     srcs = g._vertex_set(sources)
     if k < 0:
         raise ValueError("step count must be nonnegative")
     S = len(srcs)
 
-    labels = np.full((k + 1, S, n), inf, dtype=object)
+    labels = np.full((k + 1, S, n), INF, dtype=dtype)
     for j, s in enumerate(srcs):
-        labels[0, j, s] = ops.ZERO
-    run = LabelRun(g, srcs, labels, np.full((k, S), inf, dtype=object), inf)
+        labels[0, j, s] = 0
+    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=dtype))
     r, fresh = run._resume_from(resume)
     del resume  # frees the copied rows, as in `_label_run`
     fresh = fresh.tolist()
@@ -57,7 +66,7 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
             for v in range(n):
                 cands = [cur[src[p]] + w[p]
                          for p in range(in_ptr[v], in_ptr[v + 1])
-                         if cur[src[p]] != inf]
+                         if cur[src[p]] != INF]
                 if cands:
                     folds.append([j, v, cands])
         # Tournament rounds across all (source, vertex) pairs at once.
@@ -71,7 +80,7 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
                     slots.append((item, t))
             if not requests:
                 break
-            signs = ops.cmp_batch(requests)
+            signs = _cmp(ops, requests, dtype)
             for (item, t), sg in zip(slots, signs):
                 # Mark the loser; a tie keeps the earlier candidate.
                 item[2][t + (1 if sg <= 0 else 0)] = None
@@ -80,7 +89,7 @@ def _run_multi_generic(g: Digraph, sources: Sequence[int], k: int, ops,
 
         # Improvement round against the previous snapshot.
         requests = [(cands[0], rows[j][v]) for (j, v, cands) in folds]
-        signs = ops.cmp_batch(requests)
+        signs = _cmp(ops, requests, dtype)
 
         for (j, v, cands), sg in zip(folds, signs):
             if v == srcs[j]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from hubapsp.graph import (INF, Digraph, build_graph, floyd_warshall_oracle,
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
 from hubapsp.minplus import (ApspResult, LevelDistances, apsp, build_hub_graph,
                              lift_level)
-from hubapsp.parametric import _LinearOps, _Resolver, _linear_graph
+from hubapsp.parametric import TimedDigraph, _Resolver
 from reference_engine import _run_multi_generic
 from reference_step import bf_step_python, edge_tables
 
@@ -373,21 +374,20 @@ class _Recording:
     """An ops domain that records every nonempty `cmp_batch` request."""
 
     def __init__(self, ops):
-        self.ops, self.INF, self.ZERO = ops, ops.INF, ops.ZERO
+        self.ops = ops
         self.rounds = []
 
-    def cmp_batch(self, pairs):
-        pairs = list(pairs)
-        if pairs:
-            self.rounds.append(pairs)
-        return self.ops.cmp_batch(pairs)
+    def cmp_batch(self, a, b):
+        if len(a):
+            self.rounds.append(list(zip(a.tolist(), b.tolist())))
+        return self.ops.cmp_batch(a, b)
 
 
 def _same_rounds(g, sources, k, make_ops, first=(), k_first=0):
     """Check that `_label_run` and the plain-loop reference ask the same
-    pairs in the same rounds and fill the same tables; with ``first``, each
-    resumes from its own k_first-step run over those sources.  Returns the
-    number of rounds."""
+    pairs in the same rounds and fill the same tables, in the dtype of the
+    graph's weights; with ``first``, each resumes from its own k_first-step
+    run over those sources.  Returns the number of rounds."""
     out = []
     for engine in (_label_run, _run_multi_generic):
         resume = engine(g, first, k_first, make_ops()) if len(first) else None
@@ -398,26 +398,32 @@ def _same_rounds(g, sources, k, make_ops, first=(), k_first=0):
     assert got.sources == want.sources and got.ran == want.ran
     for name in ("labels", "closed"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype == object and a.shape == b.shape, name
+        assert a.dtype == b.dtype == g._in_arrays()[1].dtype, name
+        assert a.shape == b.shape, name
         assert a.tolist() == b.tolist(), name
     return len(got_rounds)
 
 
 def test_label_run_asks_the_reference_rounds_on_affine_weights():
     # The ratio search's domain: every comparison with a breakpoint goes to
-    # a resolver, which signs it at lam*.
-    rounds = 0
-    for seed in range(6):
+    # a resolver, which signs it at lam*.  Costs times 2^50+1 pack past the
+    # float64 bound, so those runs hold Python ints on object tables.
+    rounds = {np.dtype(np.float64): 0, np.dtype(object): 0}
+    for seed, scale in itertools.product(range(6), (1, 2 ** 50 + 1)):
         tg = random_timed(8, 0.4, -4, 8, seed=3300 + seed)
-        g, d_t, d_c = _linear_graph(tg)
+        tg = TimedDigraph(Digraph(tg.base.n, [(u, v, w * scale)
+                                              for (u, v, w) in tg.base.edges]),
+                          tg.times)
+        g = _Resolver(tg).graph
 
         def make_ops():
-            return _LinearOps(_Resolver(tg), d_t, d_c)
+            return _Resolver(tg)
 
-        rounds += _same_rounds(g, range(g.n), 6, make_ops)
-        rounds += _same_rounds(g, range(0, g.n, 2), 6, make_ops,
-                               first=range(0, g.n, 3), k_first=3)
-    assert rounds >= 100
+        rounds[g._in_arrays()[1].dtype] += (
+            _same_rounds(g, range(g.n), 6, make_ops)
+            + _same_rounds(g, range(0, g.n, 2), 6, make_ops,
+                           first=range(0, g.n, 3), k_first=3))
+    assert min(rounds.values()) >= 100
 
 
 def test_label_run_asks_the_reference_rounds_on_fractions():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hubapsp.generate import ring_with_chords
 from hubapsp.graph import (
     INF,
     NegativeCycleDetected,
@@ -215,3 +216,14 @@ def test_digraph_equality_and_hash():
     g2 = build_graph(3, list(TRIANGLE))
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != build_graph(3, TRIANGLE[:2])
+
+
+def test_ring_with_chords_needs_three_vertices_for_chords():
+    # On two vertices every pair is a ring edge, so no chord can be drawn;
+    # the draw once looped forever.
+    with pytest.raises(ValueError, match="n >= 3"):
+        ring_with_chords(2, 1, seed=0)
+    assert ring_with_chords(2, 0, seed=0).m == 2
+    g = ring_with_chords(3, 4, seed=0)
+    assert g.m == 7
+    assert all(v != (u + 1) % 3 and v != u for (u, v, _) in g.edges[3:])

@@ -8,12 +8,11 @@ import pytest
 from hubapsp.bellman_ford import _label_run
 from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
-from hubapsp.graph import Digraph, build_graph, enumerate_simple_cycles
+from hubapsp.graph import INF, Digraph, build_graph, enumerate_simple_cycles
 from hubapsp.parametric import (
     AcyclicGraphError,
     Feasible,
     Infeasible,
-    LinearValue,
     RatioAnswer,
     TimedDigraph,
     build_timed_graph,
@@ -21,10 +20,7 @@ from hubapsp.parametric import (
     min_mean_cycle_karp,
     min_ratio_binary_search,
     min_ratio_parametric,
-    _LINF,
-    _LinearOps,
     _Resolver,
-    _linear_graph,
     _reduced_graph,
 )
 from reference_ratio import fraction_prices
@@ -64,16 +60,6 @@ def test_timed_graph_validates_times():
         TimedDigraph(g, (1, 0))
     with pytest.raises(ValueError):
         TimedDigraph(g, (1, math.inf))
-
-
-def test_linear_value_arithmetic():
-    f = LinearValue(2, 5)
-    gv = LinearValue(1, -1)
-    s = f + gv
-    assert (s.a, s.b) == (3, 4)
-    d = f - gv
-    assert (d.a, d.b) == (1, 6)
-    assert f.at(Fraction(1, 2)) == 4
 
 
 def test_karp_two_cycle():
@@ -480,6 +466,30 @@ def test_non_integral_instances_search_cost_is_pinned(variant, lam, calls,
     assert seen == trace
 
 
+@pytest.mark.parametrize("name,dtype,pinned", [
+    ("timed6", np.float64, (Fraction(-1), 5, 33)),
+    # Decimal costs: D_c is 2^55, so the packed weights pass 2^53.  Its
+    # search cost is pinned by the "tenth" variant above.
+    ("timed6-tenths", object, None),
+    ("big", object, (Fraction(-2026619832316725), 8, 113)),
+])
+def test_symbolic_run_table_dtypes(name, dtype, pinned):
+    # The packed symbolic graph takes float64 below the `_in_arrays` bound
+    # and exact Python ints past it; the results were recorded before the
+    # affine values were packed.
+    if name == "big":
+        tg = random_timed(8, 0.4, -9, 9, seed=8000)
+        tg = TimedDigraph(Digraph(tg.base.n, [(u, v, w * (2 ** 50 + 1))
+                                              for (u, v, w) in tg.base.edges]),
+                          tg.times)
+    else:
+        tg = parse_graph(DATA / f"{name}.gr")
+    assert _Resolver(tg).graph._in_arrays()[1].dtype == dtype
+    if pinned is not None:
+        ans = min_ratio_parametric(tg)
+        assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == pinned
+
+
 def test_parametric_builds_no_edge_table():
     # The sweep's witness and the hub paths of the symbolic run look up only
     # the edges they follow, through `LabelRun.edges`.
@@ -489,20 +499,26 @@ def test_parametric_builds_no_edge_table():
 
 
 def test_symbolic_run_edges_are_the_tournament_winners():
-    # On LinearValues the lookups match candidates by equality, not by their
-    # value at lam*.  Every edge they find must still be the first candidate
-    # minimal at lam*, in (source vertex, edge index) order, and an entry
-    # improves exactly where its value at lam* strictly falls.  The corpus
-    # holds improving entries and closed walks whose minimum at lam* two
-    # different values attain.
+    # On packed affine values the lookups match candidates by equality, not
+    # by their value at lam*.  Every edge they find must still be the first
+    # candidate minimal at lam*, in (source vertex, edge index) order, and
+    # an entry improves exactly where its value at lam* strictly falls.  The
+    # corpus holds improving entries and closed walks whose minimum at lam*
+    # two different values attain.
     checked = ties = 0
     for seed in range(8):
         tg = random_timed(10, 0.4, -4, 8, seed=3200 + seed)
         lam = ratio_oracle(tg)
-        g, d_t, d_c = _linear_graph(tg)
         resolver = _Resolver(tg)
-        run = _label_run(g, range(g.n), 8, _LinearOps(resolver, d_t, d_c))
+        g = resolver.graph
+        run = _label_run(g, range(g.n), 8, resolver)
         asked = resolver.breakpoints
+
+        def at(x):
+            # b - lam*a: integral costs and times leave the pair unscaled.
+            a, b = map(int, resolver.unpack(x))
+            return b - lam * a
+
         pred, closed = edge_tables(run)
         assert resolver.breakpoints == asked
         for i in range(run.steps):
@@ -510,13 +526,13 @@ def test_symbolic_run_edges_are_the_tournament_winners():
                 row = run.labels[i, j]
                 for v in range(g.n):
                     # (value at lam*, source vertex, edge index, value)
-                    cands = [(x.at(lam), u, e, x)
+                    cands = [(at(x), u, e, x)
                              for e, (u, t, wt) in enumerate(g.edges)
-                             if t == v and row[u] is not _LINF
+                             if t == v and row[u] != INF
                              for x in [row[u] + wt]]
                     best = min(cands, default=(None, -1, -1, None))
                     old, new = row[v], run.labels[i + 1, j, v]
-                    falls = bool(cands) and (old is _LINF or best[0] < old.at(lam))
+                    falls = bool(cands) and (old == INF or best[0] < at(old))
                     assert (new != old) == falls
                     assert pred[i, j, v] == (best[2] if falls else -1)
                     if v == s:

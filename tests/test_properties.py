@@ -2,8 +2,8 @@
 edge-order invariance, `relax` against the label engine, the numpy
 engine's looked-up edges against a plain loop, the scaled-integer ratio
 probe against the Fraction engine, the ratio search's integer interval
-rule against the Fraction one, and the array greedy hitting set against
-the set-based one.
+rule against the Fraction one, its packed affine values against their
+pairs, and the array greedy hitting set against the set-based one.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
@@ -303,7 +303,7 @@ DENOMINATOR_LCM = st.one_of(st.integers(1, 12),
 def interval_and_breakpoint(draw):
     # An interval with any exclusivity flags, possibly one point, and a
     # comparison's breakpoint pair (db*D_t, da*D_c), sign-normalised as
-    # `_LinearOps` forms it; two in three sit exactly on an end, and
+    # `_Resolver.cmp_batch` forms it; two in three sit exactly on an end, and
     # none is reduced to lowest terms.
     lo = Fraction(draw(PAST_2_63), draw(st.integers(1, 2 ** 70)))
     hi = lo if draw(st.booleans()) else lo + Fraction(
@@ -328,6 +328,42 @@ def test_integer_interval_rule_matches_fractions(case):
     res.lo, res.hi, res.lo_excl, res.hi_excl = lo, hi, lo_excl, hi_excl
     want = fraction_interval_sign(Fraction(num, den), lo, hi, lo_excl, hi_excl)
     assert res._interval_sign(num, den) == want
+
+
+@st.composite
+def packed_pairs(draw):
+    # The symbolic run's values: a >= 0 a walk's scaled time, and |b| within
+    # 2n*max|C|, a walk of at most 2n hops.  Half the cases are small enough
+    # for float64, and the rest reach past 2^63.
+    n = draw(st.integers(1, 64))
+    small = draw(st.booleans())
+    max_c = draw(st.integers(0, 100 if small else 2 ** 70))
+    t_max = draw(st.integers(1, 10 if small else 2 ** 40))
+    a = st.integers(0, 2 * n * t_max)
+    b = st.integers(-2 * n * max_c, 2 * n * max_c)
+    pairs = [(draw(a), draw(b)) for _ in range(2)]
+    if draw(st.booleans()):
+        pairs[1] = pairs[0]
+    return n, max_c, t_max, pairs
+
+
+@settings(SETTINGS, max_examples=400)
+@given(packed_pairs())
+def test_packed_differences_unpack_exactly(case):
+    n, max_c, t_max, ((a1, b1), (a2, b2)) = case
+    res = _Resolver(build_timed_graph(n, [(0, 0, max_c, t_max)]))
+    radix = 8 * n * max_c + 1
+    assert res.radix == radix and res.graph.edges[0][2] == t_max * radix + max_c
+    p1, p2 = a1 * radix + b1, a2 * radix + b2
+    assert res.unpack(p1 - p2) == (a1 - a2, b1 - b2)
+    assert (p1 == p2) == ((a1, b1) == (a2, b2))
+    if 3 * n * (t_max * radix + max_c) < 2 ** 53:
+        x = np.array([p1, p2], dtype=np.float64)
+        assert x.tolist() == [p1, p2]
+        da, db = res.unpack(x - x[::-1])
+        assert da.tolist() == [a1 - a2, a2 - a1]
+        assert db.tolist() == [b1 - b2, b2 - b1]
+        assert (x[0] == x[1]) == ((a1, b1) == (a2, b2))
 
 
 @st.composite
