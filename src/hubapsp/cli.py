@@ -192,6 +192,8 @@ def cmd_minmean(args) -> int:
 
 
 def cmd_minratio(args) -> int:
+    if args.method == "binary" and args.iterations < 1:
+        raise SystemExit("error: --iterations must be >= 1")
     g = _load(args.file)
     if not isinstance(g, TimedDigraph):
         raise SystemExit("error: minratio needs a timed graph ('p spt' file)")
@@ -300,6 +302,8 @@ _SUITES = [
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise SystemExit("error: --count must be >= 1")
     lines = ["command: verify", f"seed: {args.seed}", f"count: {args.count}"]
     failures = 0
     for name, fn in _SUITES:

@@ -14,23 +14,24 @@ cycle.  Three routes to the optimum lam* are provided:
   comparisons at the still-unknown lam* through breakpoint bisection with a
   concrete detector as the decision oracle.  The symbolic run is exact on
   integers: times are scaled by D_t and costs by D_c, the lcms of their
-  denominators, and each edge's pair is packed into one integer
-  time*M + cost, so the run is an ordinary integer run of the label engine
-  (`_Resolver`).  Each comparison's breakpoint is an integer pair
-  (num, den), unpacked from a difference of two labels, and `_Resolver`
-  decides it against the interval around lam* by cross-multiplication;
-  only the breakpoints the interval leaves undecided become Fractions.
-  So lam* is exact, and it is returned as a Fraction whenever every cost
-  and time is a Fraction or an integral number (`_exact`, the one
-  exactness rule, which Karp reads too), and as a float otherwise.
+  denominators, once per instance (`TimedDigraph._scaled`), and each
+  edge's pair is packed into one integer time*M + cost, so the run is an
+  ordinary integer run of the label engine (`_Resolver`).  Each
+  comparison's breakpoint is an integer pair (num, den), unpacked from a
+  difference of two labels, and `_Resolver` decides a batch of them
+  against the interval around lam* by cross-multiplication on whole
+  arrays; only the breakpoints the interval leaves undecided become
+  Fractions.  So lam* is exact, and it is returned as a Fraction whenever
+  every cost and time is a Fraction or an integral number (`_exact`, the
+  one exactness rule, which Karp reads too), and as a float otherwise.
 
 Every concrete probe, at a rational or a float lam, goes through `_probe`.
-At a rational lam, scaled by D, the lcm of the cost denominators and of
-lam's denominator times the time denominators, the reduced weights
-D*(w - lam*t) are integers, and the label engine's numpy step decides them
-exactly, with the same tie-breaks as an exact rational run: on float64
-while the integers are small enough to add exactly, and on Python ints in
-object arrays past that (late bisection probes, whose denominators reach
+At a rational lam, scaled by D, the lcm of D_c and of lam's denominator
+times D_t, the reduced weights D*(w - lam*t) are integers, formed from the
+same scaled form, and the label engine's numpy step decides them exactly,
+with the same tie-breaks as an exact rational run: on float64 while the
+integers are small enough to add exactly, and on Python ints in object
+arrays past that (late bisection probes, whose denominators reach
 2^iterations, or float costs with long binary expansions);
 `Digraph._in_arrays` picks the dtype.  Only the one symbolic run, whose
 comparisons `_Resolver.cmp_batch` signs, takes the engine's ops step,
@@ -41,9 +42,12 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,21 +62,56 @@ class AcyclicGraphError(ValueError):
     """Raised by cycle-ratio queries on a graph with no directed cycle."""
 
 
+def _scale(tg: TimedDigraph) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """(C, T, D_c, D_t): C = D_c*cost and T = D_t*time as object arrays of
+    Python ints, D_c and D_t the lcms of the costs' and times' denominators."""
+    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
+    ts = [Fraction(t) for t in tg.times]
+    d_c = math.lcm(*(x.denominator for x in ws))
+    d_t = math.lcm(*(y.denominator for y in ts))
+    ints = lambda xs, d: np.array([int(x * d) for x in xs], dtype=object)
+    return ints(ws, d_c), ints(ts, d_t), d_c, d_t
+
+
+def _read_time(i: int, t) -> Real:
+    """Edge i's time t, read as `build_graph` reads a weight, and checked."""
+    if isinstance(t, np.generic):
+        t = t.item()
+    # int, float and Fraction come first: the numbers.Real test is slow.
+    if isinstance(t, bool) or not isinstance(
+            t, (int, float, Fraction, Decimal, numbers.Real)):
+        raise ValueError(f"time {t!r} on edge {i} must be a number")
+    if not isinstance(t, (int, Fraction)):
+        t = float(t)
+    if not (t > 0 and (type(t) is not float or math.isfinite(t))):
+        raise ValueError(f"time {t!r} on edge {i} must be finite and > 0")
+    return t
+
+
 @dataclass(frozen=True)
 class TimedDigraph:
-    """Digraph whose edges each carry a transit time, strictly positive."""
+    """Digraph whose edges each carry a transit time, strictly positive.
+
+    A numpy scalar time is read as the Python number it holds, as
+    `build_graph` reads weights; an int or a Fraction is kept, any other
+    real number or a Decimal becomes a float, which must be finite, and a
+    bool or a non-number raises ValueError.
+    """
 
     base: Digraph
-    times: Tuple[float, ...]
+    times: Tuple[Real, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        if len(self.times) != self.base.m:
-            raise ValueError(
-                f"{len(self.times)} times for {self.base.m} edges")
-        for i, t in enumerate(self.times):
-            if not (t > 0 and math.isfinite(t)):
-                raise ValueError(f"time {t!r} on edge {i} must be finite and > 0")
+        times = tuple(self.times)
+        if len(times) != self.base.m:
+            raise ValueError(f"{len(times)} times for {self.base.m} edges")
+        times = tuple(_read_time(i, t) for i, t in enumerate(times))
+        object.__setattr__(self, "times", times)
+
+    @cached_property
+    def _scaled(self) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """The instance scaled to integers (`_scale`), formed on first use."""
+        return _scale(self)
 
 
 def build_timed_graph(n: int, items) -> TimedDigraph:
@@ -228,28 +267,16 @@ def _price_function(g: Digraph) -> np.ndarray:
     return row[0]
 
 
-def _exact_parts(tg: TimedDigraph
-                 ) -> Tuple[List[Fraction], List[Fraction], int, int]:
-    """(costs, times, D_c, D_t): both as Fractions, and the lcms of their
-    denominators."""
-    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
-    ts = [Fraction(t) for t in tg.times]
-    return (ws, ts, math.lcm(*(x.denominator for x in ws)),
-            math.lcm(*(y.denominator for y in ts)))
-
-
 def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     """(D*(w - lam*t) on integer weights, D).
 
-    D is the lcm of D_c and of lam's denominator times D_t (`_exact_parts`),
-    so D*w and D*lam*t are integers.
+    With lam = p/q, D is the lcm of D_c and q*D_t, and the weights are
+    C*(D/D_c) - p*(D/(q*D_t))*T on the scaled instance (`_scale`).
     """
-    ws, ts, d_c, d_t = _exact_parts(tg)
+    c, t, d_c, d_t = tg._scaled
     p, q = lam.numerator, lam.denominator
     big_d = math.lcm(d_c, q * d_t)
-    scaled = [x.numerator * (big_d // x.denominator)
-              - p * y.numerator * (big_d // (q * y.denominator))
-              for x, y in zip(ws, ts)]
+    scaled = c * (big_d // d_c) - t * (p * (big_d // (q * d_t)))
     edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
     return Digraph(tg.base.n, edges), big_d
 
@@ -298,8 +325,8 @@ def evaluate_lambda(tg: TimedDigraph, lam: Real):
 
 def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
     if exact:
-        return [Fraction(w) / Fraction(t)
-                for (_, _, w), t in zip(tg.base.edges, tg.times)]
+        c, t, d_c, d_t = tg._scaled
+        return list(map(Fraction, c * d_t, t * d_c))
     return [w / t for (_, _, w), t in zip(tg.base.edges, tg.times)]
 
 
@@ -329,15 +356,18 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
     return lo, hi
 
 
+_to_int = np.frompyfunc(int, 1, 1)
+
+
 class _Resolver:
     """The symbolic run's weight domain: packed affine values signed at lam*.
 
     Each edge's affine weight lam -> C - lam*T, with T = D_t*time and
-    C = D_c*cost scaled to integers by the lcms of their denominators
-    (`_exact_parts`), is packed into the one integer T*M + C of ``graph``,
-    with M = 8*n*max|C| + 1.  So the symbolic run is an ordinary integer
-    run: `Digraph._in_arrays` holds it in float64, or in Python ints past
-    its bound, and the label engine adds, stores, equates and looks up its
+    C = D_c*cost the instance's scaled form (`TimedDigraph._scaled`), is
+    packed into the one integer T*M + C of ``graph``, with
+    M = 8*n*max|C| + 1.  So the symbolic run is an ordinary integer run:
+    `Digraph._in_arrays` holds it in float64, or in Python ints past its
+    bound, and the label engine adds, stores, equates and looks up its
     labels as it does distances.  Every value the run forms, compares or
     returns is a walk of at most 2n hops (`shortest_negative_cycle` steps
     at most its depth, the least power of two >= max(2, n)), whose b lies
@@ -352,29 +382,27 @@ class _Resolver:
     the candidates (both initial ends and every breakpoint the interval
     ever left undecided), and two memoized concrete detectors on the
     reduced graph at x: strict (is lam* < x) and nonpos (is lam* <= x).  A
-    breakpoint x = num/den, den > 0, is decided against the interval by
-    cross-multiplying with the ends' numerators and denominators
-    (`_interval_sign`); only the undecided ones become Fractions.  A batch
-    of those is sorted and split by bisection on the strict oracle, then at
-    most one nonpos call separates "equal to lam*" from "below", so a batch
-    of p costs O(log p) detector runs.  A decided breakpoint lies outside
-    the interval, which only ever shrinks, or on an end that is already a
-    candidate, so leaving it out of the candidates changes nothing.  Each
-    detector run is a rational `_probe` call: scaled integers on the numpy
-    engine, in float64 or in object arrays of Python ints.
+    batch of breakpoints x = num/den, den > 0, in two arrays of Python ints,
+    is decided against the interval by cross-multiplying with the ends'
+    numerators and denominators (`_interval_sign`); only the undecided ones
+    become Fractions.  Those are sorted and split by bisection on the strict
+    oracle, then at most one nonpos call separates "equal to lam*" from
+    "below", so a batch of p costs O(log p) detector runs.  A decided
+    breakpoint lies outside the interval, which only ever shrinks, or on an
+    end that is already a candidate, so leaving it out of the candidates
+    changes nothing.  Each detector run is a rational `_probe` call: scaled
+    integers on the numpy engine, in float64 or in Python ints.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
         self.tg = tg
-        ws, ts, self.d_c, self.d_t = _exact_parts(tg)
-        costs = [x.numerator * (self.d_c // x.denominator) for x in ws]
-        self.radix = 8 * tg.base.n * max(map(abs, costs), default=0) + 1
+        c, t, self.d_c, self.d_t = tg._scaled
+        self.radix = 8 * tg.base.n * max(map(abs, c), default=0) + 1
+        packed = t * self.radix + c
         self.graph = Digraph(tg.base.n, tuple(
-            (u, v, y.numerator * (self.d_t // y.denominator) * self.radix + c)
-            for (u, v, _), y, c in zip(tg.base.edges, ts, costs)))
-        ratios = [x / y for x, y in zip(ws, ts)]
-        self.lo: Fraction = min(ratios)
-        self.hi: Fraction = max(ratios)
+            (u, v, x) for (u, v, _), x in zip(tg.base.edges, packed)))
+        ratios = _edge_ratios(tg, True)
+        self.lo, self.hi = min(ratios), max(ratios)
         self.lo_excl = False
         self.hi_excl = False
         self.candidates = {self.lo, self.hi}
@@ -389,21 +417,21 @@ class _Resolver:
             self.trace.append((self.lo, self.hi))
 
     def unpack(self, x):
-        """(a, b) with x = a*M + b and |b| < M/2, elementwise: exact on Python
-        ints, and on float64 integers below 2^53."""
+        """(a, b) with x = a*M + b and |b| < M/2, elementwise, as Python
+        ints: exact on Python ints, and on float64 integers below 2^53."""
         half = self.radix // 2
         b = (x + half) % self.radix - half
-        return (x - b) // self.radix, b
+        return _to_int((x - b) // self.radix), _to_int(b)
 
     def cmp_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Signs at lam* of x - y, elementwise, for packed values; x is finite.
 
         An infinite y gives -1, and equal times the sign of the cost
-        difference.  Otherwise x - y unpacks to (da, db), and unscaled the
-        two values differ by db/D_c - lam*da/D_t, which crosses zero at the
-        breakpoint (db*D_t)/(da*D_c): one integer pair, kept with den > 0,
-        whose sign against lam* `resolve` decides.  The sign of x - y is
-        sign(da) times that.
+        difference.  Otherwise x - y unpacks to Python ints (da, db), and
+        unscaled the two values differ by db/D_c - lam*da/D_t, which crosses
+        zero at the breakpoint (db*D_t)/(da*D_c): kept with den > 0, the
+        numerators and the denominators go to `resolve` as two arrays.  The
+        sign of x - y is sign(da) times its sign against lam*.
         """
         out = np.full(len(x), -1, dtype=np.int64)
         at = np.flatnonzero(y != INF)
@@ -413,9 +441,7 @@ class _Resolver:
         at, da, db = at[~flat], da[~flat], db[~flat]
         if len(at):
             up = np.where(da > 0, 1, -1)
-            out[at] = up * np.asarray(self.resolve([
-                (int(b) * s * self.d_t, int(a) * s * self.d_c)
-                for a, b, s in zip(da.tolist(), db.tolist(), up.tolist())]))
+            out[at] = up * self.resolve(db * up * self.d_t, da * up * self.d_c)
         return out
 
     def detect(self, x: Fraction, nonstrict: bool) -> Optional[NegativeCycle]:
@@ -431,36 +457,31 @@ class _Resolver:
     def nonpos_at(self, x: Fraction) -> bool:
         return self.detect(x, True) is not None
 
-    def _interval_sign(self, num: int, den: int) -> Optional[int]:
-        """Sign of num/den - lam* where the interval decides it, else None."""
+    def _interval_sign(self, num: np.ndarray, den: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """(signs, undecided): the signs of num/den - lam*, den > 0, that the
+        interval decides, elementwise, and the mask of the rest (sign 0)."""
         lo, hi = self.lo, self.hi
-        below = num * lo.denominator - lo.numerator * den
-        if below < 0:
-            return -1
-        above = num * hi.denominator - hi.numerator * den
-        if above > 0:
-            return 1
-        if lo == hi:
-            return 0
-        if below == 0 and self.lo_excl:
-            return -1
-        if above == 0 and self.hi_excl:
-            return 1
-        return None
+        below = num * lo.denominator - den * lo.numerator
+        above = num * hi.denominator - den * hi.numerator
+        low, high = below < 0, above > 0
+        if lo != hi:
+            low |= (below == 0) & self.lo_excl
+            high |= (above == 0) & self.hi_excl
+        return high.astype(np.int64) - low, ~(low | high) & (lo != hi)
 
-    def resolve(self, pairs: Sequence[Tuple[int, int]]) -> List[int]:
-        """Signs of x - lam* for each breakpoint (num, den), den > 0,
-        shrinking the interval."""
-        self.breakpoints += len(pairs)
-        signs = [self._interval_sign(num, den) for num, den in pairs]
-        pending = {Fraction(num, den)
-                   for (num, den), s in zip(pairs, signs) if s is None}
-        if pending:
+    def resolve(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Signs of x - lam* for the breakpoints x = num/den, den > 0, two
+        arrays of Python ints, shrinking the interval."""
+        self.breakpoints += len(num)
+        signs, undecided = self._interval_sign(num, den)
+        if undecided.any():
+            num, den = num[undecided], den[undecided]
+            pending = set(map(Fraction, num, den))
             self.candidates.update(pending)
             self._shrink(sorted(pending))
-            signs = [s if s is not None else self._interval_sign(num, den)
-                     for (num, den), s in zip(pairs, signs)]
-            if any(s is None for s in signs):
+            signs[undecided], still = self._interval_sign(num, den)
+            if still.any():
                 raise AssertionError("interval failed to separate a breakpoint")
         return signs
 
@@ -505,7 +526,7 @@ def min_ratio_parametric(tg: TimedDigraph,
     sim = shortest_negative_cycle(resolver.graph, nonstrict=True, ops=resolver)
     if not isinstance(sim, NegativeCycle):
         raise AssertionError("nonstrict run found no cycle despite one existing")
-    a, b = map(int, resolver.unpack(sim.cycle.length))
+    a, b = resolver.unpack(sim.cycle.length)
     lam_sim = Fraction(b * resolver.d_t, a * resolver.d_c)
 
     cands = sorted(x for x in resolver.candidates

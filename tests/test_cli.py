@@ -169,6 +169,14 @@ def test_minratio_requires_timed_input(capsys):
     assert "spt" in capsys.readouterr().err
 
 
+def test_minratio_binary_rejects_bad_iterations(capsys):
+    # Zero steps once escaped as a traceback with exit status 1.
+    for steps in ("0", "-3"):
+        assert main(["minratio", "--method", "binary", "--iterations", steps,
+                     TIMED6]) == 2
+        assert capsys.readouterr().err == "error: --iterations must be >= 1\n"
+
+
 def test_bench_lists_each_d(tmp_path):
     code, doc = run(tmp_path, ["bench", "--d-list", "1,2,4", RING8])
     assert code == 0
@@ -189,6 +197,14 @@ def test_verify_passes_on_small_run(tmp_path):
     assert "status: ok" in doc
     suites = [l for l in doc.splitlines() if l.startswith("suite ")]
     assert len(suites) == 5 and all(l.endswith(": pass") for l in suites)
+
+
+def test_verify_rejects_an_empty_count(capsys):
+    # A count below 1 once checked nothing and still printed "status: ok".
+    for count in ("0", "-1"):
+        assert main(["verify", "--count", count]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: --count must be >= 1\n"
 
 
 def test_stdout_when_no_out_flag(capsys):

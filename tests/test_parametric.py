@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hubapsp import parametric
 from hubapsp.bellman_ford import _label_run
 from hubapsp.fileio import parse_graph
 from hubapsp.generate import random_timed
@@ -60,6 +62,54 @@ def test_timed_graph_validates_times():
         TimedDigraph(g, (1, 0))
     with pytest.raises(ValueError):
         TimedDigraph(g, (1, math.inf))
+    # A bool is not a time, nor is a string; a huge Fraction is one, and
+    # once overflowed the finiteness test.
+    for bad in (True, np.bool_(True), "1", None, 1j):
+        with pytest.raises(ValueError):
+            TimedDigraph(g, (1, bad))
+    big = TimedDigraph(g, (1, Fraction(10 ** 400)))
+    assert big.times == (1, 10 ** 400)
+    # A Decimal time becomes a float, as a Decimal weight does in build_graph.
+    dec = TimedDigraph(g, (Decimal("0.5"), Decimal("1.1")))
+    assert dec.times == (0.5, 1.1) and all(type(t) is float for t in dec.times)
+    for bad in (Decimal("NaN"), Decimal("Infinity"), Decimal("-1")):
+        with pytest.raises(ValueError):
+            TimedDigraph(g, (1, bad))
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.int64, np.float64])
+def test_numpy_scalar_times_read_as_python_numbers(kind):
+    # A float32 time once reached Fraction() and raised TypeError, or gave
+    # bisection a float32 bracket; an int64 one made the parametric search
+    # raise.  Every search now sees the Python numbers the scalars hold.
+    base = random_timed(8, 0.3, -3, 9, seed=24)
+    shift = 0 if kind is np.int64 else 0.1
+    tg = TimedDigraph(base.base, [kind(t + shift) for t in base.times])
+    plain = TimedDigraph(base.base, [kind(t + shift).item() for t in base.times])
+    assert tg == plain
+    assert all(type(t) in (int, float) for t in tg.times)
+    got, want = min_ratio_parametric(tg), min_ratio_parametric(plain)
+    assert got == want and type(got.lambda_star) is type(want.lambda_star)
+    got, want = min_ratio_binary_search(tg, 30), min_ratio_binary_search(plain, 30)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+    for lam in (Fraction(1, 3), -0.75):
+        assert repr(evaluate_lambda(tg, lam)) == repr(evaluate_lambda(plain, lam))
+
+
+def test_each_search_scales_the_instance_once(monkeypatch):
+    # The scaled costs and times are formed once per instance and read by
+    # the symbolic run, every probe and the certificate alike.
+    calls = []
+    scale = parametric._scale
+    monkeypatch.setattr(parametric, "_scale",
+                        lambda tg: calls.append(tg) or scale(tg))
+    tg = random_timed(8, 0.3, -3, 9, seed=24)
+    assert min_ratio_parametric(tg).oracle_calls == 16
+    assert calls == [tg]
+    tg = parse_graph(DATA / "timed6.gr")
+    trace = []
+    min_ratio_binary_search(tg, 60, _trace=trace)
+    assert len(trace) == 60 and len(calls) == 2 and calls[-1] is tg
 
 
 def test_karp_two_cycle():

@@ -300,34 +300,54 @@ DENOMINATOR_LCM = st.one_of(st.integers(1, 12),
 
 
 @st.composite
-def interval_and_breakpoint(draw):
+def breakpoint_pair(draw, lo, hi, d_t, d_c):
+    # A comparison's breakpoint pair (db*D_t, da*D_c), sign-normalised as
+    # `_Resolver.cmp_batch` forms it: on either end, inside, below or above
+    # the interval, or drawn past 2^63 anywhere, and never reduced to lowest
+    # terms.
+    where = draw(st.sampled_from(["lo", "hi", "inside", "below", "above",
+                                  "any"]))
+    if where == "any":
+        da = draw(PAST_2_63.filter(bool))
+        db = draw(PAST_2_63)
+    else:
+        step = Fraction(draw(st.integers(1, 2 ** 70)),
+                        draw(st.integers(1, 2 ** 70)))
+        x = {"lo": lo, "hi": hi, "below": lo - step, "above": hi + step,
+             "inside": lo + (hi - lo) * Fraction(draw(st.integers(1, 99)), 100)
+             }[where]
+        j = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
+        da, db = x.denominator * d_t * j, x.numerator * d_c * j
+    return (db * d_t, da * d_c) if da > 0 else (-db * d_t, -da * d_c)
+
+
+@st.composite
+def interval_and_breakpoints(draw):
     # An interval with any exclusivity flags, possibly one point, and a
-    # comparison's breakpoint pair (db*D_t, da*D_c), sign-normalised as
-    # `_Resolver.cmp_batch` forms it; two in three sit exactly on an end, and
-    # none is reduced to lowest terms.
+    # batch of breakpoints against it.
     lo = Fraction(draw(PAST_2_63), draw(st.integers(1, 2 ** 70)))
     hi = lo if draw(st.booleans()) else lo + Fraction(
         draw(st.integers(1, 2 ** 70)), draw(st.integers(1, 2 ** 70)))
     d_t, d_c = draw(DENOMINATOR_LCM), draw(DENOMINATOR_LCM)
-    at = draw(st.sampled_from([None, lo, hi]))
-    if at is None:
-        da = draw(PAST_2_63.filter(bool))
-        db = draw(PAST_2_63)
-    else:
-        j = draw(st.integers(1, 2 ** 40)) * draw(st.sampled_from([1, -1]))
-        da, db = at.denominator * d_t * j, at.numerator * d_c * j
-    num, den = (db * d_t, da * d_c) if da > 0 else (-db * d_t, -da * d_c)
-    return lo, hi, draw(st.booleans()), draw(st.booleans()), num, den
+    pairs = draw(st.lists(breakpoint_pair(lo, hi, d_t, d_c), min_size=1,
+                          max_size=12))
+    return lo, hi, draw(st.booleans()), draw(st.booleans()), pairs
 
 
 @settings(SETTINGS, max_examples=400)
-@given(interval_and_breakpoint())
+@given(interval_and_breakpoints())
 def test_integer_interval_rule_matches_fractions(case):
-    lo, hi, lo_excl, hi_excl, num, den = case
+    # The rule runs on whole arrays of Python ints, as `resolve` hands them
+    # over; every entry must be signed, or left open, as on Fractions.
+    lo, hi, lo_excl, hi_excl, pairs = case
     res = _Resolver(build_timed_graph(2, [(0, 1, 1, 1), (1, 0, 1, 1)]))
     res.lo, res.hi, res.lo_excl, res.hi_excl = lo, hi, lo_excl, hi_excl
-    want = fraction_interval_sign(Fraction(num, den), lo, hi, lo_excl, hi_excl)
-    assert res._interval_sign(num, den) == want
+    num, den = (np.array(col, dtype=object) for col in zip(*pairs))
+    signs, undecided = res._interval_sign(num, den)
+    assert signs.shape == undecided.shape == (len(pairs),)
+    for (a, b), s, u in zip(pairs, signs.tolist(), undecided.tolist()):
+        want = fraction_interval_sign(Fraction(a, b), lo, hi, lo_excl, hi_excl)
+        assert (None if u else s) == want
 
 
 @st.composite
