@@ -25,7 +25,8 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _number(tok: str, source: str, lineno: int) -> Union[int, float]:
+def _number(tok: str, what: str, source: str, lineno: int) -> Union[int, float]:
+    """The token of field ``what`` (weight or time) as an int or a float."""
     try:
         return int(tok)
     except ValueError:
@@ -33,9 +34,9 @@ def _number(tok: str, source: str, lineno: int) -> Union[int, float]:
     try:
         x = float(tok)
     except ValueError:
-        raise ParseError(f"bad number {tok!r}", source, lineno) from None
+        raise ParseError(f"bad {what} {tok!r}", source, lineno) from None
     if not math.isfinite(x):
-        raise ParseError(f"non-finite weight {tok!r}", source, lineno)
+        raise ParseError(f"non-finite {what} {tok!r}", source, lineno)
     return x
 
 
@@ -84,10 +85,10 @@ def parse_graph_text(text: str, source: str = "<string>"):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex id out of range 1..{n}",
                                  source, lineno)
-            w = _number(fields[3], source, lineno)
+            w = _number(fields[3], "weight", source, lineno)
             arcs.append((u - 1, v - 1, w))
             if timed:
-                t = _number(fields[4], source, lineno)
+                t = _number(fields[4], "time", source, lineno)
                 if not t > 0:
                     raise ParseError(f"transit time must be > 0, got {t!r}",
                                      source, lineno)

@@ -11,8 +11,11 @@ keeps exact rather than let them round.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,12 +43,12 @@ class Digraph:
     """Immutable weighted digraph: a vertex count and an edge tuple.
 
     Self-loops and parallel edges are allowed.  `build_graph` validates its
-    input, keeps integer weights as Python ints and makes every other
-    weight a float; the constructor checks nothing, so internal callers
-    carry exact rational weights through it.  The label engine reads the
-    weights as one array whose dtype `_in_arrays` chooses: float64, or an
-    object array that keeps them exact, and finds each vertex's in-edges
-    through the CSR index it builds, the graph's one adjacency.
+    input and reads each weight by `_read_number`; the constructor checks
+    nothing, so internal callers carry their own weights through it.  The
+    label engine reads the weights as one array whose dtype `_in_arrays`
+    chooses: float64, or an object array that keeps them exact, and finds
+    each vertex's in-edges through the CSR index it builds, the graph's
+    one adjacency.
     """
 
     __slots__ = ("n", "edges", "_cache")
@@ -201,12 +204,43 @@ class Digraph:
         return cost
 
 
+def _read_number(x, what: str):
+    """x as the package computes with it: one rule for weights, times and lam.
+
+    A numpy scalar is read as the number it holds; an int or a Fraction is
+    kept, any other real number (a float, a Decimal) becomes a float, which
+    must be finite, and a bool or a non-number raises ValueError.
+    """
+    # Exact types first: an ABC test costs more than the rest of the read.
+    kind = type(x)
+    if kind is int or kind is Fraction:
+        return x
+    if kind is not float:
+        y = x.item() if isinstance(x, np.generic) else x
+        if isinstance(y, bool) or not isinstance(y, (numbers.Real, Decimal)):
+            raise ValueError(f"{what} must be a real number, got {x!r}")
+        if isinstance(y, (int, Fraction)):
+            return int(y) if isinstance(y, int) else y
+        x = float(y)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def build_graph(n: int, edge_list: Iterable[Tuple[int, int, float]]) -> Digraph:
     """Validate and build a digraph over vertices 0..n-1.
 
-    :raises ValueError: on out-of-range endpoints or non-finite weights.
+    The vertex count and the endpoints are read with `operator.index`, so
+    numpy integers are taken; every weight is read by `_read_number`.
+
+    :raises ValueError: on a non-integer or out-of-range vertex count or
+        endpoint, or on a weight `_read_number` refuses.
     """
-    if not isinstance(n, int) or n < 0:
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = -1
+    if count < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     edges = []
     for i, item in enumerate(edge_list):
@@ -214,22 +248,17 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int, float]]) -> Digraph:
             u, v, w = item
         except (TypeError, ValueError):
             raise ValueError(f"edge {i}: expected (u, v, w), got {item!r}") from None
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise ValueError(f"edge {i}: endpoints must be integers, got {item!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {i}: endpoint out of range 0..{n - 1}: ({u}, {v})")
-        # Integers stay integers so exact-arithmetic consumers and file
-        # round-trips see them unchanged; everything else becomes a float.
-        if isinstance(w, bool):
-            raise ValueError(f"edge {i}: weight must be a number, got {w!r}")
-        if isinstance(w, (int, np.integer)):
-            edges.append((u, v, int(w)))
-            continue
-        wf = float(w)
-        if not math.isfinite(wf):
-            raise ValueError(f"edge {i}: weight must be finite, got {w!r}")
-        edges.append((u, v, wf))
-    return Digraph(n, edges)
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise ValueError(f"edge {i}: endpoints must be integers, got {item!r}") from None
+        if not (0 <= u < count and 0 <= v < count):
+            raise ValueError(f"edge {i}: endpoint out of range 0..{count - 1}: ({u}, {v})")
+        try:
+            edges.append((u, v, _read_number(w, "weight")))
+        except ValueError as exc:
+            raise ValueError(f"edge {i}: {exc}") from None
+    return Digraph(count, edges)
 
 
 def _float_oracle(g: Digraph) -> None:

@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
@@ -52,7 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .bellman_ford import _attaining_edges, _min_in_edges, relax
-from .graph import INF, Digraph, Path, build_graph, has_cycle
+from .graph import INF, Digraph, Path, _read_number, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
 Real = Union[int, float, Fraction]
@@ -73,39 +71,20 @@ def _scale(tg: TimedDigraph) -> Tuple[np.ndarray, np.ndarray, int, int]:
     return ints(ws, d_c), ints(ts, d_t), d_c, d_t
 
 
-def _read_time(i: int, t) -> Real:
-    """Edge i's time t, read as `build_graph` reads a weight, and checked."""
-    if isinstance(t, np.generic):
-        t = t.item()
-    # int, float and Fraction come first: the numbers.Real test is slow.
-    if isinstance(t, bool) or not isinstance(
-            t, (int, float, Fraction, Decimal, numbers.Real)):
-        raise ValueError(f"time {t!r} on edge {i} must be a number")
-    if not isinstance(t, (int, Fraction)):
-        t = float(t)
-    if not (t > 0 and (type(t) is not float or math.isfinite(t))):
-        raise ValueError(f"time {t!r} on edge {i} must be finite and > 0")
-    return t
-
-
 @dataclass(frozen=True)
 class TimedDigraph:
-    """Digraph whose edges each carry a transit time, strictly positive.
-
-    A numpy scalar time is read as the Python number it holds, as
-    `build_graph` reads weights; an int or a Fraction is kept, any other
-    real number or a Decimal becomes a float, which must be finite, and a
-    bool or a non-number raises ValueError.
-    """
+    """Digraph whose edges each carry a transit time, read by
+    `graph._read_number` as a weight is, and strictly positive."""
 
     base: Digraph
     times: Tuple[Real, ...]
 
     def __post_init__(self):
-        times = tuple(self.times)
+        times = tuple(_read_number(t, "time") for t in self.times)
         if len(times) != self.base.m:
             raise ValueError(f"{len(times)} times for {self.base.m} edges")
-        times = tuple(_read_time(i, t) for i, t in enumerate(times))
+        if not all(t > 0 for t in times):
+            raise ValueError(f"times must be > 0, got {min(times)!r}")
         object.__setattr__(self, "times", times)
 
     @cached_property
@@ -188,25 +167,29 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     for k in range(1, n + 1):
         D[k][dst_with_in] = _min_in_edges(g, D[k - 1][None, :])[0]
 
-    vmask = D[n] < INF
-    if not vmask.any():
+    cols = np.flatnonzero(D[n] < INF)
+    if not len(cols):
         raise AssertionError("a cycle exists but no n-edge walk was found")
-    ks = np.arange(n)
-    diff = D[n][vmask][None, :] - D[:n][:, vmask]
+    diff = D[n, cols] - D[:n, cols]
+    den = (n - np.arange(n))[:, None]
     if D.dtype == object:
-        # Python ints that float64 would round: compare the quotients exactly.
-        quot = np.frompyfunc(Fraction, 2, 1)(diff, (n - ks)[:, None].astype(object))
+        # Python ints that float64 would round, or Fractions: divide exactly.
+        quot = np.frompyfunc(Fraction, 2, 1)(diff, den.astype(object))
     else:
-        quot = diff / (n - ks)[:, None]
+        quot = diff / den
     lam_rows = quot.max(axis=0)
-    v_star = int(np.nonzero(vmask)[0][int(np.argmin(lam_rows))])
+    least = lam_rows.min()
 
     exact = all(_exact(w) for (_, _, w) in g.edges)
     if exact:
-        col = [Fraction(x) for x in D[:, v_star]]
-        lam = max((col[n] - col[k]) / (n - k) for k in range(n))
+        # Rounded division and max are monotone, so the exact minimiser is
+        # among the vertices whose rounded value is least; only those are
+        # read as Fractions, and the first exact minimum wins.
+        lam, v_star = min(
+            (max(Fraction(D[n, v] - D[k, v]) / (n - k) for k in range(n)), int(v))
+            for v in cols[lam_rows == least])
     else:
-        lam = float(lam_rows.min())
+        lam, v_star = float(least), int(cols[np.argmin(lam_rows)])
 
     walk_v = [0] * (n + 1)
     walk_e = [0] * n
@@ -287,19 +270,18 @@ def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
 
     Returns the hop-shortest cycle of the reduced weights w - lam*t whose
     weight is < 0 (<= 0 when `nonstrict`).  Without one, returns Feasible
-    prices when `prices` is set, else None.  A rational lam runs
-    `_scaled_reduced` weights and maps the results back over D to exact
-    Fractions; any other lam is read as a Python float, so a numpy float32
-    or float16 is widened first, and runs `_reduced_graph`'s weights in
-    float64, giving floats.
+    prices when `prices` is set, else None.  lam is read by
+    `graph._read_number`, so a numpy float32 or float16 is widened to a
+    Python float first.  A rational lam (`_exact`) runs `_scaled_reduced`
+    weights and maps the results back over D to exact Fractions; a float
+    one runs `_reduced_graph`'s weights in float64, giving floats.
     """
+    lam = _read_number(lam, "lam")
     if _exact(lam):
         g, big_d = _scaled_reduced(tg, Fraction(lam))
         back = lambda x: Fraction(int(x), big_d)
-    elif math.isfinite(lam):
-        g, back = _reduced_graph(tg, float(lam)), float
     else:
-        raise ValueError(f"lam must be finite, got {lam!r}")
+        g, back = _reduced_graph(tg, lam), float
     cyc = shortest_negative_cycle(g, nonstrict=nonstrict)
     if cyc is not None:
         weight = back(cyc.weight)
@@ -317,7 +299,7 @@ def evaluate_lambda(tg: TimedDigraph, lam: Real):
 
     One `_probe` call: exact when lam is a Fraction or an integral number
     (costs and times convert exactly whatever their type), float64 for any
-    other float.  :raises ValueError: on a non-finite lam.
+    other float.  :raises ValueError: on a lam `graph._read_number` refuses.
     """
     out = _probe(tg, lam, prices=True)
     return out if isinstance(out, Feasible) else Infeasible(out)

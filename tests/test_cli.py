@@ -250,6 +250,16 @@ def test_minratio_matches_golden_document(tmp_path, method, name):
     assert doc == (GOLDEN / f"minratio-{method}-{name}.txt").read_text()
 
 
+@pytest.mark.parametrize("name", ["karp-close-means", "timed6", "triangle-timed"])
+def test_minmean_matches_golden_document(tmp_path, name):
+    # Each lambda and witness mean was checked against Fraction cycle
+    # enumeration.  karp-close-means holds two cycle means that round to
+    # one float64; Karp must still pick the smaller.
+    code, doc = run(tmp_path, ["minmean", str(DATA / f"{name}.gr")])
+    assert code == 0
+    assert doc == (GOLDEN / f"minmean-{name}.txt").read_text()
+
+
 # d is 8 (64 on ring64, which has paths enough to exercise greedy
 # tie-breaks), cut to n on the smaller graphs, which the CLI requires.
 GRAPH_GOLDEN = [

@@ -4,7 +4,7 @@ import pytest
 
 from hubapsp.fileio import ParseError, parse_graph, parse_graph_text, serialize_graph
 from hubapsp.generate import random_digraph, random_timed
-from hubapsp.graph import Digraph
+from hubapsp.graph import Digraph, build_graph
 from hubapsp.parametric import TimedDigraph
 
 PLAIN = "p sp 2 1\na 1 2 5\n"
@@ -100,6 +100,18 @@ def test_non_finite_weight():
     assert _err("p sp 2 1\na 1 2 nan\n").line == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p sp 2 1\na 1 2 inf\n", "non-finite weight 'inf'"),
+    ("p spt 2 1\na 1 2 inf 1\n", "non-finite weight 'inf'"),
+    ("p spt 2 1\na 1 2 1 inf\n", "non-finite time 'inf'"),
+    ("p spt 2 1\na 1 2 five 1\n", "bad weight 'five'"),
+    ("p spt 2 1\na 1 2 1 five\n", "bad time 'five'"),
+], ids=["inf-weight", "inf-weight-timed", "inf-time", "bad-weight", "bad-time"])
+def test_number_errors_name_their_field_and_line(text, message):
+    # A bad time token was once reported as a non-finite weight.
+    assert str(_err(text)) == f"bad.gr:2: {message}"
+
+
 def test_field_count_enforced_per_format():
     assert _err("p sp 2 1\na 1 2\n").line == 2
     assert _err("p sp 2 1\na 1 2 5 1\n").line == 2
@@ -130,6 +142,9 @@ def test_bad_problem_line():
 
 
 def test_serialize_rejects_unsupported_weight():
-    g = Digraph(2, ((0, 1, Fraction(1, 3)),))
-    with pytest.raises(TypeError):
-        serialize_graph(g)
+    # build_graph keeps a Fraction weight exact, as the constructor does,
+    # and a graph file holds only ints and floats.
+    for g in (Digraph(2, ((0, 1, Fraction(1, 3)),)),
+              build_graph(2, [(0, 1, Fraction(1, 3))])):
+        with pytest.raises(TypeError):
+            serialize_graph(g)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,10 +61,37 @@ def test_triangle_total_weight():
     (-1, 0, 1),
     (0, 1, math.inf),   # non-finite weight
     (0, 1, math.nan),
+    (0.0, 1, 1),        # non-integer endpoint
+    (0, 1, "1.5"),      # a numeric string is not a number
+    (0, 1, np.bool_(True)),
+    (0, 1, np.complex128(1 + 0j)),
 ])
 def test_build_graph_rejects(bad):
     with pytest.raises(ValueError):
         build_graph(3, [bad])
+
+
+def test_build_graph_reads_ids_with_operator_index():
+    # Numpy integer ids are taken, as every vertex set takes them; a float
+    # id, even an integral one, is not.
+    g = build_graph(np.int64(3), [(np.int64(0), np.int32(2), 1)])
+    assert g == build_graph(3, [(0, 2, 1)])
+    assert type(g.n) is int and all(type(x) is int for x in g.edges[0][:2])
+    for n in (3.0, -1, "3", None):
+        with pytest.raises(ValueError):
+            build_graph(n, [])
+
+
+def test_build_graph_keeps_fraction_weights_exact():
+    # A Fraction weight was once rounded to 0.3333333333333333.
+    g = build_graph(2, [(0, 1, Fraction(1, 3)), (1, 0, Fraction(-2, 3))])
+    assert [w for (_, _, w) in g.edges] == [Fraction(1, 3), Fraction(-2, 3)]
+    assert g._in_arrays()[1].dtype == object
+    # Beside a float no one weight array holds both exactly: the first
+    # engine call refuses the graph.
+    mixed = build_graph(2, [(0, 1, Fraction(1, 3)), (1, 0, 0.5)])
+    with pytest.raises(ValueError):
+        apsp(mixed, 1)
 
 
 def test_build_graph_keeps_integer_weights():

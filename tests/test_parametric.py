@@ -176,6 +176,35 @@ def test_karp_is_exact_past_2_53():
         assert type(big_cyc.length) is int, seed
 
 
+def _close_means(first, second):
+    # Two disjoint cycles of X = 2^48 per edge on 10 vertices, each first
+    # edge X + extra; 30X < 2^53, so Karp's table is float64, where the
+    # means, X + extra/len, round to one value.
+    X = 2 ** 48
+    edges, start = [], 0
+    for length, extra in (first, second):
+        vs = range(start, start + length)
+        edges += [(v, vs[(i + 1) % length], X + (extra if i == 0 else 0))
+                  for i, v in enumerate(vs)]
+        start += length
+    return build_graph(start, edges)
+
+
+@pytest.mark.parametrize("first,second", [
+    ((3, 1), (7, 2)), ((7, 2), (3, 1)),   # X + 1/3 against X + 2/7
+    ((4, 1), (6, 1)), ((6, 1), (4, 1)),   # X + 1/4 against X + 1/6
+])
+def test_karp_picks_the_exact_minimum_among_rounded_ties(first, second):
+    # Karp once took the first vertex of the rounded minimum: it returned
+    # X + 1/3 on the first pair, and failed its own cross-check on the
+    # second.
+    g = _close_means(first, second)
+    assert g._in_arrays()[1].dtype == np.float64
+    lam, cyc = min_mean_cycle_karp(g)
+    assert type(lam) is Fraction and lam == mean_oracle(g)
+    assert Fraction(cyc.length, cyc.hops) == lam
+
+
 def test_karp_separates_means_float64_cannot():
     # The two loop means differ by 1 near 3 * 2^60, where float64 steps by 512.
     w = 3 * 2 ** 60
@@ -202,8 +231,10 @@ def test_evaluate_at_lambda_star_is_feasible():
 
 def test_evaluate_lambda_rejects_non_finite():
     # nan once read as feasible with infinite prices, inf as a cycle of
-    # weight -inf, and -inf as feasible with zero prices.
-    for lam in (math.nan, math.inf, -math.inf):
+    # weight -inf, and -inf as feasible with zero prices.  A non-number is
+    # refused too: True once probed lam = 1, and "1" raised TypeError.
+    for lam in (math.nan, math.inf, -math.inf, True, np.bool_(False), "1",
+                None, 1j):
         with pytest.raises(ValueError):
             evaluate_lambda(UNIT_TRIANGLE, lam)
 
@@ -417,6 +448,28 @@ def test_parametric_is_exact_on_fraction_instances():
                          (Fraction(1, 3), Fraction(2, 3)))
     lam = min_ratio_parametric(timed).lambda_star
     assert type(lam) is Fraction and lam == 3
+
+
+def test_fraction_costs_stay_exact_through_build_timed_graph():
+    # build_graph once rounded Fraction costs to floats, so lam* came back
+    # as the float -0.1666...; it is the Fraction -1/6.
+    tg = build_timed_graph(2, [(0, 1, Fraction(1, 3), 1),
+                               (1, 0, Fraction(-2, 3), 1)])
+    ans = min_ratio_parametric(tg)
+    assert type(ans.lambda_star) is Fraction and ans.lambda_star == Fraction(-1, 6)
+    for seed in range(10):
+        base = random_timed(7, 0.35, -5, 9, seed=2200 + seed)
+        tg = build_timed_graph(7, [(u, v, Fraction(w, 1 + (u + 2 * v) % 5), t)
+                                   for (u, v, w), t in zip(base.base.edges, base.times)])
+        # Cycles of the integer copy, each summed over the exact edges.
+        cycles = enumerate_simple_cycles(base.base)
+        cost = lambda c: sum(tg.base.edges[e][2] for e in c.edges)
+        want = min(cost(c) / sum(tg.times[e] for e in c.edges) for c in cycles)
+        lam = min_ratio_parametric(tg).lambda_star
+        assert type(lam) is Fraction and lam == want, seed
+        mean = min_mean_cycle_karp(tg.base)[0]
+        assert type(mean) is Fraction, seed
+        assert mean == min(cost(c) / c.hops for c in cycles), seed
 
 
 def test_parametric_reports_its_search_cost():

@@ -3,7 +3,8 @@ edge-order invariance, `relax` against the label engine, the numpy
 engine's looked-up edges against a plain loop, the scaled-integer ratio
 probe against the Fraction engine, the ratio search's integer interval
 rule against the Fraction one, its packed affine values against their
-pairs, and the array greedy hitting set against the set-based one.
+pairs, the array greedy hitting set against the set-based one, and one
+reading of every number: a weight, a time and a ratio probe's lam.
 
 Integer graphs are a ring plus random chords, with no negative cycle by
 construction: nonnegative weights reweighted by vertex potentials,
@@ -11,6 +12,7 @@ w + p(u) - p(v), keep every cycle's weight.
 Examples are derandomized so the suite is reproducible.
 """
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -28,8 +30,9 @@ from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle)
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from hubapsp.parametric import (Feasible, _Resolver, _probe as _probe_exact,
-                                _scaled_reduced, build_timed_graph,
+from hubapsp.parametric import (Feasible, TimedDigraph, _Resolver,
+                                _probe as _probe_exact, _scaled_reduced,
+                                build_timed_graph, evaluate_lambda,
                                 min_ratio_binary_search)
 from reference_greedy import greedy_hitting_set_sets
 from reference_step import best_in_edges_python, bf_step_python, edge_tables
@@ -410,3 +413,51 @@ def test_greedy_matches_set_reference(case):
     assert all(want & set(m) for m in members)
     s_min = min(len(set(m)) for m in members)
     assert len(want) <= math.ceil((n / s_min) * (math.log(len(members)) + 1))
+
+
+# Every kind of value a caller might pass as a number.
+NUMBERS = st.one_of(
+    st.integers(), st.integers(2 ** 63, 2 ** 80), st.fractions(),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.booleans().map(np.bool_), st.complex_numbers().map(np.complex128),
+    st.decimals(), st.sampled_from([Decimal("NaN"), Decimal("-Infinity")]),
+    st.booleans(), st.text(max_size=3), st.none())
+
+RULE_TG = build_timed_graph(3, [(0, 1, 2, 1), (1, 2, -1, 3), (2, 0, 1, 2),
+                                (1, 0, 4, 1)])
+
+
+def _outcome(f):
+    """("ok", value), or the exception's type name and message."""
+    try:
+        return "ok", f()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(NUMBERS)
+def test_weights_times_and_lambda_follow_one_rule(x):
+    # A weight, a positive time and a probe's lam either all read x as the
+    # same number, or all refuse it with ValueError.
+    weight = _outcome(lambda: build_graph(2, [(0, 1, x), (1, 0, 1)]).edges[0][2])
+    base = build_graph(2, [(0, 1, 1), (1, 0, 1)])
+    time = _outcome(lambda: TimedDigraph(base, (x, 1)).times[0])
+    lam = _outcome(lambda: evaluate_lambda(RULE_TG, x))
+    if weight[0] != "ok":
+        assert weight[0] == time[0] == lam[0] == "ValueError"
+        return
+    w = weight[1]
+    assert type(w) in (int, Fraction, float)
+    if type(x) in (int, Fraction):
+        assert w is x
+    if w > 0:
+        assert (type(time[1]), repr(time[1])) == (type(w), repr(w))
+    else:
+        assert time[0] == "ValueError"
+    # lam probes as the number already read.  Both may fail alike: an
+    # exact probe whose scaled weights pass the float range overflows
+    # against the label engine's float infinity.
+    assert lam == _outcome(lambda: evaluate_lambda(RULE_TG, w))
