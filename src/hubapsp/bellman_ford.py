@@ -16,10 +16,15 @@ so an object table never holds a float but infinity.  Labels are stored,
 added, equated and looked up the same way whatever decides their order;
 only a step's candidate minimum and the `_less` that decides each
 improvement depend on it.  Without an ops object the step goes through
-`_min_in_edges`, which computes distances only.  An ops object orders the
-labels by its one method, ``cmp_batch(a, b)``, the signs of a - b over two
-arrays (the ratio search's symbolic run signs its packed affine values at
-the unknown optimum through one); the step's kernel is then `_tournament`,
+`_min_in_edges`, which computes distances only: one reduceat over all
+candidates for a small step, and for a step with many candidates one
+``np.minimum`` per in-edge slot (`Digraph._in_slots`), chosen by
+`_SLOT_BUDGET`.  Both give the same values, and on float64 every zero
+minimum is +0.0, so a row's result does not depend on the path its row
+count picked.  An ops object orders the labels by its one method,
+``cmp_batch(a, b)``, the signs of a - b over two arrays (the ratio
+search's symbolic run signs its packed affine values at the unknown
+optimum through one); the step's kernel is then `_tournament`,
 which batches the comparisons of every candidate fold into rounds, so a
 comparison resolver processes each parallel round at once.  `relax`
 applies `_min_in_edges` from any start rows, and steps a row only while
@@ -258,15 +263,53 @@ def _attaining_edges(g: Digraph, rows: np.ndarray, at, ends, target) -> np.ndarr
     return out
 
 
+# A step takes the slot path once it has this many candidates, rows x m,
+# per in-edge slot.  Each slot costs a few numpy calls of a few microseconds
+# each; reduceat pays an inner loop per (row, vertex) segment instead.  On
+# reweighted rings of 24 to 1024 vertices (7 to 12 slots) the two paths
+# broke even at 500 to 1000 candidates per slot, and on a star, where one
+# vertex holds n-1 slots, a fixed total budget would send steps to a slot
+# loop 3 to 25 times slower than reduceat.
+_SLOT_BUDGET = 1024
+
+
 def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     """One snapshot step's candidates: min over in-edges of cur[:, u] + w(u, v).
 
     ``cur`` is an (S, n) array of label rows.  Entry j of a result row is
     the least candidate into ``dst_with_in[j]`` of `Digraph._in_arrays`;
     `_attaining_edges` finds the edge that attains it.
+
+    Two paths give the same values.  A small step runs one
+    ``np.minimum.reduceat`` over the (S, m) candidates.  A step with at
+    least `_SLOT_BUDGET` candidates per in-edge slot (`Digraph._in_slots`)
+    folds slot by slot instead: it gathers and adds slot 0, then takes one
+    ``np.minimum`` per further slot over that slot's prefix of columns.
+    Both fold each vertex's candidates in `_in_arrays` order, so on an
+    object table a tie keeps the same object.  On float64 every zero
+    minimum comes back as +0.0: the sign reduceat gives a zero minimum of
+    mixed +-0.0 candidates follows numpy's SIMD lanes on long segments, so
+    no fold reproduces it, and with one sign a row's result does not
+    depend on the path its size picked.
     """
-    src, w, _eidx, seg_starts, _dst, _ptr, _edge_dst = g._in_arrays()
-    return np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
+    src, w, _eidx, seg_starts, dst_with_in, _ptr, _edge_dst = g._in_arrays()
+    # The slot count is at least the mean in-degree, m / len(dst_with_in),
+    # so a step with fewer rows x vertices than the budget cannot qualify,
+    # and never builds the layout.  An empty step always takes reduceat.
+    big = len(cur) * len(dst_with_in) >= max(_SLOT_BUDGET, 1)
+    slots, back = g._in_slots() if big else ((), None)
+    if slots and len(cur) * len(src) >= _SLOT_BUDGET * len(slots):
+        (s0, w0), rest = slots[0], slots[1:]
+        acc = cur[:, s0] + w0
+        for s, ws in rest:
+            head = acc[:, :len(s)]
+            np.minimum(head, cur[:, s] + ws, out=head)
+        out = acc[:, back]
+    else:
+        out = np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
+    if out.dtype != object:
+        out += 0.0
+    return out
 
 
 def relax(g: Digraph, rows, steps: int) -> np.ndarray:
@@ -285,9 +328,10 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     exactly as it was is a fixed point: every later step leaves it so too.
     Each step therefore runs only the rows the step before changed, and
     the loop ends early once none did.  "Exactly" means bit for bit on
-    float64, where ``np.minimum`` can turn 0.0 into -0.0 and ``!=`` would
-    miss it; on object rows, which hold only ints, Fractions and ``INF``,
-    ``!=`` is exact, since ``np.minimum`` keeps the old object on a tie.
+    float64, where a step turns a -0.0 start label that a +0.0 candidate
+    ties into 0.0 and ``!=`` would miss it; on object rows, which hold only
+    ints, Fractions and ``INF``, ``!=`` is exact, since ``np.minimum``
+    keeps the old object on a tie.
     """
     a = np.array(rows, dtype=g._in_arrays()[1].dtype)
     if a.ndim != 2 or a.shape[1] != g.n:

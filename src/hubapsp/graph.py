@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +24,8 @@ import numpy as np
 INF = float("inf")
 # Integers of magnitude up to 2^53 add exactly in float64.
 _EXACT_FLOAT = 2 ** 53
+# The largest finite float64; an exact number past it cannot meet a float.
+_FLOAT_RANGE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,13 @@ class Digraph:
           to at least 2^53, so it can lose a minimum below 2^53 but never
           change one.  On 300 random graphs with n <= 40, at every d, no
           closure entry came above 0.36*(n+1)*W.
+
+        On an object array the same bound keeps every value an engine forms
+        within the float range, where its infinity `INF` can meet it:
+        ``x + INF`` converts an int or a Fraction x to a float, which
+        raises OverflowError once |x| passes the largest float, about
+        1.8e308.  So exact weights with 3n*W at or past that raise
+        ValueError, W now the largest magnitude of any weight.
         """
         arrs = self._cache.get("in_arrays")
         if arrs is None:
@@ -174,6 +184,30 @@ class Digraph:
             self._cache["in_arrays"] = arrs
         return arrs
 
+    def _in_slots(self):
+        """The in-edges of `_in_arrays` laid out by slot: (slots, back).
+
+        Column c is the c-th vertex with in-edges, ordered by in-degree,
+        descending and stable.  ``slots[j]`` is a pair (src_j, w_j) of
+        `_in_arrays` arrays holding the j-th in-edge, in `_in_arrays` order,
+        of every vertex whose in-degree exceeds j, so slot j's columns are a
+        prefix of slot j-1's.  Reading columns at ``back`` puts them in
+        ``dst_with_in`` order.
+        """
+        lay = self._cache.get("in_slots")
+        if lay is None:
+            src, w, _eidx, seg_starts, _dst, _ptr, _edge_dst = self._in_arrays()
+            deg = np.diff(np.append(seg_starts, len(src)))
+            order = np.argsort(-deg, kind="stable")
+            starts, deg = seg_starts[order], deg[order]
+            slots = []
+            for j in range(int(deg[0]) if len(deg) else 0):
+                pos = starts[:np.count_nonzero(deg > j)] + j
+                slots.append((src[pos], w[pos]))
+            lay = (tuple(slots), np.argsort(order))
+            self._cache["in_slots"] = lay
+        return lay
+
     def _weight_array(self) -> np.ndarray:
         """Edge weights in edge order, in the dtype `_in_arrays` documents."""
         ws = [w for (_, _, w) in self.edges]
@@ -189,6 +223,9 @@ class Digraph:
             what = "rational weights" if exact else "integer weights this large"
             raise ValueError(f"{what} need exact arithmetic, which float "
                              "weights beside them rule out")
+        if 3 * self.n * max(map(abs, ws), default=0) >= _FLOAT_RANGE:
+            raise ValueError("weights this large pass the float range: "
+                             "3n * max|w| must stay below 1.8e308")
         return np.array(ws, dtype=object)
 
     def _step_cost(self) -> Tuple[int, int]:

@@ -1,12 +1,11 @@
 """Plain-loop snapshot step, the reference the vectorized `bf_step` is checked against,
-the two-buffer loop the row-freezing `relax` is checked against, a byte-for-byte
-array compare, and whole edge tables of a label run, for tests that compare
-runs edge by edge."""
+the reduceat step kernel `_min_in_edges` is checked against, the two-buffer loop
+the row-freezing `relax` is checked against, a byte-for-byte array compare, and
+whole edge tables of a label run, for tests that compare runs edge by edge."""
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hubapsp.bellman_ford import _min_in_edges
 from hubapsp.graph import INF, Digraph
 
 
@@ -42,19 +41,33 @@ def bf_step_python(g: Digraph, current, edge_order: Optional[Sequence[int]] = No
     return nxt, preds
 
 
+def min_in_edges_reference(g: Digraph, cur: np.ndarray) -> np.ndarray:
+    """`_min_in_edges` as one ``np.minimum.reduceat`` over all (S, m) candidates.
+
+    Entry j of a result row is the least cur[:, u] + w over the in-edges of
+    ``dst_with_in[j]``, folded in `Digraph._in_arrays` order.  On float64
+    every zero minimum is +0.0, the kernel's one sign for a zero.
+    """
+    src, w, _eidx, seg_starts, _dst, _ptr, _edge_dst = g._in_arrays()
+    out = np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
+    if out.dtype != object:
+        out += 0.0
+    return out
+
+
 def relax_reference(g: Digraph, rows, steps: int) -> np.ndarray:
     """`relax` without the row freeze: every row takes every one of ``steps`` steps.
 
     Each step sets every label to the min of itself and its best in-edge
-    candidate, alternating between two buffers.  The result takes the dtype
-    of g's weights; the input is not modified.
+    candidate (`min_in_edges_reference`), alternating between two buffers.
+    The result takes the dtype of g's weights; the input is not modified.
     """
     a = np.array(rows, dtype=g._in_arrays()[1].dtype)
     dst = g._in_arrays()[4]
     b = np.empty_like(a)
     for _ in range(steps):
         np.copyto(b, a)
-        b[:, dst] = np.minimum(a[:, dst], _min_in_edges(g, a))
+        b[:, dst] = np.minimum(a[:, dst], min_in_edges_reference(g, a))
         a, b = b, a
     return a
 

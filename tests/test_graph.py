@@ -15,8 +15,9 @@ from hubapsp.graph import (
     hop_limited_oracle,
     negative_cycle_hops_oracle,
 )
-from hubapsp.hubs import verify_hub_property
+from hubapsp.hubs import shortest_negative_cycle, verify_hub_property
 from hubapsp.minplus import apsp
+from hubapsp.parametric import TimedDigraph, evaluate_lambda
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -136,6 +137,22 @@ def test_float_oracles_refuse_integers_past_the_bound(oracle):
     g = build_graph(2, [(0, 1, 2 ** 60), (1, 0, 1)])
     with pytest.raises(ValueError, match="would round"):
         oracle(g)
+
+
+def test_exact_weights_past_the_float_range_are_rejected():
+    # An object table's infinity is a float, and an int past about 1.8e308
+    # cannot become one, so 3n * max|w| must stay below that range.
+    g = build_graph(3, [(0, 1, 10 ** 400), (1, 2, 1), (2, 0, 1)])
+    ring = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    calls = [lambda: shortest_negative_cycle(g), lambda: apsp(g, 1), lambda: apsp(g, 2),
+             lambda: evaluate_lambda(TimedDigraph(ring, (1, 1, 1)), 1e308),
+             lambda: build_graph(2, [(0, 1, Fraction(10 ** 400, 3))])._in_arrays()]
+    for call in calls:
+        with pytest.raises(ValueError, match="float range"):
+            call()
+    # 6 * max|w| just below the range still runs, on exact ints.
+    top = int(1.7e308) // 6
+    assert apsp(build_graph(2, [(0, 1, top)]), 1).dist.entry(0, 1) == top
 
 
 def test_numpy_engine_keeps_2_53_and_large_floats():

@@ -1,13 +1,17 @@
-"""The row-freezing `relax` against the plain two-buffer loop.
+"""The step kernel against reduceat, and the row-freezing `relax` against the plain loop.
 
-Each case runs `relax` and `relax_reference` from the same start rows and
-compares the results byte for byte (on object arrays, each value and its
-type).  The freeze tests count the rows `relax` hands to `_min_in_edges`.
+Each case runs `_min_in_edges` and `min_in_edges_reference` on its start
+rows, then `relax` and `relax_reference` from them, and compares the
+results byte for byte (on object arrays, each value and its type); no
+float64 minimum may be -0.0.  The cases with signed zeros, large integers
+and Fractions run on each of the kernel's two paths, forced by its budget.
+The freeze tests count the rows `relax` hands to `_min_in_edges`.
 """
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hubapsp import bellman_ford
 from hubapsp.bellman_ford import relax
@@ -15,16 +19,30 @@ from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
 from hubapsp.hubs import build_hub_hierarchy
 from hubapsp.minplus import LevelDistances, lift_level
-from reference_step import assert_same_bytes, relax_reference
+from reference_step import assert_same_bytes, min_in_edges_reference, relax_reference
+
+
+@pytest.fixture(params=["reduceat", "slots"])
+def kernel_path(request, monkeypatch):
+    """Force every `_min_in_edges` call of the test onto one of its paths."""
+    budget = 0 if request.param == "slots" else 1 << 62
+    monkeypatch.setattr(bellman_ford, "_SLOT_BUDGET", budget)
+    return request.param
 
 
 def _check(g, rows, steps):
+    """The kernel on the start rows against reduceat, then `relax` against the loop."""
+    rows = np.array(rows, dtype=g._in_arrays()[1].dtype)
+    got = bellman_ford._min_in_edges(g, rows)
+    assert_same_bytes(got, min_in_edges_reference(g, rows))
+    if got.dtype != object:
+        assert not np.signbit(got[got == 0]).any()
     assert_same_bytes(relax(g, rows, steps), relax_reference(g, rows, steps))
 
 
-def test_signed_zeros_match_the_plain_loop():
-    # np.minimum can turn 0.0 into -0.0: a row whose only change is the sign
-    # of a zero has changed, and must keep stepping.
+def test_signed_zeros_match_the_plain_loop(kernel_path):
+    # A step can turn a -0.0 label into 0.0: a row whose only change is the
+    # sign of a zero has changed, and must keep stepping.
     rng = random.Random(12)
     for _ in range(3000):
         n = rng.randint(1, 5)
@@ -33,9 +51,14 @@ def test_signed_zeros_match_the_plain_loop():
         rows = [[rng.choice([0.0, -0.0, 1, 2, 3, INF]) for _ in range(n)]
                 for _ in range(rng.randint(1, 3))]
         _check(build_graph(n, edges), rows, rng.randint(1, 5))
+    # One vertex whose 10 candidates hold both zeros: reduceat gives 0.0
+    # there, a sequential fold -0.0.
+    ws = [2, 1, 0.0, 1, 1, 0.0, -0.0, 1, 1, 2]
+    _check(build_graph(11, [(u, 10, w) for u, w in enumerate(ws)]),
+           np.full((2, 11), -0.0), 2)
 
 
-def test_exact_integers_past_float_range():
+def test_exact_integers_past_float_range(kernel_path):
     scale = 2 ** 60
     for seed in range(20):
         g = random_digraph(9, 0.35, -3, 9, seed=600 + seed)
@@ -49,7 +72,7 @@ def test_exact_integers_past_float_range():
         _check(big, rows, rng.randint(0, 12))
 
 
-def test_fraction_weights():
+def test_fraction_weights(kernel_path):
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(2, 7)
