@@ -21,7 +21,11 @@ candidates for a small step, and for a step with many candidates one
 ``np.minimum`` per in-edge slot (`Digraph._in_slots`), chosen by
 `_SLOT_BUDGET`.  Both give the same values, and on float64 every zero
 minimum is +0.0, so a row's result does not depend on the path its row
-count picked.  An ops object orders the labels by its one method,
+count picked.  Both kernels return full (S, n) rows, `INF` at a vertex
+with no in-edge, so the label run, `relax`, `bf_step` and Karp read and
+write whole rows and keep no index of the vertices with in-edges; since
+``np.minimum(x, INF)`` keeps x bit for bit, such a vertex's label stays
+as it was.  An ops object orders the labels by its one method,
 ``cmp_batch(a, b)``, the signs of a - b over two arrays (the ratio
 search's symbolic run signs its packed affine values at the unknown
 optimum through one); the step's kernel is then `_tournament`,
@@ -170,10 +174,12 @@ class LabelRun(Mapping):
         edge_src = self.graph._edge_src()
         n = self.graph.n
         at = np.asarray(at, dtype=np.int64)
-        starts = np.asarray(self.sources, dtype=np.int64)[at]
-        e = self.edges(h - 1, at, ends)
         verts = np.empty((len(at), h + 1), dtype=np.int64)
         edges = np.empty((len(at), h), dtype=np.int64)
+        if not len(at):
+            return verts, edges
+        starts = np.asarray(self.sources, dtype=np.int64)[at]
+        e = self.edges(h - 1, at, ends)
         verts[:, h] = starts if ends is None else ends
         for i in range(h, 0, -1):
             if i < h and len(at) < _DEDUP_ROWS:
@@ -244,6 +250,8 @@ def _attaining_edges(g: Digraph, rows: np.ndarray, at, ends, target) -> np.ndarr
     src, w, eidx, _seg, _dst, in_ptr, _edge_dst = g._in_arrays()
     at, ends = np.asarray(at, dtype=np.int64), np.asarray(ends, dtype=np.int64)
     out = np.full(len(ends), -1, dtype=np.int64)
+    if not len(ends):
+        return out
     lo = in_ptr[ends]
     cnt = in_ptr[ends + 1] - lo
     # Request j's candidates are positions cum[j]:cum[j+1] of the flat list.
@@ -276,9 +284,12 @@ _SLOT_BUDGET = 1024
 def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     """One snapshot step's candidates: min over in-edges of cur[:, u] + w(u, v).
 
-    ``cur`` is an (S, n) array of label rows.  Entry j of a result row is
-    the least candidate into ``dst_with_in[j]`` of `Digraph._in_arrays`;
-    `_attaining_edges` finds the edge that attains it.
+    ``cur`` is an (S, n) array of label rows, and so is the result: entry
+    v of a result row is the least candidate into v, and `INF` where v has
+    no in-edge.  `_attaining_edges` finds the edge that attains it.  Only a
+    graph with a vertex of no in-edge pays for the full rows: its
+    candidates are scattered into rows of `INF`.  Otherwise the columns
+    the kernel computes are already the full row, and nothing is copied.
 
     Two paths give the same values.  A small step runs one
     ``np.minimum.reduceat`` over the (S, m) candidates.  A step with at
@@ -304,11 +315,15 @@ def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
         for s, ws in rest:
             head = acc[:, :len(s)]
             np.minimum(head, cur[:, s] + ws, out=head)
-        out = acc[:, back]
+        val = acc[:, back]
     else:
-        out = np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
-    if out.dtype != object:
-        out += 0.0
+        val = np.minimum.reduceat(cur[:, src] + w, seg_starts, axis=1)
+    if val.dtype != object:
+        val += 0.0
+    if len(dst_with_in) == g.n:
+        return val
+    out = np.full(cur.shape, INF, dtype=val.dtype)
+    out[:, dst_with_in] = val
     return out
 
 
@@ -342,18 +357,16 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
                          "(ints or inf, or Fractions), not floats")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    dst = g._in_arrays()[4]
     bits = (lambda x: x) if a.dtype == object else (lambda x: x.view(np.int64))
     act = np.arange(len(a))
     for _ in range(steps):
         if not len(act):
             break
         cur = a[act]
-        old = cur[:, dst]
-        new = np.minimum(old, _min_in_edges(g, cur))
-        moved = (bits(old) != bits(new)).any(axis=1)
+        new = np.minimum(cur, _min_in_edges(g, cur))
+        moved = (bits(cur) != bits(new)).any(axis=1)
         act = act[moved]
-        a[np.ix_(act, dst)] = new[moved]
+        a[act] = new[moved]
     return a
 
 
@@ -441,7 +454,7 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     if k < 0:
         raise ValueError("step count must be nonnegative")
     S = len(srcs)
-    _src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
+    w = g._in_arrays()[1]
     src_ids = np.asarray(srcs, dtype=np.int64)
     labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
     labels[0, np.arange(S), src_ids] = 0
@@ -456,12 +469,7 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     for i in range(0 if len(fresh) else r, k if S else 0):
         act = fresh if i < r else slice(None)
         cur = labels[i, act]
-        if ops is None:
-            val = np.full(cur.shape, INF, dtype=w.dtype)
-            if len(dst_with_in):
-                val[:, dst_with_in] = _min_in_edges(g, cur)
-        else:
-            val = _tournament(g, cur, ops)
+        val = _min_in_edges(g, cur) if ops is None else _tournament(g, cur, ops)
         labels[i + 1, act] = np.where(_less(ops, val, cur), val, cur)
         run.closed[i, act] = val[np.arange(len(cur)), src_ids[act]]
     return run
@@ -474,20 +482,16 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
     vertex (None elsewhere).  The result is a pure function of ``current``;
     evaluation order cannot leak into it.
     """
-    src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
-    cur = np.asarray(current, dtype=w.dtype)
+    cur = np.asarray(current, dtype=g._in_arrays()[1].dtype)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
     nxt = cur.copy()
     parents: List[Optional[int]] = [None] * g.n
-    if len(src) == 0:
-        return nxt, parents
     red = _min_in_edges(g, cur[None, :])[0]
-    improved = red < cur[dst_with_in]
-    ends = dst_with_in[improved]
-    nxt[ends] = red[improved]
+    ends = np.flatnonzero(red < cur)
+    nxt[ends] = red[ends]
     edges = _attaining_edges(g, cur[None, :], np.zeros(len(ends), dtype=np.int64),
-                             ends, red[improved])
+                             ends, red[ends])
     for v, u in zip(ends.tolist(), g._edge_src()[edges].tolist()):
         parents[v] = u
     return nxt, parents

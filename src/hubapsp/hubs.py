@@ -78,10 +78,13 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
     ``paths`` is any sequence of vertex collections: sets, tuples, or the
     rows of a 2-D integer array such as `collect_minimal_paths` returns.
     Repeated vertices within one member count once.  The members become a
-    deduplicated (path, vertex) incidence with a CSR index by vertex;
-    coverage counts live in one array, each pick is its `argmax` (the
-    first maximum, so the smallest id wins ties), and the newly hit paths'
-    vertices are subtracted with one `bincount`.
+    deduplicated (path, vertex) incidence with a CSR index by vertex, built
+    by one stable sort of the vertex ids held in the narrowest signed
+    integer type that fits them: 8 or 16 bits up to 2^15 ids, which numpy
+    sorts by radix, and 32 bits past that.  Coverage counts live in one
+    array, each pick is its `argmax` (the first maximum, so the smallest
+    id wins ties), and the newly hit paths' vertices are subtracted with
+    one `bincount`.
 
     Output size obeys ceil((n/s)*(ln k + 1)) for s = smallest set size and
     k = set count: each pick covers at least an s/n fraction of what is
@@ -109,7 +112,11 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
         raise ValueError(f"path set {int(np.argmin(sizes))} is empty")
     pid, col = np.nonzero(real)
     vid = rows[pid, col]
-    by_vertex = pid[np.argsort(vid, kind="stable")]
+    # The narrowest signed type that holds every id: numpy sorts 8- and
+    # 16-bit keys stably with a radix sort, wider ones with timsort, and
+    # both orders are the one stable order.
+    key = vid.astype(np.min_scalar_type(-pad))
+    by_vertex = pid[np.argsort(key, kind="stable")]
     cover = np.bincount(vid, minlength=pad)
     indptr = np.concatenate(([0], np.cumsum(cover)))
     hit = np.zeros(k, dtype=bool)

@@ -161,11 +161,10 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     n = g.n
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    _src, w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
-    D = np.full((n + 1, n), INF, dtype=w.dtype)
+    D = np.empty((n + 1, n), dtype=g._in_arrays()[1].dtype)
     D[0] = 0
     for k in range(1, n + 1):
-        D[k][dst_with_in] = _min_in_edges(g, D[k - 1][None, :])[0]
+        D[k] = _min_in_edges(g, D[k - 1][None, :])[0]
 
     cols = np.flatnonzero(D[n] < INF)
     if not len(cols):

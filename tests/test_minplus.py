@@ -14,6 +14,7 @@ from hubapsp.graph import (
 )
 from hubapsp.bellman_ford import relax
 from hubapsp.hubs import NegativeCycle, build_hub_hierarchy
+from hubapsp import minplus
 from hubapsp.meter import CostMeter
 from hubapsp.minplus import (
     ApspResult,
@@ -56,6 +57,14 @@ def test_product_scalar():
     a = DistMatrix((7,), np.array([[-1.0]]))
     out = minplus_product(a, a)
     assert out.values[0, 0] == -2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object])
+def test_product_scratch_starts_on_a_cache_line(dtype):
+    for size in (1, 7, 256 * 256):
+        buf = minplus._aligned_empty(size, dtype)
+        assert buf.shape == (size,) and buf.dtype == dtype
+        assert buf.ctypes.data % 64 == 0
 
 
 def test_product_rejects_index_mismatch():

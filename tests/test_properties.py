@@ -391,10 +391,13 @@ def test_packed_differences_unpack_exactly(case):
 
 @st.composite
 def tied_families(draw):
-    # Few vertices and small members make many coverage ties per pick.
+    # Few vertices and small members make many coverage ties per pick.  A
+    # shift moves the ids across 2^15, where the greedy index's sort key
+    # widens from 16 to 32 bits.
     n = draw(st.integers(1, 10))
-    member = st.lists(st.integers(0, n - 1), min_size=1, max_size=4)
-    return n, draw(st.lists(member, min_size=1, max_size=30))
+    shift = draw(st.sampled_from([0, (1 << 15) - 5, 1 << 15]))
+    member = st.lists(st.integers(shift, shift + n - 1), min_size=1, max_size=4)
+    return shift + n, draw(st.lists(member, min_size=1, max_size=30))
 
 
 @settings(SETTINGS, max_examples=200)

@@ -2,9 +2,11 @@
 
 Each case runs `_min_in_edges` and `min_in_edges_reference` on its start
 rows, then `relax` and `relax_reference` from them, and compares the
-results byte for byte (on object arrays, each value and its type); no
-float64 minimum may be -0.0.  The cases with signed zeros, large integers
-and Fractions run on each of the kernel's two paths, forced by its budget.
+results byte for byte (on object arrays, each value and its type): the
+kernel's full rows in the columns of the vertices with an in-edge, and
+`INF` in the others.  No float64 minimum may be -0.0.  The cases with
+signed zeros, large integers and Fractions, and the full-row case, run on
+each of the kernel's two paths, forced by its budget.
 The freeze tests count the rows `relax` hands to `_min_in_edges`.
 """
 import random
@@ -31,10 +33,17 @@ def kernel_path(request, monkeypatch):
 
 
 def _check(g, rows, steps):
-    """The kernel on the start rows against reduceat, then `relax` against the loop."""
+    """The kernel on the start rows against reduceat, then `relax` against the loop.
+
+    The kernel returns full rows: its columns of the vertices with an
+    in-edge must equal the reference, and every other column holds `INF`.
+    """
     rows = np.array(rows, dtype=g._in_arrays()[1].dtype)
     got = bellman_ford._min_in_edges(g, rows)
-    assert_same_bytes(got, min_in_edges_reference(g, rows))
+    assert got.shape == rows.shape
+    dst = g._in_arrays()[4]
+    assert_same_bytes(got[:, dst], min_in_edges_reference(g, rows))
+    assert (got[:, np.setdiff1d(np.arange(g.n), dst)] == INF).all()
     if got.dtype != object:
         assert not np.signbit(got[got == 0]).any()
     assert_same_bytes(relax(g, rows, steps), relax_reference(g, rows, steps))
@@ -84,6 +93,20 @@ def test_fraction_weights(kernel_path):
         rows = np.array([[rng.choice(choices) for _ in range(n)]
                          for _ in range(3)], dtype=object)
         _check(build_graph(n, edges), rows, rng.randint(0, 8))
+
+
+def test_full_rows_with_and_without_in_edges(kernel_path):
+    # On a ring every vertex has an in-edge and the kernel's own result is
+    # the full row; cutting the edges into three vertices leaves those
+    # columns to the INF the kernel writes itself.
+    ring = ring_with_chords(40, 80, 3)
+    cut = build_graph(40, [e for e in ring.edges if e[1] not in (0, 17, 39)])
+    assert len(ring._in_arrays()[4]) == 40 and len(cut._in_arrays()[4]) == 37
+    rng = random.Random(5)
+    rows = [[rng.choice([0.0, -0.0, 1.0, -3.0, INF]) for _ in range(40)]
+            for _ in range(40)]
+    for g in (ring, cut):
+        _check(g, rows, 6)
 
 
 def test_empty_cases():
