@@ -110,8 +110,9 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
     sizes = real.sum(axis=1)
     if not sizes.all():
         raise ValueError(f"path set {int(np.argmin(sizes))} is empty")
-    pid, col = np.nonzero(real)
-    vid = rows[pid, col]
+    # Row-major order: each path's vertex ids in turn, ascending.
+    vid = rows[real]
+    pid = np.repeat(np.arange(k), sizes)
     # The narrowest signed type that holds every id: numpy sorts 8- and
     # 16-bit keys stably with a radix sort, wider ones with timsort, and
     # both orders are the one stable order.
@@ -127,6 +128,10 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
         chosen.add(best)
         cand = by_vertex[indptr[best]:indptr[best + 1]]
         new = cand[~hit[cand]]
+        if not len(new):
+            # The best vertex still counts unhit paths, so the index and
+            # the counts disagree; another pick would repeat this one.
+            raise AssertionError("greedy pick hit no new path; its vertex index is inconsistent")
         hit[new] = True
         unhit -= len(new)
         cover -= np.bincount(rows[new].ravel(), minlength=pad + 1)[:pad]
@@ -149,14 +154,39 @@ def sample_hubs(n: int, h: int, seed: int) -> FrozenSet[int]:
     return frozenset(rng.sample(range(n), size))
 
 
+def _first_crossing(vals: np.ndarray, zero: np.ndarray, ops,
+                    nonstrict) -> Optional[Tuple[int, int]]:
+    """(k, i) of the first value vals[k-1, i] past zero, by k then i, or None.
+
+    Strict mode asks ``vals < zero``, nonstrict ``not zero < vals``, both
+    through `_less`: a number run compares the whole table at once, and an
+    ops run each k's row in its own `cmp_batch`, in order, until one
+    crosses.
+    """
+    def crossing(v):
+        return ~_less(ops, zero, v) if nonstrict else _less(ops, v, zero)
+
+    if ops is None:
+        cross = crossing(vals)
+        ks = np.flatnonzero(cross.any(axis=1))
+        if not len(ks):
+            return None
+        k = int(ks[0]) + 1
+        return k, int(np.flatnonzero(cross[k - 1])[0])
+    for k, row in enumerate(vals, 1):
+        hit = np.flatnonzero(crossing(row))
+        if len(hit):
+            return k, int(hit[0])
+    return None
+
+
 def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     """Smallest k (then smallest hub) whose k-hop closed-walk value crosses zero.
 
     Strict mode reads the label diagonal d_k(z) < 0.  Nonstrict mode reads
     the closed-walk candidates, whose entry at z is the best closed-walk
     value over 1..k hops, and accepts <= 0; the empty walk never shadows
-    it.  Each k's values are compared with zero through `_less`, so an ops
-    run signs them in one `cmp_batch`.  In both
+    it.  `_first_crossing` compares the values with zero.  In both
     modes the witness is `LabelRun.walk_back`'s closed walk: it ends with
     the edge of the closed-walk candidate ``closed[k-1]`` at z, and the
     walk back to that edge's tail is a chain of strict improvements because
@@ -165,19 +195,15 @@ def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     src = np.asarray(run.sources, dtype=np.int64)
     # Row 0 of the diagonal is the empty walk: the domain's zero.
     diag = run.labels[:, np.arange(len(src)), src]
-    zero = diag[0]
     vals = run.closed if nonstrict else diag[1:]
-    for k in range(1, len(vals) + 1):
-        row = vals[k - 1]
-        hit = np.flatnonzero(~_less(ops, zero, row) if nonstrict
-                             else _less(ops, row, zero))
-        if len(hit):
-            i = int(hit[0])
-            verts, edges = run.walk_back(k, [i])
-            path = Path(tuple(verts[0].tolist()), row[i], k,
-                        tuple(edges[0].tolist()))
-            return NegativeCycle(path, k, path.length)
-    return None
+    found = _first_crossing(vals, diag[0], ops, nonstrict)
+    if found is None:
+        return None
+    k, i = found
+    verts, edges = run.walk_back(k, [i])
+    path = Path(tuple(verts[0].tolist()), vals[k - 1, i], k,
+                tuple(edges[0].tolist()))
+    return NegativeCycle(path, k, path.length)
 
 
 def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,

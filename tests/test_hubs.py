@@ -90,6 +90,17 @@ def test_greedy_hits_and_respects_bound():
         assert len(chosen) <= math.ceil((n / smin) * (math.log(k) + 1))
 
 
+def test_greedy_fails_on_an_inconsistent_index(monkeypatch):
+    # A sort key too narrow for the ids wraps those past 127, so the
+    # by-vertex index files paths under the wrong vertices while the
+    # coverage counts stay right.  A pick then hits no new path; without a
+    # check the loop would pick that vertex forever.
+    monkeypatch.setattr(np, "min_scalar_type", lambda x: np.dtype(np.int8))
+    paths = np.array([[v, v + 100] for v in range(100)], dtype=np.int64)
+    with pytest.raises(AssertionError, match="hit no new path"):
+        greedy_hitting_set(paths, 200)
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_hubs_size_formula_small_for_large_h():

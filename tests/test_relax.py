@@ -1,13 +1,17 @@
-"""The step kernel against reduceat, and the row-freezing `relax` against the plain loop.
+"""The step kernel against reduceat, and the row freeze against plain loops.
 
 Each case runs `_min_in_edges` and `min_in_edges_reference` on its start
 rows, then `relax` and `relax_reference` from them, and compares the
 results byte for byte (on object arrays, each value and its type): the
 kernel's full rows in the columns of the vertices with an in-edge, and
-`INF` in the others.  No float64 minimum may be -0.0.  The cases with
-signed zeros, large integers and Fractions, and the full-row case, run on
-each of the kernel's two paths, forced by its budget.
-The freeze tests count the rows `relax` hands to `_min_in_edges`.
+`INF` in the others.  No float64 minimum may be -0.0, and `relax` leaves
+its start rows as they were.  The cases with signed zeros, large integers
+and Fractions, and the full-row case, run on each of the kernel's two
+paths, forced by its budget.  The same budget forces the label run's row
+freeze on or off; its cases compare `_label_run` with the plain-loop
+reference engine and with itself from scratch.
+The freeze tests count the rows `relax` and `_label_run` hand to
+`_min_in_edges`.
 """
 import random
 from fractions import Fraction
@@ -16,11 +20,12 @@ import numpy as np
 import pytest
 
 from hubapsp import bellman_ford
-from hubapsp.bellman_ford import relax
+from hubapsp.bellman_ford import NumberOps, _label_run, relax
 from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
 from hubapsp.hubs import build_hub_hierarchy
 from hubapsp.minplus import LevelDistances, lift_level
+from reference_engine import _run_multi_generic
 from reference_step import assert_same_bytes, min_in_edges_reference, relax_reference
 
 
@@ -46,7 +51,11 @@ def _check(g, rows, steps):
     assert (got[:, np.setdiff1d(np.arange(g.n), dst)] == INF).all()
     if got.dtype != object:
         assert not np.signbit(got[got == 0]).any()
-    assert_same_bytes(relax(g, rows, steps), relax_reference(g, rows, steps))
+    start = rows.copy()
+    out = relax(g, rows, steps)
+    assert_same_bytes(out, relax_reference(g, rows, steps))
+    assert_same_bytes(rows, start)
+    assert not np.shares_memory(out, rows)
 
 
 def test_signed_zeros_match_the_plain_loop(kernel_path):
@@ -176,3 +185,125 @@ def test_relax_stops_after_the_last_change(monkeypatch):
     out = relax(g, rows, 10 * g.n)
     assert len(seen) <= last + 1
     assert out.tobytes() == cur.tobytes()
+
+
+def test_relax_steps_the_whole_table_while_every_row_moves(monkeypatch):
+    # While every row moves, the kernel's result becomes the table: the next
+    # step hands that very array to the kernel, with no gather of rows.
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, -0.5)])
+    rows = np.full((2, 4), INF)
+    rows[0, 0] = rows[1, 2] = 0.0
+    calls = []
+    real = bellman_ford._min_in_edges
+
+    def keeping(g, cur):
+        out = real(g, cur)
+        calls.append((cur, out))
+        return out
+
+    monkeypatch.setattr(bellman_ford, "_min_in_edges", keeping)
+    out = relax(g, rows, 3)
+    assert len(calls) == 3
+    for (_, before), (cur, _) in zip(calls, calls[1:]):
+        assert cur is before
+    assert out is calls[-1][1]
+    assert_same_bytes(out, relax_reference(g, rows, 3))
+
+
+@pytest.fixture(params=["off", "on"])
+def freeze(request, monkeypatch):
+    """Force every number label run of the test to freeze settled rows, or never."""
+    budget = 0 if request.param == "on" else 1 << 62
+    monkeypatch.setattr(bellman_ford, "_SLOT_BUDGET", budget)
+    return request.param
+
+
+def _check_run(g, sources, k, first=(), k_first=0, seen=()):
+    """`_label_run` against the reference engine and against itself from scratch.
+
+    With ``first``, both engines resume from their own k_first-step run over
+    those sources.  Returns the run and the rows it handed to the kernel,
+    as counted in ``seen`` (see `_spy`).
+    """
+    resume = _label_run(g, first, k_first) if len(first) else None
+    before = sum(seen)
+    got = _label_run(g, sources, k, resume=resume)
+    rows = sum(seen) - before
+    resume = (_run_multi_generic(g, first, k_first, NumberOps())
+              if len(first) else None)
+    want = _run_multi_generic(g, sources, k, NumberOps(), resume)
+    scratch = _label_run(g, sources, k)
+    assert got.sources == want.sources == scratch.sources
+    assert got.ran == want.ran
+    for name in ("labels", "closed"):
+        assert_same_bytes(getattr(got, name), getattr(want, name))
+        assert_same_bytes(getattr(scratch, name), getattr(want, name))
+    return got, rows
+
+
+def _settled_resumes(run, first, k_first):
+    """How many resumed sources carry equal rows k_first-1 and k_first."""
+    r = min(k_first, run.steps)
+    at = [run._index[s] for s in set(first) & set(run.sources)]
+    return sum(r > 0 and np.array_equal(run.labels[r, j], run.labels[r - 1, j])
+               for j in at)
+
+
+def _weights(kind, rng):
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0, 1, 2, 3])
+    if kind == "big":
+        return rng.randint(1, 6) * 2 ** 60 + rng.randint(0, 3)
+    return Fraction(rng.randint(0, 9), rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("kind", ["zeros", "big", "fraction"])
+def test_label_run_freeze_matches_the_reference(freeze, kind, monkeypatch):
+    # Sparse graphs settle most rows within a few of the 2k steps, and the
+    # resumed cases carry rows that settled in the first run.  With the
+    # freeze on, the kernel sees fewer rows than a run steps.
+    rng = random.Random(41)
+    seen = _spy(monkeypatch)
+    skipped = settled = 0
+    for case in range(30):
+        n = rng.randint(2, 9)
+        edges = [(rng.randrange(n), rng.randrange(n), _weights(kind, rng))
+                 for _ in range(rng.randint(1, 2 * n))]
+        g = build_graph(n, edges)
+        assert (g._in_arrays()[1].dtype == object) == (kind != "zeros")
+        sources = rng.sample(range(n), rng.randint(1, n))
+        first = rng.sample(range(n), rng.randint(0, n))
+        k = rng.randint(1, 6)
+        run, rows = _check_run(g, sources, 2 * k, first, k, seen)
+        skipped += sum(run.ran) - rows
+        settled += _settled_resumes(run, first, k)
+        _check_run(g, sources, k)
+    assert settled > 0
+    assert (skipped > 0) == (freeze == "on")
+
+
+def test_label_run_freeze_on_a_negative_cycle(freeze):
+    # Rows through a negative cycle never settle; the others do.
+    g = build_graph(6, [(0, 1, 1.0), (1, 2, -3.0), (2, 0, 1.0), (3, 4, -0.0),
+                        (4, 5, 2.0), (2, 3, 0.0)])
+    for first in ((), (0, 4), (3, 4, 5)):
+        _check_run(g, range(6), 12, first, 5)
+        _check_run(g, [4, 5], 3, first, 1)
+
+
+def _benchmark_ring():
+    """Ring 0 of the benchmark's seed-1 `apsp` corpus (perfbench/corpus.py)."""
+    rng = random.Random("ring-256-1-0")
+    base = ring_with_chords(256, 768, rng.getrandbits(32))
+    p = [rng.randint(-50, 50) for _ in range(256)]
+    return build_graph(256, [(u, v, w + p[u] - p[v]) for (u, v, w) in base.edges])
+
+
+def test_hierarchy_label_runs_skip_settled_rows(monkeypatch):
+    # The d=32 hierarchy's label runs ask 3318 row-steps; 895 of them would
+    # re-step a row that the step before left unchanged.
+    g = _benchmark_ring()
+    seen = _spy(monkeypatch)
+    levels = build_hub_hierarchy(g, 32).levels
+    assert [len(level) for level in levels] == [256, 171, 127, 100, 47, 2]
+    assert sum(seen) == 2423
