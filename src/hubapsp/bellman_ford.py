@@ -32,12 +32,7 @@ optimum through one); the step's kernel is then `_tournament`,
 which batches the comparisons of every candidate fold into rounds, so a
 comparison resolver processes each parallel round at once.  `relax`
 applies `_min_in_edges` from any start rows, and steps a row only while
-it still changes.  A number label run, too, writes each step in place
-(``np.minimum`` into the next snapshot) and, once its steps are large
-enough to take the slot path, stops stepping a row that a step left bit
-for bit unchanged; such a row is a fixed point, so its later snapshots
-are copies.  Ops runs step every row, so their comparison rounds stay
-whole.
+it still changes.
 
 A run is one `LabelRun`: the snapshot table of all sources plus each
 source's closed-walk candidates, which the hub layer reads whole;
@@ -282,32 +277,8 @@ def _attaining_edges(g: Digraph, rows: np.ndarray, at, ends, target) -> np.ndarr
 # reweighted rings of 24 to 1024 vertices (7 to 12 slots) the two paths
 # broke even at 500 to 1000 candidates per slot, and on a star, where one
 # vertex holds n-1 slots, a fixed total budget would send steps to a slot
-# loop 3 to 25 times slower than reduceat.  A number label run whose whole
-# step is that large also freezes its settled rows (`_label_run`): on the
-# ratio search's timed graphs of 16 and 24 vertices, far below it, tracking
-# rows cost more than the steps it saved.
+# loop 3 to 25 times slower than reduceat.
 _SLOT_BUDGET = 1024
-
-
-def _slot_sized(g: Digraph, rows: int) -> bool:
-    """Whether a step over ``rows`` label rows has `_SLOT_BUDGET` candidates per slot.
-
-    Such a step takes `_min_in_edges`' slot path, and a number label run of
-    that many rows freezes its settled rows.  The slot count is at least
-    the mean in-degree, m / len(dst_with_in), so a step with fewer rows x
-    vertices than the budget cannot qualify, and never builds the layout.
-    An empty step never qualifies.
-    """
-    src, _w, _eidx, _seg, dst_with_in, _ptr, _edge_dst = g._in_arrays()
-    if rows * len(dst_with_in) < max(_SLOT_BUDGET, 1):
-        return False
-    slots = g._in_slots()[0]
-    return bool(slots) and rows * len(src) >= _SLOT_BUDGET * len(slots)
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    """Label values compared bit for bit: int64 views of float64, objects as they are."""
-    return a if a.dtype == object else a.view(np.int64)
 
 
 def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
@@ -333,8 +304,12 @@ def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     depend on the path its size picked.
     """
     src, w, _eidx, seg_starts, dst_with_in, _ptr, _edge_dst = g._in_arrays()
-    if _slot_sized(g, len(cur)):
-        slots, back = g._in_slots()
+    # The slot count is at least the mean in-degree, m / len(dst_with_in),
+    # so a step with fewer rows x vertices than the budget cannot qualify,
+    # and never builds the layout.  An empty step always takes reduceat.
+    big = len(cur) * len(dst_with_in) >= max(_SLOT_BUDGET, 1)
+    slots, back = g._in_slots() if big else ((), None)
+    if slots and len(cur) * len(src) >= _SLOT_BUDGET * len(slots):
         (s0, w0), rest = slots[0], slots[1:]
         acc = cur[:, s0] + w0
         for s, ws in rest:
@@ -385,23 +360,21 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
                          "(ints or inf, or Fractions), not floats")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
+    bits = (lambda x: x) if a.dtype == object else (lambda x: x.view(np.int64))
     act = None  # the rows still moving; None while that is every row
     for _ in range(steps if len(a) else 0):
+        cur = a if act is None else a[act]
+        new = _min_in_edges(g, cur)
+        np.minimum(cur, new, out=new)
+        moved = (bits(cur) != bits(new)).any(axis=1)
         if act is None:
-            new = _min_in_edges(g, a)
-            np.minimum(a, new, out=new)
-            moved = (_bits(a) != _bits(new)).any(axis=1)
             a = new
-            if not moved.all():
-                act = np.flatnonzero(moved)
-            continue
-        if not len(act):
+            act = None if moved.all() else np.flatnonzero(moved)
+        else:
+            act = act[moved]
+            a[act] = new[moved]
+        if act is not None and not len(act):
             break
-        cur = a[act]
-        new = np.minimum(cur, _min_in_edges(g, cur))
-        moved = (_bits(cur) != _bits(new)).any(axis=1)
-        act = act[moved]
-        a[act] = new[moved]
     return a
 
 
@@ -452,9 +425,10 @@ def _tournament(g: Digraph, cur: np.ndarray, ops) -> np.ndarray:
 
 
 def _less(ops, a, b) -> np.ndarray:
-    """``a < b`` elementwise for two label arrays of one shape, as bools.
+    """``a < b`` elementwise for two label arrays, as bools.
 
-    Without ``ops`` that is exactly numpy's ``a < b``.  With ``ops``, the
+    Without ``ops`` that is exactly numpy's ``a < b``, so the operands
+    broadcast.  With ``ops`` they must have one shape: the
     pairs whose ``a`` is finite are signed in one `ops.cmp_batch`; an
     infinite ``a`` is less than nothing.
     """
@@ -486,17 +460,6 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     straight into the next snapshot, which equals the strict-decrease rule
     bit for bit, since its labels hold no -0.0 (every candidate zero is
     +0.0) and on a tie ``np.minimum`` keeps the old object.
-
-    A row that a step leaves bit for bit unchanged is a fixed point, as in
-    `relax`: its later snapshots and closed-walk values are copies of its
-    last ones.  So a number run whose whole step takes the slot path
-    (`_slot_sized`, rows x m against `_SLOT_BUDGET`) stops stepping such
-    rows: each step gathers only the rows still moving, and the settled
-    ones are filled in row by row after the last step, with no gathered
-    copy.  A resumed source whose carried rows r-1 and r are equal is
-    settled from the start.  Small runs, and ops runs, whose comparison
-    rounds must stay whole, step every row.  ``LabelRun.ran`` counts the
-    skipped steps all the same, as the meter charges them.
     """
     n = g.n
     srcs = g._vertex_set(sources)
@@ -507,63 +470,27 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     src_ids = np.asarray(srcs, dtype=np.int64)
     labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
     labels[0, np.arange(S), src_ids] = 0
-    closed = np.full((k, S), INF, dtype=w.dtype)
-    run = LabelRun(g, srcs, labels, closed)
+    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=w.dtype))
     r, fresh = run._resume_from(resume)
     # A caller that handed over its only reference frees the copied rows
     # here, before the steps add their own temporaries.
     del resume
+
     # A run from no sources has empty tables; the hub layer makes one from
     # every empty level, so skip its steps.
-    if not S or k == 0:
-        return run
-
-    freeze = ops is None and _slot_sized(g, S)
-    # (f, rows): rows whose snapshot f+1 equals snapshot f.
-    settled: List[Tuple[int, np.ndarray]] = []
-    if r:
-        # The resumed rows, which step again from row r.  A mask, not
-        # np.setdiff1d: numpy's set routines import numpy.ma on first use,
-        # about 1 MB that the small ratio-search runs would otherwise skip.
-        held = np.ones(S, dtype=bool)
-        held[fresh] = False
-        held = np.flatnonzero(held)
-        if freeze and r < k:
-            moved = (_bits(labels[r, held]) != _bits(labels[r - 1, held])).any(axis=1)
-            settled.append((r - 1, held[~moved]))
-            held = held[moved]
-    act = fresh if r else None  # the rows that step; None while every row does
-    for i in range(0 if len(fresh) else r, k):
-        if r and i == r:
-            act = np.sort(np.concatenate((act, held)))
-            act = None if len(act) == S else act
-        whole = act is None
-        if not whole and not len(act):
-            continue
-        at = slice(None) if whole else act
-        cur = labels[i, at]
+    for i in range(0 if len(fresh) else r, k if S else 0):
+        act = fresh if i < r else slice(None)
+        cur = labels[i, act]
         val = _min_in_edges(g, cur) if ops is None else _tournament(g, cur, ops)
-        closed[i, at] = val[np.arange(len(cur)), src_ids[at]]
-        # A gathered step writes into the kernel's result, then scatters it.
-        nxt = labels[i + 1] if whole else val
-        if ops is None:
-            np.minimum(cur, val, out=nxt)
+        run.closed[i, act] = val[np.arange(len(cur)), src_ids[act]]
+        if ops is not None:
+            labels[i + 1, act] = np.where(_less(ops, val, cur), val, cur)
+        elif i < r:
+            labels[i + 1, act] = np.minimum(cur, val, out=val)
         else:
-            nxt[...] = np.where(_less(ops, val, cur), val, cur)
-        if not whole:
-            labels[i + 1, act] = nxt
-        if freeze:
-            moved = (_bits(nxt) != _bits(cur)).any(axis=1)
-            if not moved.all():
-                rows = np.arange(S) if whole else act
-                settled.append((i, rows[~moved]))
-                act = rows[moved]
+            np.minimum(cur, val, out=labels[i + 1])
         # Free the candidates before the next step's kernel makes its own.
-        del val, nxt
-    for f, rows in settled:
-        for j in rows.tolist():
-            labels[f + 2:, j] = labels[f + 1, j]
-            closed[f + 1:, j] = closed[f, j]
+        del val
     return run
 
 

@@ -159,9 +159,9 @@ def _first_crossing(vals: np.ndarray, zero: np.ndarray, ops,
     """(k, i) of the first value vals[k-1, i] past zero, by k then i, or None.
 
     Strict mode asks ``vals < zero``, nonstrict ``not zero < vals``, both
-    through `_less`: a number run compares the whole table at once, and an
-    ops run each k's row in its own `cmp_batch`, in order, until one
-    crosses.
+    through `_less`: a number run compares the whole table with the zero
+    row at once, past the first crossing too, and an ops run each k's row
+    in its own `cmp_batch`, in order, until one crosses.
     """
     def crossing(v):
         return ~_less(ops, zero, v) if nonstrict else _less(ops, v, zero)

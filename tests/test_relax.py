@@ -1,4 +1,4 @@
-"""The step kernel against reduceat, and the row freeze against plain loops.
+"""The step kernel against reduceat, and `relax` and `_label_run` against plain loops.
 
 Each case runs `_min_in_edges` and `min_in_edges_reference` on its start
 rows, then `relax` and `relax_reference` from them, and compares the
@@ -7,11 +7,10 @@ kernel's full rows in the columns of the vertices with an in-edge, and
 `INF` in the others.  No float64 minimum may be -0.0, and `relax` leaves
 its start rows as they were.  The cases with signed zeros, large integers
 and Fractions, and the full-row case, run on each of the kernel's two
-paths, forced by its budget.  The same budget forces the label run's row
-freeze on or off; its cases compare `_label_run` with the plain-loop
-reference engine and with itself from scratch.
-The freeze tests count the rows `relax` and `_label_run` hand to
-`_min_in_edges`.
+paths, forced by its budget, and so do the in-place label-run cases, which
+compare `_label_run` with the plain-loop reference engine and with itself
+from scratch.
+The freeze tests count the rows `relax` hands to `_min_in_edges`.
 """
 import random
 from fractions import Fraction
@@ -210,25 +209,14 @@ def test_relax_steps_the_whole_table_while_every_row_moves(monkeypatch):
     assert_same_bytes(out, relax_reference(g, rows, 3))
 
 
-@pytest.fixture(params=["off", "on"])
-def freeze(request, monkeypatch):
-    """Force every number label run of the test to freeze settled rows, or never."""
-    budget = 0 if request.param == "on" else 1 << 62
-    monkeypatch.setattr(bellman_ford, "_SLOT_BUDGET", budget)
-    return request.param
-
-
-def _check_run(g, sources, k, first=(), k_first=0, seen=()):
+def _check_run(g, sources, k, first=(), k_first=0):
     """`_label_run` against the reference engine and against itself from scratch.
 
     With ``first``, both engines resume from their own k_first-step run over
-    those sources.  Returns the run and the rows it handed to the kernel,
-    as counted in ``seen`` (see `_spy`).
+    those sources.
     """
     resume = _label_run(g, first, k_first) if len(first) else None
-    before = sum(seen)
     got = _label_run(g, sources, k, resume=resume)
-    rows = sum(seen) - before
     resume = (_run_multi_generic(g, first, k_first, NumberOps())
               if len(first) else None)
     want = _run_multi_generic(g, sources, k, NumberOps(), resume)
@@ -238,15 +226,6 @@ def _check_run(g, sources, k, first=(), k_first=0, seen=()):
     for name in ("labels", "closed"):
         assert_same_bytes(getattr(got, name), getattr(want, name))
         assert_same_bytes(getattr(scratch, name), getattr(want, name))
-    return got, rows
-
-
-def _settled_resumes(run, first, k_first):
-    """How many resumed sources carry equal rows k_first-1 and k_first."""
-    r = min(k_first, run.steps)
-    at = [run._index[s] for s in set(first) & set(run.sources)]
-    return sum(r > 0 and np.array_equal(run.labels[r, j], run.labels[r - 1, j])
-               for j in at)
 
 
 def _weights(kind, rng):
@@ -258,13 +237,10 @@ def _weights(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["zeros", "big", "fraction"])
-def test_label_run_freeze_matches_the_reference(freeze, kind, monkeypatch):
-    # Sparse graphs settle most rows within a few of the 2k steps, and the
-    # resumed cases carry rows that settled in the first run.  With the
-    # freeze on, the kernel sees fewer rows than a run steps.
+def test_label_run_in_place_steps_match_the_reference(kernel_path, kind):
+    # Whole steps write into the next snapshot, and the steps of a resumed
+    # run that advance only its new sources write through a gathered copy.
     rng = random.Random(41)
-    seen = _spy(monkeypatch)
-    skipped = settled = 0
     for case in range(30):
         n = rng.randint(2, 9)
         edges = [(rng.randrange(n), rng.randrange(n), _weights(kind, rng))
@@ -274,36 +250,13 @@ def test_label_run_freeze_matches_the_reference(freeze, kind, monkeypatch):
         sources = rng.sample(range(n), rng.randint(1, n))
         first = rng.sample(range(n), rng.randint(0, n))
         k = rng.randint(1, 6)
-        run, rows = _check_run(g, sources, 2 * k, first, k, seen)
-        skipped += sum(run.ran) - rows
-        settled += _settled_resumes(run, first, k)
+        _check_run(g, sources, 2 * k, first, k)
         _check_run(g, sources, k)
-    assert settled > 0
-    assert (skipped > 0) == (freeze == "on")
 
 
-def test_label_run_freeze_on_a_negative_cycle(freeze):
-    # Rows through a negative cycle never settle; the others do.
+def test_label_run_in_place_steps_on_a_negative_cycle(kernel_path):
     g = build_graph(6, [(0, 1, 1.0), (1, 2, -3.0), (2, 0, 1.0), (3, 4, -0.0),
                         (4, 5, 2.0), (2, 3, 0.0)])
     for first in ((), (0, 4), (3, 4, 5)):
         _check_run(g, range(6), 12, first, 5)
         _check_run(g, [4, 5], 3, first, 1)
-
-
-def _benchmark_ring():
-    """Ring 0 of the benchmark's seed-1 `apsp` corpus (perfbench/corpus.py)."""
-    rng = random.Random("ring-256-1-0")
-    base = ring_with_chords(256, 768, rng.getrandbits(32))
-    p = [rng.randint(-50, 50) for _ in range(256)]
-    return build_graph(256, [(u, v, w + p[u] - p[v]) for (u, v, w) in base.edges])
-
-
-def test_hierarchy_label_runs_skip_settled_rows(monkeypatch):
-    # The d=32 hierarchy's label runs ask 3318 row-steps; 895 of them would
-    # re-step a row that the step before left unchanged.
-    g = _benchmark_ring()
-    seen = _spy(monkeypatch)
-    levels = build_hub_hierarchy(g, 32).levels
-    assert [len(level) for level in levels] == [256, 171, 127, 100, 47, 2]
-    assert sum(seen) == 2423
