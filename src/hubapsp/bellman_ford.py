@@ -76,9 +76,9 @@ class HopLabels:
         self.labels = run.labels[:, self._at]
 
 
-# A lookup costs a fixed few dozen numpy calls plus a little per entry, and
-# the sort that finds the repeats about a third of that fixed cost; below a
-# few hundred rows the entries it saves cost less than the sort.
+# A lookup costs a fixed few dozen numpy calls plus a little per entry.  The
+# dedup adds a few calls and a pass over the run's S*n entry marks per hop;
+# below a few hundred rows the entries it saves cost less than that.
 _DEDUP_ROWS = 256
 
 
@@ -168,8 +168,11 @@ class LabelRun(Mapping):
         are int64 of shapes (rows, h+1) and (rows, h).  All rows walk back
         at once.  Walks that converge share their (source, vertex) entry at
         a hop, so with at least `_DEDUP_ROWS` rows each hop below h looks up
-        every distinct entry once and hands the edge to all rows that hold
-        it.
+        every distinct entry once, in (source, vertex) order, and hands the
+        edge to all rows that hold it.  The distinct entries are found
+        without a sort: the hop marks its entries in a direct-address table
+        over the run's S*n entries, reads them back with ``flatnonzero``,
+        and each row finds its entry's place through a second table.
         """
         edge_src = self.graph._edge_src()
         n = self.graph.n
@@ -181,12 +184,22 @@ class LabelRun(Mapping):
         starts = np.asarray(self.sources, dtype=np.int64)[at]
         e = self.edges(h - 1, at, ends)
         verts[:, h] = starts if ends is None else ends
+        dedup = h > 1 and len(at) >= _DEDUP_ROWS
+        if dedup:
+            # Direct-address tables over the run's S*n entries: marks of the
+            # entries a hop holds, and each marked entry's place among them.
+            mark = np.zeros(len(self.sources) * n, dtype=bool)
+            place = np.empty(len(mark), dtype=np.int64)
         for i in range(h, 0, -1):
-            if i < h and len(at) < _DEDUP_ROWS:
+            if i < h and not dedup:
                 e = self.edges(i - 1, at, verts[:, i])
             elif i < h:
-                key, back = np.unique(at * n + verts[:, i], return_inverse=True)
-                e = self.edges(i - 1, key // n, key % n)[back]
+                flat = at * n + verts[:, i]
+                mark[flat] = True
+                key = np.flatnonzero(mark)
+                mark[key] = False
+                place[key] = np.arange(len(key))
+                e = self.edges(i - 1, key // n, key % n)[place[flat]]
             if (e < 0).any():
                 raise AssertionError("predecessor chain broken; labels are inconsistent")
             edges[:, i - 1] = e
@@ -219,13 +232,14 @@ class LabelRun(Mapping):
         if not old:
             return 0, fresh
         r = min(resume.steps, self.steps)
-        at = [resume._index[self.sources[i]] for i in old]
+        at = np.array([held[self.sources[i]] for i in old], dtype=np.int64)
+        for i in old:
+            self.ran[i] -= r
+        old = np.array(old, dtype=np.int64)
         # Row by row, so no temporary as large as the copied rows.
         for t in range(r + 1):
             self.labels[t, old] = resume.labels[t, at]
         self.closed[:r, old] = resume.closed[:r, at]
-        for i in old:
-            self.ran[i] -= r
         return r, fresh
 
 
@@ -460,6 +474,11 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     straight into the next snapshot, which equals the strict-decrease rule
     bit for bit, since its labels hold no -0.0 (every candidate zero is
     +0.0) and on a tie ``np.minimum`` keeps the old object.
+
+    The tables are allocated empty and only row 0 is filled (`INF`, with 0
+    at each source): every later label row and every closed-walk row is
+    written by a step, or copied by `LabelRun._resume_from`, before
+    anything reads it.
     """
     n = g.n
     srcs = g._vertex_set(sources)
@@ -468,9 +487,10 @@ def _label_run(g: Digraph, sources: Sequence[int], k: int, ops=None,
     S = len(srcs)
     w = g._in_arrays()[1]
     src_ids = np.asarray(srcs, dtype=np.int64)
-    labels = np.full((k + 1, S, n), INF, dtype=w.dtype)
+    labels = np.empty((k + 1, S, n), dtype=w.dtype)
+    labels[0] = INF
     labels[0, np.arange(S), src_ids] = 0
-    run = LabelRun(g, srcs, labels, np.full((k, S), INF, dtype=w.dtype))
+    run = LabelRun(g, srcs, labels, np.empty((k, S), dtype=w.dtype))
     r, fresh = run._resume_from(resume)
     # A caller that handed over its only reference frees the copied rows
     # here, before the steps add their own temporaries.

@@ -1,11 +1,14 @@
 """Graph files in a DIMACS-style shortest-path format.
 
-Two record kinds: comments (``c ...``) and one problem line ``p sp N M`` or
-``p spt N M`` followed by exactly M arc lines.  Arcs are 1-based:
-``a u v w`` for plain graphs, ``a u v w t`` with a transit time ``t > 0``
-under the ``spt`` header.  Integers stay integers; everything else parses as
-a float and serializes through repr, so serialize and parse invert each
-other bit for bit.
+Two record kinds: comments (``c ...``, a line whose first field is exactly
+``c``) and one problem line ``p sp N M`` or ``p spt N M`` followed by
+exactly M arc lines.  Arcs are 1-based: ``a u v w`` for plain graphs,
+``a u v w t`` with a transit time ``t > 0`` under the ``spt`` header.
+Integers stay integers; everything else parses as a float and serializes
+through repr, so serialize and parse invert each other bit for bit.  The
+format is ASCII: a non-ASCII character anywhere, or an underscore outside a
+comment, is a `ParseError`, so digit separators (``1_000``) and non-ASCII
+digits, which Python's number parsers would read, never parse.
 """
 
 from __future__ import annotations
@@ -40,17 +43,33 @@ def _number(tok: str, what: str, source: str, lineno: int) -> Union[int, float]:
     return x
 
 
+def _refuse_characters(text: str, source: str) -> None:
+    """Raise on the first line holding a character the format does not have.
+
+    The format is ASCII, so a non-ASCII character is refused on any line.
+    An underscore is refused outside comments: Python's number parsers read
+    ``1_000`` as 1000, which no serializer writes.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.isascii():
+            col = next(i for i, ch in enumerate(line, start=1) if not ch.isascii())
+            raise ParseError(f"non-ASCII character in column {col}", source, lineno)
+        if "_" in line and line.split()[0] != "c":
+            raise ParseError("'_' outside a comment", source, lineno)
+
+
 def parse_graph_text(text: str, source: str = "<string>"):
     """Parse file content; returns Digraph for sp, TimedDigraph for spt."""
     header: Optional[Tuple[bool, int, int]] = None
     arcs: List[Tuple[int, int, Union[int, float]]] = []
     times: List[Union[int, float]] = []
 
+    if "_" in text or not text.isascii():
+        _refuse_characters(text, source)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        fields = line.split()
         kind = fields[0]
         if kind == "p":
             if header is not None:
@@ -108,7 +127,9 @@ def parse_graph_text(text: str, source: str = "<string>"):
 
 
 def parse_graph(path):
-    with open(path, "r", encoding="ascii") as fh:
+    # A byte past ASCII reads as a lone surrogate, which the text parser
+    # refuses with the number of its line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return parse_graph_text(fh.read(), source=str(path))
 
 

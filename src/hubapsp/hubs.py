@@ -84,7 +84,12 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
     sorts by radix, and 32 bits past that.  Coverage counts live in one
     array, each pick is its `argmax` (the first maximum, so the smallest
     id wins ties), and the newly hit paths' vertices are subtracted with
-    one `bincount`.
+    one `bincount`.  The pad id keeps a column of the counts, which only
+    falls, so it is never the maximum while a path is unhit, and the
+    by-vertex offsets are a Python list: a pick takes no slice of the
+    counts and indexes nothing with a numpy scalar.  It calls ``argmax``
+    as an array method, past numpy's function wrapper, and gathers the hit
+    rows with ``take``, which is faster than a fancy index on whole rows.
 
     Output size obeys ceil((n/s)*(ln k + 1)) for s = smallest set size and
     k = set count: each pick covers at least an s/n fraction of what is
@@ -118,13 +123,13 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
     # both orders are the one stable order.
     key = vid.astype(np.min_scalar_type(-pad))
     by_vertex = pid[np.argsort(key, kind="stable")]
-    cover = np.bincount(vid, minlength=pad)
-    indptr = np.concatenate(([0], np.cumsum(cover)))
+    cover = np.bincount(vid, minlength=pad + 1)
+    indptr = [0, *np.cumsum(cover[:pad]).tolist()]
     hit = np.zeros(k, dtype=bool)
     unhit = k
     chosen: set = set()
     while unhit > 0:
-        best = int(np.argmax(cover))
+        best = int(cover.argmax())
         chosen.add(best)
         cand = by_vertex[indptr[best]:indptr[best + 1]]
         new = cand[~hit[cand]]
@@ -134,7 +139,7 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
             raise AssertionError("greedy pick hit no new path; its vertex index is inconsistent")
         hit[new] = True
         unhit -= len(new)
-        cover -= np.bincount(rows[new].ravel(), minlength=pad + 1)[:pad]
+        cover -= np.bincount(rows.take(new, axis=0).ravel(), minlength=pad + 1)
     s_min = int(sizes.min())
     bound = math.ceil((n / s_min) * (math.log(k) + 1))
     assert len(chosen) <= bound, "greedy exceeded its coverage bound"
@@ -283,7 +288,9 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     `collect_minimal_paths`, read off those same labels, goes to
     `greedy_hitting_set` as it is.  Callers must pass a genuine h-hub set;
     a violated precondition degrades hub quality undetectably.  ``_carry``
-    is the hierarchy's `_Carry`, which `_sweep_level` resumes from.
+    is the hierarchy's `_Carry`, which `_sweep_level` resumes from.  The
+    meter is charged the path walks as one parallel region of one h-hop
+    walk per path, in one call: P*h work and depth h (0 with no paths).
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
@@ -292,7 +299,7 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
         return cyc
     paths = collect_minimal_paths(g, run.sources, h, ops=ops, _labels=run)
     if meter is not None:
-        meter.parallel_region([(h, h)] * len(paths))
+        meter.add(len(paths) * h, h if len(paths) else 0)
     level = greedy_hitting_set(paths, g.n)
     if meter is not None:
         depth = math.ceil(math.log2(max(g.n, 2))) ** 2

@@ -75,6 +75,14 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "bad.gr:2" in capsys.readouterr().err
 
 
+def test_non_ascii_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "x.gr"
+    bad.write_bytes(b"c caf\xc3\xa9\np sp 2 1\na 1 2 5\n")
+    assert main(["negcycle", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {bad}:1: non-ASCII character in column 6"]
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["apsp", "--bogus", CYC4])

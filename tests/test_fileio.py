@@ -135,6 +135,43 @@ def test_unknown_record_type():
     assert _err("p sp 2 1\nx 1 2 5\n").line == 2
 
 
+def test_a_record_starting_with_c_is_not_a_comment():
+    # Only a first field of exactly "c" makes a comment line.
+    assert str(_err("p sp 2 1\ncycle 1 2\na 1 2 5\n")) == (
+        "bad.gr:2: unknown record type 'cycle'")
+    assert _err("cx\np sp 2 1\na 1 2 5\n").line == 1
+    text = "c\n  c indented_comment\nc\tcafe_1\np sp 2 1\na 1 2 5\n"
+    assert serialize_graph(parse_graph_text(text)) == PLAIN
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("p sp 2 1\na 1 2 1_000\n", 2, "'_' outside a comment"),
+    ("p sp 2 1\na 1 2 1.5_0\n", 2, "'_' outside a comment"),
+    ("p sp 1_0 0\n", 1, "'_' outside a comment"),
+    ("p spt 2 1\na 1 2 1 2_0\n", 2, "'_' outside a comment"),
+    ("p sp 2 1\na 1 2 \uff15\n", 2, "non-ASCII character in column 7"),
+    ("p sp 2 1\na \u0661 2 5\n", 2, "non-ASCII character in column 3"),
+    ("c caf\u00e9\np sp 2 1\na 1 2 5\n", 1, "non-ASCII character in column 6"),
+    ("p sp 2 1\r\nc\r\na 1 2\u00a05\r\n", 3, "non-ASCII character in column 6"),
+], ids=["separator", "float-separator", "header-separator", "time-separator",
+        "fullwidth-digit", "arabic-indic-digit", "comment", "crlf-nbsp"])
+def test_numbers_python_reads_but_dimacs_does_not_are_refused(text, line, message):
+    # int() and float() accept digit separators and every Unicode digit;
+    # the format has neither, and serialize never writes them.
+    err = _err(text)
+    assert err.line == line
+    assert str(err) == f"bad.gr:{line}: {message}"
+
+
+def test_non_ascii_byte_in_a_file_names_its_line(tmp_path):
+    path = tmp_path / "x.gr"
+    path.write_bytes(b"p sp 2 1\nc caf\xc3\xa9\na 1 2 5\n")
+    with pytest.raises(ParseError) as info:
+        parse_graph(path)
+    assert info.value.line == 2
+    assert str(info.value) == f"{path}:2: non-ASCII character in column 6"
+
+
 def test_bad_problem_line():
     assert _err("p shortest 2 1\na 1 2 5\n").line == 1
     assert _err("p sp -1 0\n").line == 1

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hubapsp.bellman_ford import (LabelRun, NumberOps, bf_run_multi,
+from hubapsp.bellman_ford import (LabelRun, NumberOps, _label_run, bf_run_multi,
                                   extract_minimal_path)
 from hubapsp.generate import (negative_cycle_free, random_digraph,
                               ring_with_chords, with_negative_cycle)
-from hubapsp.graph import (Digraph, build_graph, hop_limited_oracle,
+from hubapsp.graph import (INF, Digraph, build_graph, hop_limited_oracle,
                            negative_cycle_hops_oracle)
 from hubapsp import bellman_ford
 from hubapsp.hubs import (
@@ -205,6 +205,65 @@ def test_walk_back_looks_up_each_entry_once(monkeypatch):
     # One lookup of the last hop for every path, then fewer for the rest.
     assert len(asked) == h and len(asked[0]) == len(paths)
     assert sum(map(len, asked[1:])) < (h - 1) * len(paths)
+    # Each hop below h asks exactly its rows' distinct (source, vertex)
+    # entries, in that order; sources are vertices 0..n-1, so a row's
+    # source position is its first vertex.
+    rows = paths.tolist()
+    for i in range(h - 1, 0, -1):
+        assert asked[h - i] == sorted({(r[0], r[i]) for r in rows})
+
+
+def _reweighted_ring(kind, n=48, seed=5):
+    """A ring with chords, reweighted by potentials, in one weight domain."""
+    p = np.random.default_rng(seed).integers(-20, 21, n).tolist()
+    scale = {"float": 0.25, "big": 2 ** 60, "fraction": Fraction(1, 3)}[kind]
+    g = build_graph(n, [(u, v, (w + p[u] - p[v]) * scale) for (u, v, w)
+                        in ring_with_chords(n, 3 * n, seed=seed).edges])
+    assert (g._in_arrays()[1].dtype == object) == (kind != "float")
+    return g
+
+
+def _closed_walks(run, k):
+    """Positions whose closed-walk candidate at k walks back to the source."""
+    ok = []
+    for i in np.flatnonzero(run.closed[k - 1] != INF).tolist():
+        try:
+            run.walk_back(k, [i])
+        except AssertionError:
+            continue
+        ok.append(i)
+    return ok
+
+
+@pytest.mark.parametrize("kind", ["float", "big", "fraction"])
+def test_walk_back_dedup_is_exact(monkeypatch, kind):
+    # The walk back shares one lookup among the rows that meet at an entry
+    # once it has `_DEDUP_ROWS` rows; with the dedup on every hop, on the
+    # default rows, and on none, paths and closed walks come out the same.
+    g = _reweighted_ring(kind)
+    h = 4
+    fresh = _label_run(g, range(g.n), 2 * h)
+    resumed = _label_run(g, range(0, g.n, 2), 2 * h,
+                         resume=_label_run(g, range(0, g.n, 3), h))
+    default = bellman_ford._DEDUP_ROWS
+    for run in (fresh, resumed):
+        monkeypatch.setattr(bellman_ford, "_DEDUP_ROWS", 1 << 62)
+        closed = {k: _closed_walks(run, k) for k in range(2, 2 * h + 1)}
+        assert sum(map(len, closed.values())) >= 2 * h
+        want = None
+        for rows in (0, default, 1 << 62):
+            monkeypatch.setattr(bellman_ford, "_DEDUP_ROWS", rows)
+            got = ([collect_minimal_paths(g, run.sources, t, _labels=run)
+                    for t in range(1, 2 * h + 1)],
+                   [run.walk_back(k, at) for k, at in closed.items()])
+            if want is None:
+                want = got
+                continue
+            for a, b in zip(got[0], want[0]):
+                assert np.array_equal(a, b)
+            for (va, ea), (vb, eb) in zip(got[1], want[1]):
+                assert np.array_equal(va, vb) and np.array_equal(ea, eb)
+    assert len(collect_minimal_paths(g, fresh.sources, h, _labels=fresh)) >= default
 
 
 # ---------------------------------------------------------------- extension

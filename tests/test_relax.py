@@ -9,7 +9,8 @@ its start rows as they were.  The cases with signed zeros, large integers
 and Fractions, and the full-row case, run on each of the kernel's two
 paths, forced by its budget, and so do the in-place label-run cases, which
 compare `_label_run` with the plain-loop reference engine and with itself
-from scratch.
+from scratch, once more with `np.empty` poisoned (`conftest.poisoned_empty`)
+so that an entry read before it is written shows.
 The freeze tests count the rows `relax` hands to `_min_in_edges`.
 """
 import random
@@ -252,6 +253,31 @@ def test_label_run_in_place_steps_match_the_reference(kernel_path, kind):
         k = rng.randint(1, 6)
         _check_run(g, sources, 2 * k, first, k)
         _check_run(g, sources, k)
+
+
+@pytest.mark.parametrize("kind", ["zeros", "big", "fraction"])
+def test_label_run_reads_no_unwritten_entry(kernel_path, poisoned_empty, kind):
+    # `_label_run` fills only row 0 of its tables; every other entry must
+    # be stepped or resumed before anything reads it.  Under the poisoned
+    # `np.empty` an entry read first would leave NaN or a sentinel in the
+    # tables, or fail to add.
+    assert np.isnan(np.empty(2)).all()
+    rng = random.Random(43)
+    for case in range(20):
+        n = rng.randint(2, 9)
+        edges = [(rng.randrange(n), rng.randrange(n), _weights(kind, rng))
+                 for _ in range(rng.randint(1, 2 * n))]
+        g = build_graph(n, edges)
+        sources = rng.sample(range(n), rng.randint(1, n))
+        first = rng.sample(range(n), rng.randint(1, n))
+        k = rng.randint(1, 6)
+        _check_run(g, sources, k)
+        _check_run(g, sources, k, first, rng.randint(0, k - 1))
+        _check_run(g, sources, k, first, k + rng.randint(1, 3))
+        _check_run(g, [], k)
+        _check_run(g, [], k, first, k)
+        _check_run(g, sources, 0)
+        _check_run(g, sources, 0, first, k)
 
 
 def test_label_run_in_place_steps_on_a_negative_cycle(kernel_path):
