@@ -140,7 +140,10 @@ class Digraph:
           below 3n*W.
         - the lift of level h seeds exact distances, at most (n-1)*W, and
           steps 2h+1 <= 2d+1 <= 2n+1 times from them: at most 3n*W.  This
-          is the case that sets the factor.
+          is the case that sets the factor.  Below the top level a forward
+          start row may also hold the hierarchy's kept row, a walk of at
+          most 2h <= d <= n hops, at most n*W; its 2h+1 <= n+1 steps then
+          reach at most (2n+1)*W, still within 3n*W.
         - Karp's table D_k is a k-edge walk for k <= n, and its rotation
           formula subtracts two entries: at most 2n*W.
         - a closure product adds two hub-matrix entries.  An entry starts

@@ -23,6 +23,8 @@ A hub that survives into the next level would repeat there, row for row,
 the 2h label steps it just ran.  So each level hands the next the slices of
 its run for its surviving hubs only (a `_Carry`), the next run resumes them
 from row 2h, and the meter charges each source the steps it actually runs.
+When `minplus.apsp` asks, the carry also keeps row 2h of each hub the next
+level drops: the all-pairs lift starts that vertex's forward row from it.
 
 Everything here is deterministic: greedy choices break ties by smallest
 vertex id, sweeps report the smallest qualifying hop count and then the
@@ -238,19 +240,30 @@ class _Carry:
     ``run`` holds, between levels, the rows of the hubs common to both.  A
     level's label run takes them over (`take`), and leaves its own full run
     here; the hierarchy cuts that down with `keep` before the next level.
+
+    ``kept``, when it is a list, also gets one array per level from `keep`:
+    the last label row (row 2h, the 2h-hop distances) of each source that
+    the next level drops, in source order.  Those sources are exactly the
+    vertices `minplus.lift_level` runs at that level, which starts them
+    from these rows.
     """
 
-    __slots__ = ("run",)
+    __slots__ = ("run", "kept")
 
-    def __init__(self):
+    def __init__(self, kept: Optional[list] = None):
         self.run: Optional[LabelRun] = None
+        self.kept = kept
 
     def take(self) -> Optional[LabelRun]:
         run, self.run = self.run, None
         return run
 
     def keep(self, level: FrozenSet[int]) -> None:
-        self.run = self.run.select(level.intersection(self.run.sources))
+        run = self.run
+        if self.kept is not None:
+            gone = [i for i, s in enumerate(run.sources) if s not in level]
+            self.kept.append(run.labels[-1, gone])
+        self.run = run.select(level.intersection(run.sources))
 
 
 def _sweep_level(g: Digraph, H: Iterable[int], h: int, ops,
@@ -311,6 +324,7 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
                         seed: Optional[int] = None, ops=None,
                         meter: Optional[CostMeter] = None,
                         nonstrict: bool = False,
+                        _kept: Optional[list] = None,
                         ) -> Union[HubHierarchy, NegativeCycle]:
     """Grow hub levels for h = 1, 2, ..., d/2, doubling each time.
 
@@ -323,8 +337,10 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
     `seed`, which it requires; an empty graph has empty levels).  Sampled
     sweeps inherit only the sampled sets' high-probability hub quality.
     Hubs present at both levels resume their label runs from the level
-    below (see `_Carry`).  ``d`` is read with `operator.index`, as vertex
-    ids are, so a float raises TypeError.
+    below (see `_Carry`).  ``_kept``, a list that `minplus.apsp` passes,
+    gets level by level the row 2h of every source the next level drops
+    (`_Carry.kept`), the lift's start rows.  ``d`` is read with
+    `operator.index`, as vertex ids are, so a float raises TypeError.
     """
     d = operator.index(d)
     if d < 1 or (d & (d - 1)) != 0:
@@ -336,7 +352,7 @@ def build_hub_hierarchy(g: Digraph, d: int, *, mode: str = "deterministic",
         raise ValueError("sampled mode needs a seed")
     rng = random.Random(seed) if sampled else None
     levels: List[FrozenSet[int]] = [frozenset(range(g.n))]
-    carry = _Carry()
+    carry = _Carry(_kept)
     for k in range(d.bit_length() - 1):
         h = 1 << k
         with meter.phase(f"level-{h}") if meter is not None else nullcontext():

@@ -6,8 +6,12 @@ by repeated min-plus squaring until it stops changing, then lift exact
 distances back down the levels with short label runs whose start rows
 already hold the known distances to every higher-level hub.  A vertex of
 the level above already has its exact full rows, so only the level's new
-vertices run.  Small d pushes the effort into the dense closure; large d
-pushes it into the label runs.
+vertices run.  Below the top level, their rows start closer still: a
+forward row also takes the 2h-hop row that the hierarchy's own label run
+computed from the vertex (kept for it when the next level dropped it), and
+a reverse row the exact distances that the forward pass has just computed
+from the level's other new vertices.  Small d pushes the effort into the
+dense closure; large d pushes it into the label runs.
 
 Each squaring is semi-naive: a term D(i,l) + D(l,j) whose two operands the
 previous product left unchanged was already compared there, so a product
@@ -20,9 +24,12 @@ the algorithm, not this shortcut.
 The hub graph and the lift run their label steps through `relax`, which
 steps a row only while it still changes (a row that one step leaves bit
 for bit as it was is a fixed point).  Most lift rows start from exact
-distances to every higher hub and settle within a few of their 2h+1
-steps.  As with the closure, the meter still charges every row all of its
-steps: d+1 for a hub-graph row, 2h+1 for a lift row.
+distances to every higher hub, or to every vertex of the level on the
+bottom level's reverse pass, and settle within a few of their 2h+1 steps.
+As with the closure, the meter still charges every row all of its steps:
+d+1 for a hub-graph row, 2h+1 for a lift row.  Float distances below the
+top level may differ in their last bits from a lift without those start
+rows, within the README's bound.
 
 Every matrix and row here takes the dtype of the graph's weight array
 (`Digraph._in_arrays`), so integer weights too large for float64 give
@@ -291,57 +298,91 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
 
 def lift_level(g: Digraph, level: Iterable[int],
                known: Union[LevelDistances, DistMatrix], h: int,
-               meter: Optional[CostMeter] = None) -> LevelDistances:
+               meter: Optional[CostMeter] = None, *,
+               _kept: Optional[np.ndarray] = None) -> LevelDistances:
     """Exact distances for a lower hub level from the level above it.
 
     ``known`` is the level above, or for the top level the closed hub
-    graph, whose index must cover the level.  A vertex that ``known`` holds
+    graph, whose index must cover the level (ValueError names a vertex it
+    misses).  ``h`` must be at least 1.  A vertex that ``known`` holds
     as a `LevelDistances` row copies its exact rows.  Every other source's
-    start row holds 0 at the source and the known exact distance to every
-    higher-level hub, then takes 2h+1 label steps.  Any shortest path longer
-    than that detours onto a higher-level hub within its last h hops, so the
-    seeded hub plus the tail fits in the step budget.  A reverse-graph pass
-    fills the distances into the level.  `relax` stops stepping a row once
-    it stops changing, which for most rows is well before the budget ends;
-    the meter charges every new source all 2h+1 steps in each direction.
+    forward start row holds 0 at the source and the known exact distance to
+    every higher-level hub, then takes 2h+1 label steps.  Any shortest path
+    longer than that detours onto a higher-level hub within its last h
+    hops, so the seeded hub plus the tail fits in the step budget.
+    ``_kept``, which `apsp` passes below the top level, holds one row per
+    new source in source order, each the value of some walk from it (the
+    hierarchy's 2h-hop row, `hubs._Carry`); the start row takes the least
+    of the two, entry by entry, which leaves every value an upper bound on
+    the distance and so does not change the fixed point.
+
+    A reverse-graph pass fills the distances into the level.  Its start
+    rows hold the exact distances from every higher-level hub and, below
+    the top level, from every other new source, which the forward pass has
+    just computed; the held vertices are higher-level hubs, so every vertex
+    of the level then starts exact.  At the top level the closed hub matrix
+    already seeds every vertex of the level.  `relax` stops stepping a row
+    once it stops changing, which for most rows is well before the budget
+    ends; the meter charges every new source all 2h+1 steps in each
+    direction.
     """
+    if h < 1:
+        raise ValueError("hop bound must be at least 1")
     sources = g._vertex_set(level)
     steps = 2 * h + 1
-    if isinstance(known, DistMatrix):
+    top = isinstance(known, DistMatrix)
+    if top:
         at = {v: i for i, v in enumerate(known.index)}
+        missing = [s for s in sources if s not in at]
+        if missing:
+            raise ValueError(f"level vertex {missing[0]} is missing from "
+                             "the known hub matrix")
         pos = [at[s] for s in sources]
         new, held = sources, []
-        fwd = (known.values[pos], None)
-        rev = (known.values[:, pos].T, None)
+        fwd_seeds, rev_seeds = known.values[pos], known.values[:, pos].T
     else:
         at = {v: i for i, v in enumerate(known.vertices)}
         new = [s for s in sources if s not in at]
         held = [s for s in sources if s in at]
-        fwd = (known.to_hub[:, new].T, known.from_hub)
-        rev = (known.from_hub[:, new].T, known.to_hub)
+        fwd_seeds, rev_seeds = known.to_hub[:, new].T, known.from_hub[:, new].T
     cols = np.asarray(list(at), dtype=np.int64)
     S = len(new)
     dtype = g._in_arrays()[1].dtype
 
-    def lifted(host, seeds, above):
+    def start(seeds):
         rows = np.full((S, g.n), INF, dtype=dtype)
+        rows[:, cols] = seeds
+        rows[np.arange(S), new] = 0
+        return rows
+
+    def lifted(host, rows):
         if S:
-            rows[:, cols] = seeds
-            rows[np.arange(S), new] = 0
             rows = relax(host, rows, steps)
             if meter is not None:
                 w, dep = host._step_cost()
                 meter.parallel_region(
                     [(steps * w + len(cols), steps * dep + 1)] * S)
-        if not held:
-            return rows
+        return rows
+
+    def full(rows, above):
         out = np.empty((len(sources), g.n), dtype=dtype)
         out[np.searchsorted(sources, new)] = rows
         out[np.searchsorted(sources, held)] = above[[at[s] for s in held]]
         return out
 
-    return LevelDistances(sources, lifted(g, *fwd),
-                          lifted(g.reverse(), *rev))
+    fwd = start(fwd_seeds)
+    if _kept is not None:
+        np.minimum(fwd, _kept, out=fwd)
+        # `apsp` hands over its only reference: free the rows before the steps.
+        del _kept
+    fwd = lifted(g, fwd)
+    rev = start(rev_seeds)
+    if not top:
+        rev[:, new] = fwd[:, new].T
+    rev = lifted(g.reverse(), rev)
+    if held:
+        fwd, rev = full(fwd, known.from_hub), full(rev, known.to_hub)
+    return LevelDistances(sources, fwd, rev)
 
 
 def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
@@ -364,8 +405,11 @@ def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
     d = 1 << (d_requested.bit_length() - 1)
     K = d.bit_length() - 1
 
+    # Level k's kept rows, k = 0..K-1 (see `hubs._Carry`); the lift pops
+    # each level's rows off the end, so they are freed once used.
+    kept: list = []
     with meter.phase("hierarchy"):
-        built = build_hub_hierarchy(g, d, meter=meter)
+        built = build_hub_hierarchy(g, d, meter=meter, _kept=kept)
     if isinstance(built, NegativeCycle):
         return built
     top = sorted(built.levels[K])
@@ -387,7 +431,8 @@ def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
     with meter.phase("lift"):
         for k in range(K, -1, -1):
             with meter.phase(f"level-{1 << k}"):
-                known = lift_level(g, built.levels[k], known, 1 << k, meter)
+                known = lift_level(g, built.levels[k], known, 1 << k, meter,
+                                   _kept=kept.pop() if k < K else None)
 
     dist = DistMatrix(tuple(range(n)), known.from_hub)
     return ApspResult(dist, built, meter.report())

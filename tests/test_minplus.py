@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hubapsp.bellman_ford import relax
 from hubapsp.hubs import NegativeCycle, build_hub_hierarchy
 from hubapsp import minplus
 from hubapsp.meter import CostMeter
+from reference_step import assert_same_bytes, relax_reference
 from hubapsp.minplus import (
     ApspResult,
     DistMatrix,
@@ -181,9 +184,9 @@ def _lift_from_scratch(g, level, known, h):
     cols = list(known.vertices)
 
     def run(host, seeds):
-        rows = np.full((len(sources), g.n), INF)
+        rows = np.full((len(sources), g.n), INF, dtype=g._in_arrays()[1].dtype)
         rows[:, cols] = seeds[:, sources].T
-        rows[np.arange(len(sources)), sources] = 0.0
+        rows[np.arange(len(sources)), sources] = 0
         return relax(host, rows, 2 * h + 1)
 
     return run(g, known.to_hub), run(g.reverse(), known.from_hub)
@@ -210,6 +213,74 @@ def test_lift_copies_shared_rows_and_equals_a_lift_from_scratch():
                 (2 * (1 << k) + 1) * w + len(upper))
             shared += len(hier.levels[k] & hier.levels[k + 1])
     assert shared > 0
+
+
+def _exact_kinds(seed):
+    """One cycle-free graph as float64 integers, as Python ints past the
+    float64 bound, and as Fractions; every cycle keeps a weight >= 0."""
+    g = negative_cycle_free(16, 0.25, -4, 12, seed=seed)
+    return {"int": g,
+            "big-int": build_graph(g.n, [(u, v, w * 2 ** 60 + 1) for (u, v, w) in g.edges]),
+            "fraction": build_graph(g.n, [(u, v, Fraction(w, 3) + Fraction(1, 7))
+                                          for (u, v, w) in g.edges])}
+
+
+def _distances(g):
+    """All-pairs distances in g's weight dtype, by the plain-loop reference steps."""
+    rows = np.full((g.n, g.n), INF, dtype=g._in_arrays()[1].dtype)
+    np.fill_diagonal(rows, 0)
+    return relax_reference(g, rows, g.n)
+
+
+@pytest.mark.parametrize("kind", ["int", "big-int", "fraction"])
+def test_lift_from_kept_rows_equals_a_lift_from_scratch(kind):
+    # The hierarchy keeps row 2h of every source the next level drops; a
+    # lift started from those rows, or without them, must still give the
+    # from-scratch rows, value and type, at every level.
+    kept_levels = 0
+    for seed in range(6):
+        g = _exact_kinds(2000 + seed)[kind]
+        assert (g._in_arrays()[1].dtype == object) == (kind != "int")
+        kept = []
+        hier = build_hub_hierarchy(g, 8, _kept=kept)
+        assert len(kept) == hier.K
+        dist = _distances(g)
+        for k in range(hier.K):
+            upper = sorted(hier.levels[k + 1])
+            new = sorted(hier.levels[k] - hier.levels[k + 1])
+            assert kept[k].shape == (len(new), g.n)
+            known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
+            want_from, want_to = _lift_from_scratch(g, hier.levels[k], known, 1 << k)
+            assert_same_bytes(want_from, dist[sorted(hier.levels[k])])
+            for rows in (None, kept[k]):
+                out = lift_level(g, hier.levels[k], known, 1 << k, _kept=rows)
+                assert_same_bytes(out.from_hub, want_from)
+                assert_same_bytes(out.to_hub, want_to)
+            kept_levels += len(new) > 0
+        for d in (1, 2, 4, 8, 16):
+            res = apsp(g, d)
+            assert_same_bytes(res.dist.values, dist)
+            if kind == "int":
+                assert np.array_equal(res.dist.values, floyd_warshall_oracle(g))
+    assert kept_levels > 6
+
+
+def test_lift_rejects_a_hop_bound_below_one():
+    # With h = 0 the lift ran one step and returned inf for dist(0, 2) = 2.
+    g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    dist = floyd_warshall_oracle(g)
+    known = LevelDistances((3,), dist[[3], :], dist[:, [3]].T)
+    assert lift_level(g, [0], known, 1).from_hub[0, 2] == 2
+    for h in (0, -1):
+        with pytest.raises(ValueError, match="hop bound must be at least 1"):
+            lift_level(g, [0], known, h)
+
+
+def test_lift_rejects_a_hub_matrix_missing_a_level_vertex():
+    g = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    known = minplus_closure(build_hub_graph(g, (0, 2), 1))
+    with pytest.raises(ValueError, match="level vertex 1 is missing"):
+        lift_level(g, [0, 1], known, 1)
 
 
 @pytest.mark.parametrize("H", [[-1, 0], [0, 3]])
@@ -307,6 +378,40 @@ def test_apsp_float_weights_within_rounding_bound_at_every_d():
             res = apsp(g, 1 << k)
             assert isinstance(res, ApspResult), (seed, k)
             assert np.abs(res.dist.values - want).max() <= bound, (seed, k)
+
+
+def _float_ring(n, seed):
+    """The reweighted float ring of the rounding-bound test above."""
+    base = ring_with_chords(n, 3 * n, seed=1500 + seed, chord_lo=1)
+    rng = random.Random(seed)
+    p = [rng.uniform(-50, 50) for _ in range(n)]
+    return build_graph(n, [(u, v, w + p[u] - p[v]) for (u, v, w) in base.edges])
+
+
+def test_top_level_lift_starts_from_the_closed_matrix_alone():
+    # The closed hub matrix seeds every top-level vertex in both directions,
+    # so the forward rows add no reverse seed there.  On float ring 30 the
+    # forward rows differ from the matrix in a last bit, so reverse rows
+    # seeded from them would come out different.
+    n = 64
+    for seed in range(28, 32):
+        g = _float_ring(n, seed)
+        closed = minplus_closure(build_hub_graph(g, range(n), 1))
+        out = lift_level(g, range(n), closed, 1)
+        assert out.from_hub.tobytes() == relax(g, closed.values, 3).tobytes()
+        assert out.to_hub.tobytes() == relax(g.reverse(), closed.values.T, 3).tobytes()
+
+
+def test_apsp_d_one_float_rows_are_pinned():
+    # At d=1 the only level is the top one, which starts from the closed hub
+    # matrix alone, so its float rows stay bit for bit as pinned here.
+    n = 64
+    pins = ["d4e22048e44c73a39e4f9575243163cd69812f47a954fd045f78b64965519dc9",
+            "d5d7f87418f3d3be6198702af014e1d0969e2f423774616801a0679308338809",
+            "8aaef51e27dff1cd03da2cb82e65f9540dec17960b6e7435a83c0d75fe394b07"]
+    for seed, pin in enumerate(pins):
+        got = apsp(_float_ring(n, seed), 1).dist.values
+        assert hashlib.sha256(got.tobytes()).hexdigest() == pin, seed
 
 
 def test_apsp_result_invariants():

@@ -24,6 +24,7 @@ from hubapsp.bellman_ford import NumberOps, _label_run, relax
 from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
 from hubapsp.hubs import build_hub_hierarchy
+from hubapsp import minplus
 from hubapsp.minplus import LevelDistances, lift_level
 from reference_engine import _run_multi_generic
 from reference_step import assert_same_bytes, min_in_edges_reference, relax_reference
@@ -161,11 +162,36 @@ def test_lift_steps_only_changing_rows(monkeypatch):
     out = lift_level(g, level, known, h)
     rows = sum(seen)
     # Both directions run every new vertex of the level; without the freeze
-    # each of those rows would be stepped all 2h+1 times.
+    # each of those rows would be stepped all 2h+1 times.  The reverse rows
+    # also start from the forward pass's exact distances between new vertices.
     assert rows < 2 * new * (2 * h + 1)
-    assert (new, rows) == (25, 383)
+    assert (new, rows) == (25, 324)
     dist = floyd_warshall_oracle(g)
     assert np.array_equal(out.from_hub, dist[sorted(level)])
+
+
+def test_apsp_lift_steps_from_the_kept_rows(monkeypatch):
+    # apsp's lift starts each level's forward rows from the hierarchy's kept
+    # 2h-hop rows; below level 16 it steps fewer rows than from unit rows.
+    g = _ring_level()[0]
+    seen = _spy(monkeypatch)
+    steps = {}
+    real = minplus.lift_level
+
+    def counting(g, level, known, h, meter=None, **kw):
+        before = sum(seen)
+        out = real(g, level, known, h, meter, **kw)
+        steps[h] = sum(seen) - before
+        return out
+
+    monkeypatch.setattr(minplus, "lift_level", counting)
+    res = minplus.apsp(g, 16)
+    assert np.array_equal(res.dist.values, floyd_warshall_oracle(g))
+    # Level 8 runs the same 25 new vertices as above: 174 row-steps from the
+    # kept rows against 324 from unit rows.  Level 16 is the top level, which
+    # keeps no rows.  At level 1 every reverse row starts exact and takes one
+    # step: 28 new vertices, 2 forward steps and 1 reverse step each.
+    assert steps == {16: 200, 8: 174, 4: 144, 2: 111, 1: 84}
 
 
 def test_relax_stops_after_the_last_change(monkeypatch):
