@@ -341,6 +341,20 @@ def _min_in_edges(g: Digraph, cur: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weight_dtype_labels(g: Digraph, labels) -> np.ndarray:
+    """A copy of ``labels`` in the dtype of g's weights.
+
+    On an object graph no finite label may be a float, since a float would
+    turn each sum it enters into a rounded float.
+    """
+    a = np.array(labels, dtype=g._in_arrays()[1].dtype)
+    if a.dtype == object and any(isinstance(x, (float, np.floating))
+                                 for x in a[a != INF]):
+        raise ValueError("labels on exact weights take exact values "
+                         "(ints or inf, or Fractions), not floats")
+    return a
+
+
 def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     """Apply ``steps`` snapshot steps to an (S, n) array of start rows.
 
@@ -349,9 +363,8 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     ``row[t] + (weight of a t-to-v walk of at most steps hops)`` over all
     t, so from a row that is 0 at s and infinite elsewhere it is
     ``bf_run(g, s, steps)``'s last label row.  The input is not modified.
-    The result takes the dtype of g's weights; on an object graph no finite
-    start value may be a float, since a float would turn each sum it
-    enters into a rounded float.
+    The result takes the dtype of g's weights; on an object graph a float
+    start value raises ValueError (`_weight_dtype_labels`).
 
     A step reads only the row it writes, so a row that one step leaves
     exactly as it was is a fixed point: every later step leaves it so too.
@@ -365,13 +378,9 @@ def relax(g: Digraph, rows, steps: int) -> np.ndarray:
     table, with no gather or scatter of rows; once a row settles, each
     step gathers the moving rows and writes back those that moved.
     """
-    a = np.array(rows, dtype=g._in_arrays()[1].dtype)
+    a = _weight_dtype_labels(g, rows)
     if a.ndim != 2 or a.shape[1] != g.n:
         raise ValueError(f"start rows must have shape (S, {g.n})")
-    if a.dtype == object and any(isinstance(x, (float, np.floating))
-                                 for x in a[a != INF]):
-        raise ValueError("start rows on exact weights take exact values "
-                         "(ints or inf, or Fractions), not floats")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     bits = (lambda x: x) if a.dtype == object else (lambda x: x.view(np.int64))
@@ -519,9 +528,11 @@ def bf_step(g: Digraph, current) -> Tuple[np.ndarray, List[Optional[int]]]:
 
     Returns the next row and the predecessor vertex per strictly improved
     vertex (None elsewhere).  The result is a pure function of ``current``;
-    evaluation order cannot leak into it.
+    evaluation order cannot leak into it.  The row takes the dtype of g's
+    weights; on an object graph a float label raises ValueError
+    (`_weight_dtype_labels`).
     """
-    cur = np.asarray(current, dtype=g._in_arrays()[1].dtype)
+    cur = _weight_dtype_labels(g, current)
     if cur.shape != (g.n,):
         raise ValueError(f"label row must have length {g.n}")
     nxt = cur.copy()

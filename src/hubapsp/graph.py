@@ -138,9 +138,12 @@ class Digraph:
           packed integer weights (`parametric._Resolver`); the difference
           of two of its labels, which it unpacks to compare them, stays
           below 3n*W.
-        - the lift of level h seeds exact distances, at most (n-1)*W, and
-          steps 2h+1 <= 2d+1 <= 2n+1 times from them: at most 3n*W.  This
-          is the case that sets the factor.  Below the top level a forward
+        - the lift of level h seeds exact distances, at most (n-1)*W (to
+          and from the level above, read off `apsp`'s forward and reverse
+          matrices, and in a reverse row those the forward pass has just
+          computed), and steps 2h+1 <= 2d+1 <= 2n+1 times from them: at
+          most 3n*W.  This is the case that sets the factor.  Below the
+          top level a forward
           start row may also hold the hierarchy's kept row, a walk of at
           most 2h <= d <= n hops, at most n*W; its 2h+1 <= n+1 steps then
           reach at most (2n+1)*W, still within 3n*W.

@@ -244,8 +244,8 @@ class _Carry:
     ``kept``, when it is a list, also gets one array per level from `keep`:
     the last label row (row 2h, the 2h-hop distances) of each source that
     the next level drops, in source order.  Those sources are exactly the
-    vertices `minplus.lift_level` runs at that level, which starts them
-    from these rows.
+    new vertices that `minplus.apsp` lifts at that level, and
+    `minplus.lift_level` starts their forward rows from these rows.
     """
 
     __slots__ = ("run", "kept")

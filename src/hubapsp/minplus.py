@@ -3,15 +3,18 @@
 The pipeline trades depth for work through one knob d: build hub levels up
 to H_d, weight the complete graph on H_d by (d+1)-hop distances, close it
 by repeated min-plus squaring until it stops changing, then lift exact
-distances back down the levels with short label runs whose start rows
-already hold the known distances to every higher-level hub.  A vertex of
-the level above already has its exact full rows, so only the level's new
-vertices run.  Below the top level, their rows start closer still: a
-forward row also takes the 2h-hop row that the hierarchy's own label run
-computed from the vertex (kept for it when the next level dropped it), and
-a reverse row the exact distances that the forward pass has just computed
-from the level's other new vertices.  Small d pushes the effort into the
-dense closure; large d pushes it into the label runs.
+distances back down the levels with short label runs.  `apsp` keeps one
+n x n forward and one n x n reverse distance matrix.  Each level's lift
+runs only the level's new vertices (all of the top level, and below it the
+vertices of L_k not in L_{k+1}) and writes their rows into both; the level
+below reads its seeds, the exact distances to and from every vertex of its
+level above, as blocks of those rows.  Below the top level the start rows
+are closer still: a forward row also takes the 2h-hop row that the
+hierarchy's own label run computed from the vertex (kept for it when the
+next level dropped it), and a reverse row the exact distances that the
+forward pass has just computed from the level's other new vertices.
+Small d pushes the effort into the dense closure; large d pushes it into
+the label runs.
 
 Each squaring is semi-naive: a term D(i,l) + D(l,j) whose two operands the
 previous product left unchanged was already compared there, so a product
@@ -28,8 +31,8 @@ distances to every higher hub, or to every vertex of the level on the
 bottom level's reverse pass, and settle within a few of their 2h+1 steps.
 As with the closure, the meter still charges every row all of its steps:
 d+1 for a hub-graph row, 2h+1 for a lift row.  Float distances below the
-top level may differ in their last bits from a lift without those start
-rows, within the README's bound.
+top level may differ in their last bits from a lift without the kept and
+forward-pass start rows, within the README's bound.
 
 Every matrix and row here takes the dtype of the graph's weight array
 (`Digraph._in_arrays`), so integer weights too large for float64 give
@@ -40,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,19 +77,6 @@ class DistMatrix:
     def entry(self, u: int, v: int):
         """The (u, v) value as a Python float, or int on an object matrix."""
         return self.values.item(self.index.index(u), self.index.index(v))
-
-
-@dataclass(frozen=True)
-class LevelDistances:
-    """Exact distances between one hub level and all of V, both directions.
-
-    Row j of `from_hub` is dist(vertices[j], .); row j of `to_hub` is
-    dist(., vertices[j]).  Every row is exact and full, so the level below
-    can copy the rows of the vertices it shares with this one.
-    """
-    vertices: Tuple[int, ...]
-    from_hub: np.ndarray
-    to_hub: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -296,57 +286,49 @@ def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,
     return DistMatrix(hubs, values)
 
 
-def lift_level(g: Digraph, level: Iterable[int],
-               known: Union[LevelDistances, DistMatrix], h: int,
+def lift_level(g: Digraph, new: Iterable[int], above: Iterable[int],
+               fwd_seeds: np.ndarray, rev_seeds: np.ndarray, h: int,
                meter: Optional[CostMeter] = None, *,
-               _kept: Optional[np.ndarray] = None) -> LevelDistances:
-    """Exact distances for a lower hub level from the level above it.
+               _kept: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact rows of a level's new vertices from their distances to the level above.
 
-    ``known`` is the level above, or for the top level the closed hub
-    graph, whose index must cover the level (ValueError names a vertex it
-    misses).  ``h`` must be at least 1.  A vertex that ``known`` holds
-    as a `LevelDistances` row copies its exact rows.  Every other source's
-    forward start row holds 0 at the source and the known exact distance to
-    every higher-level hub, then takes 2h+1 label steps.  Any shortest path
-    longer than that detours onto a higher-level hub within its last h
-    hops, so the seeded hub plus the tail fits in the step budget.
+    Returns ``(fwd, rev)``: row i of ``fwd`` is dist(new_i, .) and row i of
+    ``rev`` is dist(., new_i), both over all of V.  ``new`` and ``above``
+    are read as sorted vertex sets; the seeds follow that order, with
+    ``fwd_seeds[i, j]`` = dist(new_i, above_j) and ``rev_seeds[i, j]`` =
+    dist(above_j, new_i), each of shape (len(new), len(above)).  ``h``
+    must be at least 1.  At the top level `apsp` passes the closed hub
+    matrix and its transpose, with ``new`` = ``above`` = H_d.
+
+    Each forward start row holds the seeds, 0 at its own vertex and
+    infinity elsewhere, then takes 2h+1 label steps.  Any shortest path
+    longer than that detours onto a vertex of ``above`` within its last h
+    hops, so the seeded vertex plus the tail fits in the step budget.
     ``_kept``, which `apsp` passes below the top level, holds one row per
-    new source in source order, each the value of some walk from it (the
+    new vertex in order, each the value of some walk from it (the
     hierarchy's 2h-hop row, `hubs._Carry`); the start row takes the least
     of the two, entry by entry, which leaves every value an upper bound on
     the distance and so does not change the fixed point.
 
-    A reverse-graph pass fills the distances into the level.  Its start
-    rows hold the exact distances from every higher-level hub and, below
-    the top level, from every other new source, which the forward pass has
-    just computed; the held vertices are higher-level hubs, so every vertex
-    of the level then starts exact.  At the top level the closed hub matrix
-    already seeds every vertex of the level.  `relax` stops stepping a row
-    once it stops changing, which for most rows is well before the budget
-    ends; the meter charges every new source all 2h+1 steps in each
-    direction.
+    A reverse-graph pass gives the distances into the new vertices.  Its
+    start rows hold the reverse seeds and, at every new vertex that
+    ``above`` does not seed, the exact distance that the forward pass has
+    just computed; at the top level ``above`` seeds every new vertex, so
+    its rows start from the closed matrix alone.  `relax` stops stepping a
+    row once it stops changing, which for most rows is well before the
+    budget ends; the meter charges every new vertex all 2h+1 steps and a
+    read of its seeds in each direction.
     """
     if h < 1:
         raise ValueError("hop bound must be at least 1")
-    sources = g._vertex_set(level)
-    steps = 2 * h + 1
-    top = isinstance(known, DistMatrix)
-    if top:
-        at = {v: i for i, v in enumerate(known.index)}
-        missing = [s for s in sources if s not in at]
-        if missing:
-            raise ValueError(f"level vertex {missing[0]} is missing from "
-                             "the known hub matrix")
-        pos = [at[s] for s in sources]
-        new, held = sources, []
-        fwd_seeds, rev_seeds = known.values[pos], known.values[:, pos].T
-    else:
-        at = {v: i for i, v in enumerate(known.vertices)}
-        new = [s for s in sources if s not in at]
-        held = [s for s in sources if s in at]
-        fwd_seeds, rev_seeds = known.to_hub[:, new].T, known.from_hub[:, new].T
-    cols = np.asarray(list(at), dtype=np.int64)
+    new = np.asarray(g._vertex_set(new), dtype=np.int64)
+    cols = np.asarray(g._vertex_set(above), dtype=np.int64)
     S = len(new)
+    for seeds in (fwd_seeds, rev_seeds):
+        if np.shape(seeds) != (S, len(cols)):
+            raise ValueError(f"seed block shape {np.shape(seeds)} is not "
+                             f"(len(new), len(above)) = {(S, len(cols))}")
+    steps = 2 * h + 1
     dtype = g._in_arrays()[1].dtype
 
     def start(seeds):
@@ -364,12 +346,6 @@ def lift_level(g: Digraph, level: Iterable[int],
                     [(steps * w + len(cols), steps * dep + 1)] * S)
         return rows
 
-    def full(rows, above):
-        out = np.empty((len(sources), g.n), dtype=dtype)
-        out[np.searchsorted(sources, new)] = rows
-        out[np.searchsorted(sources, held)] = above[[at[s] for s in held]]
-        return out
-
     fwd = start(fwd_seeds)
     if _kept is not None:
         np.minimum(fwd, _kept, out=fwd)
@@ -377,12 +353,9 @@ def lift_level(g: Digraph, level: Iterable[int],
         del _kept
     fwd = lifted(g, fwd)
     rev = start(rev_seeds)
-    if not top:
-        rev[:, new] = fwd[:, new].T
-    rev = lifted(g.reverse(), rev)
-    if held:
-        fwd, rev = full(fwd, known.from_hub), full(rev, known.to_hub)
-    return LevelDistances(sources, fwd, rev)
+    unseeded = ~np.isin(new, cols)
+    rev[:, new[unseeded]] = fwd[unseeded][:, new].T
+    return fwd, lifted(g.reverse(), rev)
 
 
 def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
@@ -426,13 +399,24 @@ def apsp(g: Digraph, d_requested: int) -> Union[ApspResult, NegativeCycle]:
                                  "detector cannot find")
         return witness
 
-    # The closure values seed the top level's lift, standing in for a level 2d.
-    known = closed
+    # Each level's lift writes the rows of its new vertices, dist(v, .) into
+    # fwd and dist(., v) into rev; the level below reads its seeds off the
+    # rows of its level above.  Levels run top-down, so a vertex new at two
+    # levels keeps the lower level's rows.  The closed hub matrix seeds the
+    # top level, standing in for a level 2d.
+    fwd = np.empty((n, n), dtype=closed.values.dtype)
+    rev = np.empty((n, n), dtype=fwd.dtype)
+    new = above = top
+    seeds = closed.values, closed.values.T
     with meter.phase("lift"):
         for k in range(K, -1, -1):
+            if k < K:
+                above = sorted(built.levels[k + 1])
+                new = sorted(built.levels[k] - built.levels[k + 1])
+                block = np.ix_(above, new)
+                seeds = rev[block].T, fwd[block].T
             with meter.phase(f"level-{1 << k}"):
-                known = lift_level(g, built.levels[k], known, 1 << k, meter,
-                                   _kept=kept.pop() if k < K else None)
+                fwd[new], rev[new] = lift_level(g, new, above, *seeds, 1 << k, meter,
+                                                _kept=kept.pop() if k < K else None)
 
-    dist = DistMatrix(tuple(range(n)), known.from_hub)
-    return ApspResult(dist, built, meter.report())
+    return ApspResult(DistMatrix(tuple(range(n)), fwd), built, meter.report())

@@ -20,8 +20,7 @@ from hubapsp.generate import (negative_cycle_free, random_digraph, random_timed,
 from hubapsp.graph import (INF, Digraph, build_graph, floyd_warshall_oracle,
                            hop_limited_oracle)
 from hubapsp.hubs import NegativeCycle, shortest_negative_cycle
-from hubapsp.minplus import (ApspResult, LevelDistances, apsp, build_hub_graph,
-                             lift_level)
+from hubapsp.minplus import ApspResult, apsp, build_hub_graph, lift_level
 from hubapsp.parametric import TimedDigraph, _Resolver
 from reference_engine import _run_multi_generic
 from reference_step import bf_step_python, edge_tables
@@ -142,11 +141,12 @@ def test_vertex_ids_must_be_integers():
     # A float id was once truncated: source 1.5 ran as source 1.
     g = build_graph(3, RING3)
     dist = floyd_warshall_oracle(g)
-    known = LevelDistances((2,), dist[[2], :], dist[:, [2]].T)
+    seeds = dist[[0, 1], 2:], dist[2:, [0, 1]].T
     calls = [lambda vs: bf_run_multi(g, vs, 2),
              lambda vs: _label_run(g, vs, 2, NumberOps()),
              lambda vs: build_hub_graph(g, vs, 2),
-             lambda vs: lift_level(g, vs, known, 1)]
+             lambda vs: lift_level(g, vs, [2], *seeds, 1),
+             lambda vs: lift_level(g, [0, 1], vs, *seeds, 1)]
     for call in calls:
         for vs in ([1.5], [0, 1.0], [np.float64(1)]):
             with pytest.raises(TypeError):
@@ -155,7 +155,7 @@ def test_vertex_ids_must_be_integers():
     assert bf_run_multi(g, ids, 2).sources == (0, 1)
     assert _label_run(g, ids, 2, NumberOps()).sources == (0, 1)
     assert build_hub_graph(g, ids, 2).index == (0, 1)
-    assert lift_level(g, ids, known, 1).vertices == (0, 1)
+    assert np.array_equal(lift_level(g, ids, [2], *seeds, 1)[0], dist[[0, 1]])
     with pytest.raises(TypeError):
         bf_run(g, 1.5, 2)
 
@@ -483,3 +483,17 @@ def test_exact_weights_refuse_floats():
     assert relax(g, rows, 2).tolist() == [[0, Fraction(1, 3)]]
     with pytest.raises(ValueError, match="not floats"):
         relax(g, np.array([[0.5, INF]]), 1)
+
+
+@pytest.mark.parametrize("w", [2 ** 60 + 1, Fraction(1, 3)])
+def test_float_labels_are_refused_on_exact_graphs(w):
+    # bf_step once took a float row on an exact graph and rounded the sum:
+    # 0.0 + (2**60 + 1) came back as the float 2**60.
+    g = build_graph(3, [(0, 1, w), (1, 2, 1), (2, 0, 1)])
+    assert g._in_arrays()[1].dtype == object
+    row = [0.0, INF, INF]
+    for call in (lambda: bf_step(g, row), lambda: relax(g, [row], 1)):
+        with pytest.raises(ValueError, match="ints or inf"):
+            call()
+    nxt, parents = bf_step(g, [0, INF, INF])
+    assert nxt[1] == w and type(nxt[1]) is type(w) and parents[1] == 0

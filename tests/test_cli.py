@@ -306,6 +306,14 @@ def test_deeper_apsp_prints_the_pinned_distances(tmp_path, d):
     assert block(doc) == block((GOLDEN / "apsp-ring64.txt").read_text())
 
 
+def test_multi_level_apsp_matches_golden_document(tmp_path):
+    # At d=16 apsp lifts through five hub levels, which are not nested;
+    # the meter report pins every level's lift, not only the distances.
+    code, doc = run(tmp_path, ["apsp", "--d", "16", str(DATA / "ring64.gr")])
+    assert code == 0
+    assert doc == (GOLDEN / "apsp-ring64-d16.txt").read_text()
+
+
 def test_module_entry_point_prints_the_golden_document():
     # `python -m hubapsp` (`__main__.py`) writes the document to standard
     # output; run from the repository root on the source tree.

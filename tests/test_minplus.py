@@ -22,7 +22,6 @@ from reference_step import assert_same_bytes, relax_reference
 from hubapsp.minplus import (
     ApspResult,
     DistMatrix,
-    LevelDistances,
     NegativeDiagonal,
     apsp,
     build_hub_graph,
@@ -168,48 +167,55 @@ def test_hub_graph_weights_are_hop_bounded_distances():
                 assert out.values[i, j] == want[u, v]
 
 
+def _seeds(dist, new, above):
+    """The seed blocks of a lift of ``new`` below ``above`` from exact distances."""
+    return dist[np.ix_(new, above)], dist[np.ix_(above, new)].T
+
+
 def test_lift_is_idempotent_on_exact_levels():
     g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
     dist = floyd_warshall_oracle(g)
-    hubs = (0, 1)
-    known = LevelDistances(hubs, dist[list(hubs), :], dist[:, list(hubs)].T)
-    out = lift_level(g, hubs, known, 1)
-    assert np.array_equal(out.from_hub, known.from_hub)
-    assert np.array_equal(out.to_hub, known.to_hub)
+    hubs = [0, 1]
+    fwd, rev = lift_level(g, hubs, hubs, *_seeds(dist, hubs, hubs), 1)
+    assert np.array_equal(fwd, dist[hubs])
+    assert np.array_equal(rev, dist[:, hubs].T)
 
 
-def _lift_from_scratch(g, level, known, h):
-    """Every source of the level runs 2h+1 steps from its seeded rows."""
-    sources = sorted(level)
-    cols = list(known.vertices)
+def _lift_from_scratch(g, sources, above, dist, h):
+    """Every source runs 2h+1 steps from its rows seeded at ``above``."""
 
     def run(host, seeds):
         rows = np.full((len(sources), g.n), INF, dtype=g._in_arrays()[1].dtype)
-        rows[:, cols] = seeds[:, sources].T
+        rows[:, above] = seeds
         rows[np.arange(len(sources)), sources] = 0
         return relax(host, rows, 2 * h + 1)
 
-    return run(g, known.to_hub), run(g.reverse(), known.from_hub)
+    return tuple(map(run, (g, g.reverse()), _seeds(dist, sources, above)))
 
 
 def test_lift_copies_shared_rows_and_equals_a_lift_from_scratch():
+    # A level's rows are those of its vertices shared with the level above,
+    # which the lift leaves alone, and the lifted rows of its new vertices;
+    # together they are the rows every vertex of the level gets from scratch.
     shared = 0
     for seed in range(12):
         g = negative_cycle_free(16, 0.25, -4, 12, seed=980 + seed)
         hier = build_hub_hierarchy(g, 4)
         dist = floyd_warshall_oracle(g)
         for k in (0, 1):
+            level = sorted(hier.levels[k])
             upper = sorted(hier.levels[k + 1])
-            known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
+            new = sorted(hier.levels[k] - hier.levels[k + 1])
             meter = CostMeter()
-            out = lift_level(g, hier.levels[k], known, 1 << k, meter)
-            want_from, want_to = _lift_from_scratch(g, hier.levels[k], known, 1 << k)
-            assert np.array_equal(out.from_hub, want_from), (seed, k)
-            assert np.array_equal(out.to_hub, want_to), (seed, k)
+            got = lift_level(g, new, upper, *_seeds(dist, new, upper), 1 << k, meter)
+            want = _lift_from_scratch(g, level, upper, dist, 1 << k)
+            pos = np.searchsorted(level, new)
+            for mine, scratch, exact in zip(got, want, (dist, dist.T)):
+                assert np.array_equal(mine, scratch[pos]), (seed, k)
+                assert np.array_equal(scratch, exact[level]), (seed, k)
             # Only the level's vertices missing above run, in both directions.
-            new = len(hier.levels[k] - hier.levels[k + 1])
             w, _ = g._step_cost()
-            assert meter.report().total_work == 2 * new * (
+            assert meter.report().total_work == 2 * len(new) * (
                 (2 * (1 << k) + 1) * w + len(upper))
             shared += len(hier.levels[k] & hier.levels[k + 1])
     assert shared > 0
@@ -249,13 +255,13 @@ def test_lift_from_kept_rows_equals_a_lift_from_scratch(kind):
             upper = sorted(hier.levels[k + 1])
             new = sorted(hier.levels[k] - hier.levels[k + 1])
             assert kept[k].shape == (len(new), g.n)
-            known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
-            want_from, want_to = _lift_from_scratch(g, hier.levels[k], known, 1 << k)
-            assert_same_bytes(want_from, dist[sorted(hier.levels[k])])
+            want_from, want_to = _lift_from_scratch(g, new, upper, dist, 1 << k)
+            assert_same_bytes(want_from, dist[new])
             for rows in (None, kept[k]):
-                out = lift_level(g, hier.levels[k], known, 1 << k, _kept=rows)
-                assert_same_bytes(out.from_hub, want_from)
-                assert_same_bytes(out.to_hub, want_to)
+                fwd, rev = lift_level(g, new, upper, *_seeds(dist, new, upper),
+                                      1 << k, _kept=rows)
+                assert_same_bytes(fwd, want_from)
+                assert_same_bytes(rev, want_to)
             kept_levels += len(new) > 0
         for d in (1, 2, 4, 8, 16):
             res = apsp(g, d)
@@ -265,22 +271,39 @@ def test_lift_from_kept_rows_equals_a_lift_from_scratch(kind):
     assert kept_levels > 6
 
 
+@pytest.mark.parametrize("kind", ["int", "big-int", "fraction"])
+def test_apsp_reads_no_unwritten_row(poisoned_empty, kind):
+    # apsp's forward and reverse matrices start unwritten: each level reads
+    # its seeds only off rows that a level above it wrote, and the bottom
+    # level, with every level above it, writes every row.
+    for seed in range(3):
+        g = _exact_kinds(2100 + seed)[kind]
+        dist = _distances(g)
+        for d in (1, 2, 4, 8, 16):
+            assert_same_bytes(apsp(g, d).dist.values, dist)
+
+
 def test_lift_rejects_a_hop_bound_below_one():
     # With h = 0 the lift ran one step and returned inf for dist(0, 2) = 2.
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     dist = floyd_warshall_oracle(g)
-    known = LevelDistances((3,), dist[[3], :], dist[:, [3]].T)
-    assert lift_level(g, [0], known, 1).from_hub[0, 2] == 2
+    seeds = _seeds(dist, [0], [3])
+    assert lift_level(g, [0], [3], *seeds, 1)[0][0, 2] == 2
     for h in (0, -1):
         with pytest.raises(ValueError, match="hop bound must be at least 1"):
-            lift_level(g, [0], known, h)
+            lift_level(g, [0], [3], *seeds, h)
 
 
-def test_lift_rejects_a_hub_matrix_missing_a_level_vertex():
+def test_lift_rejects_seed_blocks_of_the_wrong_shape():
+    # Seeds are one row per new vertex and one column per vertex above;
+    # the closed hub matrix of another vertex set does not fit.
     g = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    known = minplus_closure(build_hub_graph(g, (0, 2), 1))
-    with pytest.raises(ValueError, match="level vertex 1 is missing"):
-        lift_level(g, [0, 1], known, 1)
+    closed = minplus_closure(build_hub_graph(g, (0, 2), 1)).values
+    with pytest.raises(ValueError, match="seed block shape"):
+        lift_level(g, [0, 1, 2], [0, 1, 2], closed, closed.T, 1)
+    fwd, rev = _seeds(floyd_warshall_oracle(g), [0, 1], [2])
+    with pytest.raises(ValueError, match=r"seed block shape \(1, 2\)"):
+        lift_level(g, [0, 1], [2], fwd, rev.T, 1)
 
 
 @pytest.mark.parametrize("H", [[-1, 0], [0, 3]])
@@ -293,29 +316,25 @@ def test_build_hub_graph_rejects_out_of_range_hubs(H):
 @pytest.mark.parametrize("level", [[-1], [0, 3]])
 def test_lift_level_rejects_out_of_range_vertices(level):
     g = build_graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    dist = floyd_warshall_oracle(g)
-    known = LevelDistances((1,), dist[[1], :], dist[:, [1]].T)
+    seeds = np.zeros((len(level), 1))
     with pytest.raises(ValueError, match="out of range"):
-        lift_level(g, level, known, 1)
+        lift_level(g, level, [1], seeds, seeds, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        lift_level(g, [1], level, seeds.T, seeds.T, 1)
 
 
 def test_lift_combines_aux_shortcut_with_real_edges():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    upper = (2,)
     dist = floyd_warshall_oracle(g)
-    known = LevelDistances(upper, dist[[2], :], dist[:, [2]].T)
-    out = lift_level(g, (0,), known, 1)
-    assert out.vertices == (0,)
-    assert out.from_hub[0][3] == 3
+    fwd, rev = lift_level(g, [0], [2], *_seeds(dist, [0], [2]), 1)
+    assert fwd.shape == rev.shape == (1, 4)
+    assert fwd[0][3] == 3
 
 
 def test_lift_isolated_source_row():
     g = build_graph(3, [(1, 2, 1)])
-    upper = (2,)
     dist = floyd_warshall_oracle(g)
-    known = LevelDistances(upper, dist[[2], :], dist[:, [2]].T)
-    out = lift_level(g, (0,), known, 1)
-    row = out.from_hub[0]
+    row = lift_level(g, [0], [2], *_seeds(dist, [0], [2]), 1)[0][0]
     assert row[0] == 0 and row[1] == INF and row[2] == INF
 
 
@@ -397,20 +416,36 @@ def test_top_level_lift_starts_from_the_closed_matrix_alone():
     for seed in range(28, 32):
         g = _float_ring(n, seed)
         closed = minplus_closure(build_hub_graph(g, range(n), 1))
-        out = lift_level(g, range(n), closed, 1)
-        assert out.from_hub.tobytes() == relax(g, closed.values, 3).tobytes()
-        assert out.to_hub.tobytes() == relax(g.reverse(), closed.values.T, 3).tobytes()
+        fwd, rev = lift_level(g, range(n), range(n), closed.values, closed.values.T, 1)
+        assert fwd.tobytes() == relax(g, closed.values, 3).tobytes()
+        assert rev.tobytes() == relax(g.reverse(), closed.values.T, 3).tobytes()
 
 
-def test_apsp_d_one_float_rows_are_pinned():
-    # At d=1 the only level is the top one, which starts from the closed hub
-    # matrix alone, so its float rows stay bit for bit as pinned here.
-    n = 64
-    pins = ["d4e22048e44c73a39e4f9575243163cd69812f47a954fd045f78b64965519dc9",
-            "d5d7f87418f3d3be6198702af014e1d0969e2f423774616801a0679308338809",
-            "8aaef51e27dff1cd03da2cb82e65f9540dec17960b6e7435a83c0d75fe394b07"]
-    for seed, pin in enumerate(pins):
-        got = apsp(_float_ring(n, seed), 1).dist.values
+FLOAT_ROW_PINS = {
+    # At d=1 the only level is the top one, which starts from the closed
+    # hub matrix alone.
+    1: ["d4e22048e44c73a39e4f9575243163cd69812f47a954fd045f78b64965519dc9",
+        "d5d7f87418f3d3be6198702af014e1d0969e2f423774616801a0679308338809",
+        "8aaef51e27dff1cd03da2cb82e65f9540dec17960b6e7435a83c0d75fe394b07"],
+    # Below the top level, rows also start from the kept rows and, in the
+    # reverse pass, from the forward pass's rows.
+    4: ["ab1e8a632e91f9b0991d7324bc11b2f60cf8d69ac42dbf2a300d0e4c0717e98f",
+        "4dcafc7012b0b595f2f80aaf6a8857665473d0f6ad3fbddb826141efa257a45e",
+        "5ebf93444c24876cbe0a45ff10e939f3888b0a9692db3d36a2a68c0e242c201e"],
+    16: ["505edfbe44109d13164564001b2dd31c636ee366fa49e01ed77e2a4311caea1d",
+         "2360fcc9f51b76b2d63a183a890aa7b6c7a46918be80ac2c1e973e30f8196f71",
+         "d4340a98cc863f6824cedcba9c1d7fb01a9cfa9cf33cb85d9cf6cf56298fe7cd"],
+    64: ["ac5025f3705d592111f70a8f8e43f9a14ad328bd0fdf3cdc5f2b29046e0923d9",
+         "2360fcc9f51b76b2d63a183a890aa7b6c7a46918be80ac2c1e973e30f8196f71",
+         "d4340a98cc863f6824cedcba9c1d7fb01a9cfa9cf33cb85d9cf6cf56298fe7cd"],
+}
+
+
+@pytest.mark.parametrize("d", sorted(FLOAT_ROW_PINS))
+def test_apsp_float_rows_are_pinned(d):
+    # Float distances at every level stay bit for bit as pinned here.
+    for seed, pin in enumerate(FLOAT_ROW_PINS[d]):
+        got = apsp(_float_ring(64, seed), d).dist.values
         assert hashlib.sha256(got.tobytes()).hexdigest() == pin, seed
 
 

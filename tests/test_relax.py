@@ -25,7 +25,7 @@ from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
 from hubapsp.hubs import build_hub_hierarchy
 from hubapsp import minplus
-from hubapsp.minplus import LevelDistances, lift_level
+from hubapsp.minplus import lift_level
 from reference_engine import _run_multi_generic
 from reference_step import assert_same_bytes, min_in_edges_reference, relax_reference
 
@@ -141,7 +141,8 @@ def _spy(monkeypatch):
 
 
 def _ring_level(n=96, h=8):
-    """A reweighted ring, its level h and the exact rows of the level above."""
+    """A reweighted ring, the new vertices of its level h, the level above
+    and the exact distances."""
     base = ring_with_chords(n, 3 * n, 7)
     rng = random.Random(1)
     p = [rng.randint(-50, 50) for _ in range(n)]
@@ -149,25 +150,23 @@ def _ring_level(n=96, h=8):
     levels = build_hub_hierarchy(g, 2 * h).levels
     k = h.bit_length() - 1
     upper = sorted(levels[k + 1])
-    dist = floyd_warshall_oracle(g)
-    known = LevelDistances(tuple(upper), dist[upper], dist[:, upper].T)
-    return g, levels[k], known
+    new = sorted(levels[k] - levels[k + 1])
+    return g, new, upper, floyd_warshall_oracle(g)
 
 
 def test_lift_steps_only_changing_rows(monkeypatch):
-    g, level, known = _ring_level()
+    g, new, upper, dist = _ring_level()
     h = 8
-    new = len(level - set(known.vertices))
     seen = _spy(monkeypatch)
-    out = lift_level(g, level, known, h)
+    fwd, _ = lift_level(g, new, upper, dist[np.ix_(new, upper)],
+                        dist[np.ix_(upper, new)].T, h)
     rows = sum(seen)
     # Both directions run every new vertex of the level; without the freeze
     # each of those rows would be stepped all 2h+1 times.  The reverse rows
     # also start from the forward pass's exact distances between new vertices.
-    assert rows < 2 * new * (2 * h + 1)
-    assert (new, rows) == (25, 324)
-    dist = floyd_warshall_oracle(g)
-    assert np.array_equal(out.from_hub, dist[sorted(level)])
+    assert rows < 2 * len(new) * (2 * h + 1)
+    assert (len(new), rows) == (25, 324)
+    assert np.array_equal(fwd, dist[new])
 
 
 def test_apsp_lift_steps_from_the_kept_rows(monkeypatch):
@@ -178,9 +177,9 @@ def test_apsp_lift_steps_from_the_kept_rows(monkeypatch):
     steps = {}
     real = minplus.lift_level
 
-    def counting(g, level, known, h, meter=None, **kw):
+    def counting(g, new, above, fwd_seeds, rev_seeds, h, meter=None, **kw):
         before = sum(seen)
-        out = real(g, level, known, h, meter, **kw)
+        out = real(g, new, above, fwd_seeds, rev_seeds, h, meter, **kw)
         steps[h] = sum(seen) - before
         return out
 
@@ -195,10 +194,9 @@ def test_apsp_lift_steps_from_the_kept_rows(monkeypatch):
 
 
 def test_relax_stops_after_the_last_change(monkeypatch):
-    g, level, known = _ring_level()
-    sources = sorted(level - set(known.vertices))
+    g, sources, upper, dist = _ring_level()
     rows = np.full((len(sources), g.n), INF)
-    rows[:, list(known.vertices)] = known.to_hub[:, sources].T
+    rows[:, upper] = dist[np.ix_(sources, upper)]
     rows[np.arange(len(sources)), sources] = 0.0
     last, cur = 0, rows
     for t in range(1, 60):
