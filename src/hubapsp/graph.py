@@ -159,12 +159,13 @@ class Digraph:
           change one.  On 300 random graphs with n <= 40, at every d, no
           closure entry came above 0.36*(n+1)*W.
 
-        On an object array the same bound keeps every value an engine forms
-        within the float range, where its infinity `INF` can meet it:
+        The same bound keeps every value an engine forms within the float
+        range, about 1.8e308, on either dtype.  In float64 a sum past it
+        becomes inf, which reads as unreachable; on an object array
         ``x + INF`` converts an int or a Fraction x to a float, which
-        raises OverflowError once |x| passes the largest float, about
-        1.8e308.  So exact weights with 3n*W at or past that raise
-        ValueError, W now the largest magnitude of any weight.
+        raises OverflowError once |x| passes it.  So weights of any kind
+        with 3n*W at or past that raise ValueError, W now the largest
+        magnitude of any weight.
         """
         arrs = self._cache.get("in_arrays")
         if arrs is None:
@@ -221,17 +222,21 @@ class Digraph:
         if any(issubclass(t, np.generic) for t in kinds):
             ws = [w.item() if isinstance(w, np.generic) else w for w in ws]
             kinds = set(map(type, ws))
+        big = max(map(abs, ws), default=0)
+        if 3 * self.n * big >= _FLOAT_RANGE:
+            raise ValueError("weights this large pass the float range: "
+                             "3n * max|w| must stay below 1.8e308")
         exact = kinds - {int, float}
-        ints = ws if float not in kinds else [w for w in ws if type(w) is int]
-        if not exact and 3 * self.n * max(map(abs, ints), default=0) < _EXACT_FLOAT:
+        if float in kinds:
+            # only the integers beside float weights can ask to stay exact
+            big = (max(abs(w) for w in ws if type(w) is int)
+                   if int in kinds else 0)
+        if not exact and 3 * self.n * big < _EXACT_FLOAT:
             return np.array(ws, dtype=np.float64)
         if float in kinds:
             what = "rational weights" if exact else "integer weights this large"
             raise ValueError(f"{what} need exact arithmetic, which float "
                              "weights beside them rule out")
-        if 3 * self.n * max(map(abs, ws), default=0) >= _FLOAT_RANGE:
-            raise ValueError("weights this large pass the float range: "
-                             "3n * max|w| must stay below 1.8e308")
         return np.array(ws, dtype=object)
 
     def _step_cost(self) -> Tuple[int, int]:

@@ -299,7 +299,7 @@ def evaluate_lambda(tg: TimedDigraph, lam: Real):
     One `_probe` call: exact when lam is a Fraction or an integral number
     (costs and times convert exactly whatever their type), float64 for any
     other float.  :raises ValueError: on a lam `graph._read_number` refuses,
-    or one so large that the scaled probe weights pass the float range
+    or one so large that the probe weights pass the float range
     (`graph.Digraph._in_arrays`).
     """
     out = _probe(tg, lam, prices=True)

@@ -215,6 +215,47 @@ def test_verify_rejects_an_empty_count(capsys):
         assert out.out == "" and out.err == "error: --count must be >= 1\n"
 
 
+# (argv, text of the graph file appended to argv or None, start of the
+# one stderr line)
+REFUSED = {
+    "mixed-weights": (["apsp", "--d", "2",
+                       str(DATA / "refused" / "mixed-weights.gr")], None,
+                      "error: integer weights this large need exact arithmetic"),
+    "float-range": (["apsp", "--d", "1"], "p sp 3 2\na 1 2 1e308\na 2 3 1e308\n",
+                    "error: weights this large pass the float range"),
+    "bench-empty-graph": (["bench", "--d-list", "1"], "p sp 0 0\n",
+                          "error: every d must lie in 1..0"),
+    "unwritable-out": (["negcycle", RING8], None, "error: cannot write "),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_input_is_one_error_line(tmp_path, capsys, case):
+    # Each of these once escaped as a traceback with exit status 1.
+    argv, text, want = REFUSED[case]
+    if text is not None:
+        (tmp_path / "g.gr").write_text(text)
+        argv = argv + [str(tmp_path / "g.gr")]
+    out = tmp_path / ("no-such-dir/out.txt" if case == "unwritable-out"
+                      else "out.txt")
+    assert main(argv + ["--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and "Traceback" not in got.err
+    assert len(got.err.splitlines()) == 1 and got.err.startswith(want)
+    assert not out.exists()
+
+
+def test_internal_check_failure_still_raises(monkeypatch):
+    # An AssertionError is a broken cross-check in the package, not a
+    # refused input: it must not turn into an exit status.
+    def broken(g):
+        raise AssertionError("cross-check failed")
+
+    monkeypatch.setattr("hubapsp.cli.shortest_negative_cycle", broken)
+    with pytest.raises(AssertionError, match="cross-check failed"):
+        main(["negcycle", RING8])
+
+
 def test_stdout_when_no_out_flag(capsys):
     assert main(["negcycle", CYC4]) == 0
     assert "status: no-negative-cycle" in capsys.readouterr().out

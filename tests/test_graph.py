@@ -17,7 +17,7 @@ from hubapsp.graph import (
 )
 from hubapsp.hubs import shortest_negative_cycle, verify_hub_property
 from hubapsp.minplus import apsp
-from hubapsp.parametric import TimedDigraph, evaluate_lambda
+from hubapsp.parametric import TimedDigraph, evaluate_lambda, min_mean_cycle_karp
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -153,6 +153,15 @@ def test_exact_weights_past_the_float_range_are_rejected():
     # 6 * max|w| just below the range still runs, on exact ints.
     top = int(1.7e308) // 6
     assert apsp(build_graph(2, [(0, 1, top)]), 1).dist.entry(0, 1) == top
+
+
+def test_float_weights_past_the_float_range_are_rejected():
+    # The float range bound holds for float weights too: a float64 sum past
+    # it would be inf, read as unreachable, and Karp would find no n-edge walk.
+    with pytest.raises(ValueError, match="float range"):
+        apsp(build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)]), 1)
+    with pytest.raises(ValueError, match="float range"):
+        min_mean_cycle_karp(build_graph(2, [(0, 1, 1e308), (1, 0, 1e308)]))
 
 
 def test_numpy_engine_keeps_2_53_and_large_floats():
