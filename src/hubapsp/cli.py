@@ -98,14 +98,21 @@ def _base(g) -> Digraph:
     return g.base if isinstance(g, TimedDigraph) else g
 
 
-def cmd_apsp(args) -> Document:
-    g = _base(_load(args.file))
+def _depth(args, g: Digraph) -> int:
+    """--d checked against 1..n and rounded down to a power of two, as
+    `apsp` and `build_hub_hierarchy` round it."""
     if g.n == 0:
-        raise ValueError("apsp needs at least one vertex")
+        raise ValueError(f"{args.cmd} needs at least one vertex")
     if not (1 <= args.d <= g.n):
         raise ValueError(f"--d must lie in 1..{g.n}")
-    res = apsp(g, args.d)
-    lines = ["command: apsp", f"n: {g.n}", f"m: {g.m}", f"d: {args.d}"]
+    return 1 << (args.d.bit_length() - 1)
+
+
+def cmd_apsp(args) -> Document:
+    g = _base(_load(args.file))
+    d = _depth(args, g)
+    res = apsp(g, d)
+    lines = ["command: apsp", f"n: {g.n}", f"m: {g.m}", f"d: {d}"]
     integral = _integral_weights(g)
     if isinstance(res, NegativeCycle):
         return (lines + ["status: negative-cycle"] + _cycle_lines(
@@ -127,9 +134,7 @@ def cmd_negcycle(args) -> Document:
 
 def cmd_hubs(args) -> Document:
     g = _base(_load(args.file))
-    if not (1 <= args.d <= max(g.n, 1)):
-        raise ValueError(f"--d must lie in 1..{g.n}")
-    d = 1 << (args.d.bit_length() - 1)
+    d = _depth(args, g)
     mode = "deterministic" if args.mode == "det" else "sampled"
     res = build_hub_hierarchy(g, d, mode=mode, seed=args.seed)
     lines = ["command: hubs", f"n: {g.n}", f"m: {g.m}", f"d: {d}",

@@ -8,11 +8,12 @@ cycle.  Three routes to the optimum lam* are provided:
 
 - `min_mean_cycle_karp`: Karp's rotation formula for unit times, used as an
   independent oracle.
-- `min_ratio_binary_search`: bisection on lam driven by `evaluate_lambda`.
+- `min_ratio_binary_search`: bisection on lam, each step a yes/no
+  `_negative_cycle_at`.
 - `min_ratio_parametric`: runs the negative-cycle detector generically over
   affine weight functions lam -> b - lam * a, resolving each batch of
-  comparisons at the still-unknown lam* through breakpoint bisection with a
-  concrete detector as the decision oracle.  The symbolic run is exact on
+  comparisons at the still-unknown lam* through breakpoint bisection with
+  `_negative_cycle_at` as the decision oracle.  The symbolic run is exact on
   integers: times are scaled by D_t and costs by D_c, the lcms of their
   denominators, once per instance (`TimedDigraph._scaled`), and each
   edge's pair is packed into one integer time*M + cost, so the run is an
@@ -25,16 +26,22 @@ cycle.  Three routes to the optimum lam* are provided:
   every cost and time is a Fraction or an integral number (`_exact`, the
   one exactness rule, which Karp reads too), and as a float otherwise.
 
-Every concrete probe, at a rational or a float lam, goes through `_probe`.
-At a rational lam, scaled by D, the lcm of D_c and of lam's denominator
-times D_t, the reduced weights D*(w - lam*t) are integers, formed from the
-same scaled form, and the label engine's numpy step decides them exactly,
-with the same tie-breaks as an exact rational run: on float64 while the
-integers are small enough to add exactly, and on Python ints in object
-arrays past that (late bisection probes, whose denominators reach
-2^iterations, or float costs with long binary expansions);
-`Digraph._in_arrays` picks the dtype.  Only the one symbolic run, whose
-comparisons `_Resolver.cmp_batch` signs, takes the engine's ops step,
+Every concrete probe, at a rational or a float lam, runs on the graph
+`_probe_graph` builds.  At a rational lam, scaled by D, the lcm of D_c and
+of lam's denominator times D_t, the reduced weights D*(w - lam*t) are
+integers, formed from the same scaled form, and the label engine's numpy
+step decides them exactly, with the same tie-breaks as an exact rational
+run: on float64 while the integers are small enough to add exactly, and on
+Python ints in object arrays past that (late bisection probes, whose
+denominators reach 2^iterations, or float costs with long binary
+expansions); `Digraph._in_arrays` picks the dtype.  A probe that only needs
+a yes/no, every bisection step and every decision of the parametric
+search, is `_negative_cycle_at`: Bellman-Ford from a virtual source, one
+zero row relaxed on the probe graph, the same row `_price_function` runs.
+Only the parametric search's witness (`_probe`, which runs the hub
+hierarchy for a hop-shortest cycle) and the certificates
+(`evaluate_lambda`) return more than a bool.  Only the one symbolic run,
+whose comparisons `_Resolver.cmp_batch` signs, takes the engine's ops step,
 `_tournament`.
 """
 
@@ -116,8 +123,8 @@ class Infeasible:
 class RatioAnswer:
     """lam*, a cycle attaining it, and prices proving no cycle does better.
 
-    `oracle_calls` counts the concrete probes the search ran, the final
-    certificate included; `breakpoints` counts the comparisons of the
+    `oracle_calls` counts the distinct concrete decisions the search made,
+    plus the final certificate; `breakpoints` counts the comparisons of the
     symbolic run that had to be signed at lam*.  Both are deterministic.
     """
 
@@ -159,9 +166,11 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     a float.
     """
     n = g.n
+    # Read the weights first: a graph they refuse is refused, cycle or not.
+    dtype = g._in_arrays()[1].dtype
     if n == 0 or not has_cycle(g):
         raise AcyclicGraphError("minimum mean cycle needs a directed cycle")
-    D = np.empty((n + 1, n), dtype=g._in_arrays()[1].dtype)
+    D = np.empty((n + 1, n), dtype=dtype)
     D[0] = 0
     for k in range(1, n + 1):
         D[k] = _min_in_edges(g, D[k - 1][None, :])[0]
@@ -234,17 +243,26 @@ def _reduced_graph(tg: TimedDigraph, lam: float) -> Digraph:
     return Digraph(tg.base.n, edges)
 
 
-def _price_function(g: Digraph) -> np.ndarray:
-    """Shortest-path prices from a virtual super-source over zero-weight edges.
+def _zero_row(g: Digraph) -> Tuple[np.ndarray, bool]:
+    """(row, settled): Bellman-Ford from a virtual super-source over
+    zero-weight edges, and whether g has no negative cycle.
 
-    That source's row is 0 everywhere after one step, so the prices are a
-    zero row relaxed n-1 steps on the probe graph itself; with no negative
-    cycle one more step leaves it as it is, checked exactly.  The int 0
-    keeps the row in the dtype `Digraph._in_arrays` picks for the weights.
+    That source's row is 0 everywhere after one step, so its labels are a
+    zero row relaxed n-1 steps on g itself.  One more step leaves the row
+    as it is, compared by value, exactly when no cycle of g is negative.
+    The int 0 keeps the row in the dtype `Digraph._in_arrays` picks for the
+    weights.
     """
     n = g.n
     row = relax(g, [[0] * n], max(n - 1, 0))
-    if n and not np.array_equal(relax(g, row, 1), row):
+    return row, not n or np.array_equal(relax(g, row, 1), row)
+
+
+def _price_function(g: Digraph) -> np.ndarray:
+    """Shortest-path prices from a virtual super-source (`_zero_row`) on a
+    graph with no negative cycle."""
+    row, settled = _zero_row(g)
+    if not settled:
         raise AssertionError("prices not converged despite no negative cycle")
     return row[0]
 
@@ -263,24 +281,49 @@ def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     return Digraph(tg.base.n, edges), big_d
 
 
-def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
-           prices: bool = False):
-    """Decide one concrete lam.
+def _probe_graph(tg: TimedDigraph, lam: Real):
+    """(g, back): the graph a probe at lam runs on, and the map of its
+    numbers back to reduced weights w - lam*t.
 
-    Returns the hop-shortest cycle of the reduced weights w - lam*t whose
-    weight is < 0 (<= 0 when `nonstrict`).  Without one, returns Feasible
-    prices when `prices` is set, else None.  lam is read by
-    `graph._read_number`, so a numpy float32 or float16 is widened to a
-    Python float first.  A rational lam (`_exact`) runs `_scaled_reduced`
-    weights and maps the results back over D to exact Fractions; a float
-    one runs `_reduced_graph`'s weights in float64, giving floats.
+    lam is read by `graph._read_number`, so a numpy float32 or float16 is
+    widened to a Python float first.  A rational lam (`_exact`) gives
+    `_scaled_reduced`'s integer weights, mapped back over D to exact
+    Fractions; a float one gives `_reduced_graph`'s float64 weights.
     """
     lam = _read_number(lam, "lam")
     if _exact(lam):
         g, big_d = _scaled_reduced(tg, Fraction(lam))
-        back = lambda x: Fraction(int(x), big_d)
-    else:
-        g, back = _reduced_graph(tg, lam), float
+        return g, lambda x: Fraction(int(x), big_d)
+    return _reduced_graph(tg, lam), float
+
+
+def _negative_cycle_at(tg: TimedDigraph, lam: Real,
+                       nonstrict: bool = False) -> bool:
+    """Whether some cycle's reduced weight w - lam*t is < 0 (<= 0 when
+    `nonstrict`): one `_zero_row` on `_probe_graph`'s graph, no hierarchy.
+
+    `nonstrict` needs a rational lam.  It runs on the weights (n+1)*w - 1
+    of the scaled integers: a cycle of k <= n arcs and integer weight W
+    weighs (n+1)*W - k there, which is < 0 exactly when W <= 0.
+    """
+    g, _ = _probe_graph(tg, lam)
+    if nonstrict:
+        n = g.n
+        if not all(isinstance(w, int) for (_, _, w) in g.edges):
+            raise ValueError("a nonstrict decision needs a rational lam")
+        g = Digraph(n, tuple((u, v, (n + 1) * w - 1) for (u, v, w) in g.edges))
+    return not _zero_row(g)[1]
+
+
+def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
+           prices: bool = False):
+    """Decide one concrete lam, on `_probe_graph`'s graph.
+
+    Returns the hop-shortest cycle of the reduced weights w - lam*t whose
+    weight is < 0 (<= 0 when `nonstrict`), with its weight mapped back.
+    Without one, returns Feasible prices when `prices` is set, else None.
+    """
+    g, back = _probe_graph(tg, lam)
     cyc = shortest_negative_cycle(g, nonstrict=nonstrict)
     if cyc is not None:
         weight = back(cyc.weight)
@@ -318,9 +361,13 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
     """Bisection bracket for lam*, halving `iterations` times.
 
     The initial interval spans the edge cost/time ratios; any cycle ratio is
-    a time-weighted mean of its edge ratios, so lam* starts inside.  A probe
-    with a negative cycle means lam* lies left of the midpoint.  Integer
-    instances bisect over exact Fractions.
+    a time-weighted mean of its edge ratios, so lam* starts inside.  Each
+    step asks `_negative_cycle_at` whether some cycle beats the midpoint;
+    if one does, lam* lies left of it.  Exact instances (`_exact_instance`)
+    bisect over exact Fractions, and the bracket holds lam*.  Other
+    instances bisect in float64, where a cycle whose reduced weight is
+    within rounding of zero may be decided either way: the final bracket
+    then lies within 2^-50 times the initial span of lam*.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -330,7 +377,7 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
     lo, hi = min(ratios), max(ratios)
     for _ in range(iterations):
         mid = (lo + hi) / 2
-        if isinstance(evaluate_lambda(tg, mid), Infeasible):
+        if _negative_cycle_at(tg, mid):
             hi = mid
         else:
             lo = mid
@@ -363,18 +410,19 @@ class _Resolver:
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
     the candidates (both initial ends and every breakpoint the interval
-    ever left undecided), and two memoized concrete detectors on the
+    ever left undecided), and two memoized concrete decisions on the
     reduced graph at x: strict (is lam* < x) and nonpos (is lam* <= x).  A
     batch of breakpoints x = num/den, den > 0, in two arrays of Python ints,
     is decided against the interval by cross-multiplying with the ends'
     numerators and denominators (`_interval_sign`); only the undecided ones
     become Fractions.  Those are sorted and split by bisection on the strict
     oracle, then at most one nonpos call separates "equal to lam*" from
-    "below", so a batch of p costs O(log p) detector runs.  A decided
+    "below", so a batch of p costs O(log p) decisions.  A decided
     breakpoint lies outside the interval, which only ever shrinks, or on an
     end that is already a candidate, so leaving it out of the candidates
-    changes nothing.  Each detector run is a rational `_probe` call: scaled
-    integers on the numpy engine, in float64 or in Python ints.
+    changes nothing.  Each decision is a rational `_negative_cycle_at`
+    call: scaled integers on the numpy engine, in float64 or in Python
+    ints.  `oracle_calls` counts the distinct decisions.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
@@ -389,7 +437,7 @@ class _Resolver:
         self.lo_excl = False
         self.hi_excl = False
         self.candidates = {self.lo, self.hi}
-        self._runs: Dict[Tuple[Fraction, bool], Optional[NegativeCycle]] = {}
+        self._decided: Dict[Tuple[Fraction, bool], bool] = {}
         self.oracle_calls = 0
         self.breakpoints = 0
         self.trace = trace
@@ -427,18 +475,18 @@ class _Resolver:
             out[at] = up * self.resolve(db * up * self.d_t, da * up * self.d_c)
         return out
 
-    def detect(self, x: Fraction, nonstrict: bool) -> Optional[NegativeCycle]:
+    def decide(self, x: Fraction, nonstrict: bool) -> bool:
         key = (x, nonstrict)
-        if key not in self._runs:
-            self._runs[key] = _probe(self.tg, x, nonstrict)
+        if key not in self._decided:
+            self._decided[key] = _negative_cycle_at(self.tg, x, nonstrict)
             self.oracle_calls += 1
-        return self._runs[key]
+        return self._decided[key]
 
     def strict_at(self, x: Fraction) -> bool:
-        return self.detect(x, False) is not None
+        return self.decide(x, False)
 
     def nonpos_at(self, x: Fraction) -> bool:
-        return self.detect(x, True) is not None
+        return self.decide(x, True)
 
     def _interval_sign(self, num: np.ndarray, den: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -521,7 +569,9 @@ def min_ratio_parametric(tg: TimedDigraph,
     if lam != lam_sim:
         raise AssertionError("candidate selection disagrees with the simulation")
 
-    concrete = resolver.detect(lam, True)
+    # bisect_left decided (lam, True) before returning it, so the witness
+    # run adds no decision to `oracle_calls`.
+    concrete = _probe(tg, lam, True)
     if concrete is None:
         raise AssertionError("nonpositive cycle vanished at the selected lam")
     cyc = concrete.cycle

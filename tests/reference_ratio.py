@@ -7,6 +7,7 @@ from fractions import Fraction
 from hubapsp.bellman_ford import NumberOps
 from hubapsp.graph import Digraph
 from hubapsp.hubs import shortest_negative_cycle
+from hubapsp.parametric import Infeasible, _exact_instance, evaluate_lambda
 from reference_engine import _run_multi_generic
 
 
@@ -51,6 +52,27 @@ def fraction_bisection(tg, iterations):
     for _ in range(iterations):
         mid = (lo + hi) / 2
         if fraction_negative_cycle(fraction_reduced_graph(tg, mid)) is not None:
+            hi = mid
+        else:
+            lo = mid
+        trace.append((lo, hi))
+    return trace
+
+
+def probe_bisection(tg, iterations):
+    """The (lo, hi) trace of `min_ratio_binary_search` with a full
+    `evaluate_lambda` probe at every step: Fractions on exact instances,
+    floats otherwise, as the search forms them."""
+    pairs = zip(tg.base.edges, tg.times)
+    if _exact_instance(tg):
+        ratios = [Fraction(w) / Fraction(t) for (_, _, w), t in pairs]
+    else:
+        ratios = [w / t for (_, _, w), t in pairs]
+    lo, hi = min(ratios), max(ratios)
+    trace = []
+    for _ in range(iterations):
+        mid = (lo + hi) / 2
+        if isinstance(evaluate_lambda(tg, mid), Infeasible):
             hi = mid
         else:
             lo = mid

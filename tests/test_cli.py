@@ -185,6 +185,15 @@ def test_minratio_binary_rejects_bad_iterations(capsys):
         assert capsys.readouterr().err == "error: --iterations must be >= 1\n"
 
 
+@pytest.mark.parametrize("cmd", ["apsp", "hubs"])
+def test_d_is_printed_as_it_runs(tmp_path, cmd):
+    # --d rounds down to a power of two; apsp once printed "d: 5" for a
+    # d=4 run, a document otherwise identical to the --d 4 one.
+    c5, d5 = run(tmp_path, [cmd, "--d", "5", RING8], name="d5.txt")
+    c4, d4 = run(tmp_path, [cmd, "--d", "4", RING8], name="d4.txt")
+    assert (c5, d5) == (c4, d4) and "d: 4" in d5.splitlines()
+
+
 def test_bench_lists_each_d(tmp_path):
     code, doc = run(tmp_path, ["bench", "--d-list", "1,2,4", RING8])
     assert code == 0
@@ -225,6 +234,12 @@ REFUSED = {
                     "error: weights this large pass the float range"),
     "bench-empty-graph": (["bench", "--d-list", "1"], "p sp 0 0\n",
                           "error: every d must lie in 1..0"),
+    "hubs-empty-graph": (["hubs", "--d", "1",
+                          str(DATA / "refused" / "empty.gr")], None,
+                         "error: hubs needs at least one vertex"),
+    "minmean-float-range": (["minmean",
+                             str(DATA / "refused" / "float-range-acyclic.gr")],
+                            None, "error: weights this large pass the float range"),
     "unwritable-out": (["negcycle", RING8], None, "error: cannot write "),
 }
 

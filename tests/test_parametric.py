@@ -25,7 +25,7 @@ from hubapsp.parametric import (
     _Resolver,
     _reduced_graph,
 )
-from reference_ratio import fraction_prices
+from reference_ratio import fraction_prices, probe_bisection
 from reference_step import edge_tables
 
 
@@ -485,6 +485,66 @@ def test_parametric_reports_its_search_cost():
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _bisection_instance(name):
+    if name.startswith("random"):
+        n, seed = map(int, name.split("-")[1:])
+        return random_timed(n, 0.3, -3, 9, seed)
+    return parse_graph(DATA / f"{name}.gr")
+
+
+# The bisect benchmark's instances (n=16), the minratio benchmark's (n=24)
+# and the golden ones, timed6-tenths a float instance.
+@pytest.mark.parametrize("name", [
+    "random-16-1", "random-16-3", "random-24-3", "random-24-6", "random-24-4",
+    "timed6", "triangle-timed", "timed6-tenths"])
+def test_bisection_decides_each_step_once_as_a_full_probe_would(monkeypatch,
+                                                                name):
+    # Each step makes exactly one yes/no decision and runs neither the hub
+    # hierarchy nor a certificate, and the bracket after every step is the
+    # one a full `evaluate_lambda` probe at every step gives, in values and
+    # types.
+    tg = _bisection_instance(name)
+    want = probe_bisection(tg, 60)
+    decisions = []
+    decide = parametric._negative_cycle_at
+    monkeypatch.setattr(parametric, "_negative_cycle_at",
+                        lambda *a: decisions.append(a) or decide(*a))
+
+    def forbidden(*a, **k):
+        raise AssertionError("bisection ran a full probe")
+
+    monkeypatch.setattr(parametric, "evaluate_lambda", forbidden)
+    monkeypatch.setattr(parametric, "shortest_negative_cycle", forbidden)
+    for iterations in (60, 7):
+        decisions.clear()
+        trace = []
+        min_ratio_binary_search(tg, iterations, _trace=trace)
+        assert len(decisions) == iterations
+        assert ([(type(lo), lo, type(hi), hi) for lo, hi in trace]
+                == [(type(lo), lo, type(hi), hi) for lo, hi in want[:iterations]])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_float_bisection_stays_within_its_stated_tolerance(n):
+    # Costs times 0.1 as floats: near lam* the float64 decisions may round a
+    # near-zero cycle either way, so the final bracket need not hold the
+    # exact lam* (read off the same costs as Fractions).  It must lie within
+    # 2^-50 of the initial span of it, as the docstring states.
+    for seed in range(1, 9):
+        tg = random_timed(n, 0.3, -3, 9, seed)
+        costs = [(u, v, w * 0.1) for (u, v, w) in tg.base.edges]
+        floats = TimedDigraph(Digraph(n, costs), tg.times)
+        lam = min_ratio_parametric(TimedDigraph(
+            Digraph(n, [(u, v, Fraction(w)) for (u, v, w) in costs]),
+            tg.times)).lambda_star
+        lo, hi = min_ratio_binary_search(floats, 60)
+        assert type(lo) is type(hi) is float
+        ratios = [w / t for (_, _, w), t in zip(costs, tg.times)]
+        span = Fraction(max(ratios) - min(ratios))
+        miss = max(0, Fraction(lo) - lam, lam - Fraction(hi))
+        assert miss <= span / 2 ** 50, seed
 
 
 @pytest.mark.parametrize("name,calls,trace", [

@@ -267,6 +267,7 @@ def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
     want = fraction_negative_cycle(gl, nonstrict)
     got = _probe_exact(tg, lam, nonstrict)
     assert repr(got) == repr(want)
+    assert parametric._negative_cycle_at(tg, lam, nonstrict) == (want is not None)
     if want is not None:
         assert isinstance(got.weight, Fraction)
         assert sum(gl.edges[e][2] for e in got.cycle.edges) == got.weight
