@@ -98,14 +98,19 @@ def _base(g) -> Digraph:
     return g.base if isinstance(g, TimedDigraph) else g
 
 
+def _rounded_depth(d: int) -> int:
+    """d >= 1 rounded down to a power of two, as `apsp` and
+    `build_hub_hierarchy` round it: the d a run reports."""
+    return 1 << (d.bit_length() - 1)
+
+
 def _depth(args, g: Digraph) -> int:
-    """--d checked against 1..n and rounded down to a power of two, as
-    `apsp` and `build_hub_hierarchy` round it."""
+    """--d checked against 1..n and rounded as it runs (`_rounded_depth`)."""
     if g.n == 0:
         raise ValueError(f"{args.cmd} needs at least one vertex")
     if not (1 <= args.d <= g.n):
         raise ValueError(f"--d must lie in 1..{g.n}")
-    return 1 << (args.d.bit_length() - 1)
+    return _rounded_depth(args.d)
 
 
 def cmd_apsp(args) -> Document:
@@ -260,7 +265,7 @@ def cmd_bench(args) -> Document:
     if not ds or any(not (1 <= d <= g.n) for d in ds):
         raise ValueError(f"every d must lie in 1..{g.n}")
     lines = ["command: bench", f"n: {g.n}", f"m: {g.m}"]
-    for d in ds:
+    for d in map(_rounded_depth, ds):
         t0 = time.perf_counter()
         res = apsp(g, d)
         elapsed = time.perf_counter() - t0

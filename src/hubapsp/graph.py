@@ -133,8 +133,10 @@ class Digraph:
           one edge.  `shortest_negative_cycle` steps at most 2n times (its
           depth is the least power of two >= max(2, n)), `apsp`'s hierarchy
           at most n, its hub graph d+1 <= n+1 times and the ratio search's
-          zero row (its decisions and prices), relaxed from zeros on the
-          probe graph itself, n times: at most 2n*W.  The ratio search's symbolic run is such a run on
+          zero row (`parametric._zero_row`: every concrete decision, and
+          a certificate's prices), relaxed from zeros on the probe graph
+          itself, n times: at most 2n*W.  The ratio search's symbolic run,
+          whose cycle is the witness, is such a run on
           packed integer weights (`parametric._Resolver`); the difference
           of two of its labels, which it unpacks to compare them, stays
           below 3n*W.

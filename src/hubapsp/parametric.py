@@ -34,15 +34,16 @@ step decides them exactly, with the same tie-breaks as an exact rational
 run: on float64 while the integers are small enough to add exactly, and on
 Python ints in object arrays past that (late bisection probes, whose
 denominators reach 2^iterations, or float costs with long binary
-expansions); `Digraph._in_arrays` picks the dtype.  A probe that only needs
-a yes/no, every bisection step and every decision of the parametric
-search, is `_negative_cycle_at`: Bellman-Ford from a virtual source, one
-zero row relaxed on the probe graph, the same row `_price_function` runs.
-Only the parametric search's witness (`_probe`, which runs the hub
-hierarchy for a hop-shortest cycle) and the certificates
-(`evaluate_lambda`) return more than a bool.  Only the one symbolic run,
-whose comparisons `_Resolver.cmp_batch` signs, takes the engine's ops step,
-`_tournament`.
+expansions); `Digraph._in_arrays` picks the dtype.  Every concrete probe
+decides one way, `_zero_row`: Bellman-Ford from a virtual source, one zero
+row relaxed on the probe graph.  A yes/no probe, every bisection step and
+every decision of the parametric search, is `_negative_cycle_at`, that row
+alone.  A certificate (`evaluate_lambda`) returns the settled row as its
+prices, and runs the hub hierarchy, for a hop-shortest cycle, only when the
+row moves.  The parametric search's witness is the cycle of its one
+symbolic run, whose comparisons `_Resolver.cmp_batch` signs; that run alone
+takes the engine's ops step, `_tournament`, so a parametric search runs the
+hub hierarchy once.
 """
 
 from __future__ import annotations
@@ -258,15 +259,6 @@ def _zero_row(g: Digraph) -> Tuple[np.ndarray, bool]:
     return row, not n or np.array_equal(relax(g, row, 1), row)
 
 
-def _price_function(g: Digraph) -> np.ndarray:
-    """Shortest-path prices from a virtual super-source (`_zero_row`) on a
-    graph with no negative cycle."""
-    row, settled = _zero_row(g)
-    if not settled:
-        raise AssertionError("prices not converged despite no negative cycle")
-    return row[0]
-
-
 def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
     """(D*(w - lam*t) on integer weights, D).
 
@@ -315,38 +307,33 @@ def _negative_cycle_at(tg: TimedDigraph, lam: Real,
     return not _zero_row(g)[1]
 
 
-def _probe(tg: TimedDigraph, lam: Real, nonstrict: bool = False,
-           prices: bool = False):
-    """Decide one concrete lam, on `_probe_graph`'s graph.
-
-    Returns the hop-shortest cycle of the reduced weights w - lam*t whose
-    weight is < 0 (<= 0 when `nonstrict`), with its weight mapped back.
-    Without one, returns Feasible prices when `prices` is set, else None.
-    """
-    g, back = _probe_graph(tg, lam)
-    cyc = shortest_negative_cycle(g, nonstrict=nonstrict)
-    if cyc is not None:
-        weight = back(cyc.weight)
-        path = cyc.cycle
-        return NegativeCycle(Path(path.vertices, weight, path.hops, path.edges),
-                             cyc.hops, weight)
-    if not prices:
-        return None
-    return Feasible(tuple(back(x) for x in _price_function(g)))
-
-
 def evaluate_lambda(tg: TimedDigraph, lam: Real):
     """Probe one lam: Infeasible(cycle) when some cycle ratio beats lam,
     else Feasible(price) with w(e) - lam*t(e) + p(u) - p(v) >= 0 on every edge.
 
-    One `_probe` call: exact when lam is a Fraction or an integral number
-    (costs and times convert exactly whatever their type), float64 for any
-    other float.  :raises ValueError: on a lam `graph._read_number` refuses,
-    or one so large that the probe weights pass the float range
+    One `_zero_row` on `_probe_graph`'s graph decides, as every yes/no
+    probe does, and a settled row is the prices, mapped back.  Only a row
+    that moves runs the hub hierarchy, for the hop-shortest cycle whose
+    weight is < 0, with its weight mapped back.  Exact when lam is a
+    Fraction or an integral number (costs and times convert exactly
+    whatever their type); on any other float the probe runs in float64 and
+    the decision is the zero row's, as in bisection, so a cycle whose
+    reduced weight is within rounding of zero may be decided either way.
+    :raises ValueError: on a lam `graph._read_number` refuses, or one so
+    large that the probe weights pass the float range
     (`graph.Digraph._in_arrays`).
     """
-    out = _probe(tg, lam, prices=True)
-    return out if isinstance(out, Feasible) else Infeasible(out)
+    g, back = _probe_graph(tg, lam)
+    row, settled = _zero_row(g)
+    if settled:
+        return Feasible(tuple(back(x) for x in row[0]))
+    cyc = shortest_negative_cycle(g)
+    if cyc is None:
+        raise AssertionError("prices not converged despite no negative cycle")
+    weight = back(cyc.weight)
+    path = cyc.cycle
+    return Infeasible(NegativeCycle(
+        Path(path.vertices, weight, path.hops, path.edges), cyc.hops, weight))
 
 
 def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
@@ -546,9 +533,10 @@ def min_ratio_parametric(tg: TimedDigraph,
     of its closed-walk value against zero has breakpoint exactly lam*: the
     candidate set provably contains the answer.  lam* is then selected as
     the least candidate in the final interval whose reduced graph has a
-    nonpositive cycle, and cross-checked from both sides: the witness ratio
-    equals the selected value (pinning lam* from above) and the Feasible
-    certificate at it proves no cycle does better (pinning lam* from below).
+    nonpositive cycle, and cross-checked from both sides: the witness, the
+    symbolic run's own cycle, has ratio equal to the selected value
+    (pinning lam* from above), and the Feasible certificate at it proves no
+    cycle does better (pinning lam* from below).
     """
     g = tg.base
     if not has_cycle(g):
@@ -569,12 +557,11 @@ def min_ratio_parametric(tg: TimedDigraph,
     if lam != lam_sim:
         raise AssertionError("candidate selection disagrees with the simulation")
 
-    # bisect_left decided (lam, True) before returning it, so the witness
-    # run adds no decision to `oracle_calls`.
-    concrete = _probe(tg, lam, True)
-    if concrete is None:
+    if not resolver.nonpos_at(lam):
         raise AssertionError("nonpositive cycle vanished at the selected lam")
-    cyc = concrete.cycle
+    # The packed graph keeps tg.base's edge ids, so the symbolic run's cycle
+    # is the witness as it stands.
+    cyc = sim.cycle
     wsum = sum(g.edges[e][2] for e in cyc.edges)
     # Summed per edge as Fractions: a float sum would round before the check.
     if (sum(Fraction(g.edges[e][2]) for e in cyc.edges)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hubapsp.bellman_ford import NumberOps
 from hubapsp.graph import Digraph
 from hubapsp.hubs import shortest_negative_cycle
-from hubapsp.parametric import Infeasible, _exact_instance, evaluate_lambda
+from hubapsp.parametric import _exact_instance, _probe_graph
 from reference_engine import _run_multi_generic
 
 
@@ -60,9 +60,10 @@ def fraction_bisection(tg, iterations):
 
 
 def probe_bisection(tg, iterations):
-    """The (lo, hi) trace of `min_ratio_binary_search` with a full
-    `evaluate_lambda` probe at every step: Fractions on exact instances,
-    floats otherwise, as the search forms them."""
+    """The (lo, hi) trace of `min_ratio_binary_search` with a full hub
+    hierarchy probe (`shortest_negative_cycle` on the probe graph) at every
+    step: Fractions on exact instances, floats otherwise, as the search
+    forms them."""
     pairs = zip(tg.base.edges, tg.times)
     if _exact_instance(tg):
         ratios = [Fraction(w) / Fraction(t) for (_, _, w), t in pairs]
@@ -72,7 +73,7 @@ def probe_bisection(tg, iterations):
     trace = []
     for _ in range(iterations):
         mid = (lo + hi) / 2
-        if isinstance(evaluate_lambda(tg, mid), Infeasible):
+        if shortest_negative_cycle(_probe_graph(tg, mid)[0]) is not None:
             hi = mid
         else:
             lo = mid

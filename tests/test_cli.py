@@ -185,13 +185,17 @@ def test_minratio_binary_rejects_bad_iterations(capsys):
         assert capsys.readouterr().err == "error: --iterations must be >= 1\n"
 
 
-@pytest.mark.parametrize("cmd", ["apsp", "hubs"])
-def test_d_is_printed_as_it_runs(tmp_path, cmd):
-    # --d rounds down to a power of two; apsp once printed "d: 5" for a
-    # d=4 run, a document otherwise identical to the --d 4 one.
-    c5, d5 = run(tmp_path, [cmd, "--d", "5", RING8], name="d5.txt")
-    c4, d4 = run(tmp_path, [cmd, "--d", "4", RING8], name="d4.txt")
-    assert (c5, d5) == (c4, d4) and "d: 4" in d5.splitlines()
+@pytest.mark.parametrize("cmd,flag,printed", [
+    ("apsp", "--d", "d: 4"), ("hubs", "--d", "d: 4"),
+    ("bench", "--d-list", "d 4: work=")], ids=["apsp", "hubs", "bench"])
+def test_d_is_printed_as_it_runs(tmp_path, cmd, flag, printed):
+    # d rounds down to a power of two; apsp once printed "d: 5" for a d=4
+    # run, a document otherwise identical to the --d 4 one, and bench
+    # printed "d 5: work=..." for its d=4 run.
+    c5, d5 = run(tmp_path, [cmd, flag, "5", RING8], name="d5.txt")
+    c4, d4 = run(tmp_path, [cmd, flag, "4", RING8], name="d4.txt")
+    assert (c5, d5) == (c4, d4)
+    assert any(line.startswith(printed) for line in d5.splitlines())
 
 
 def test_bench_lists_each_d(tmp_path):

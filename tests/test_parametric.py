@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -503,7 +504,7 @@ def test_bisection_decides_each_step_once_as_a_full_probe_would(monkeypatch,
                                                                 name):
     # Each step makes exactly one yes/no decision and runs neither the hub
     # hierarchy nor a certificate, and the bracket after every step is the
-    # one a full `evaluate_lambda` probe at every step gives, in values and
+    # one a full hub hierarchy probe at every step gives, in values and
     # types.
     tg = _bisection_instance(name)
     want = probe_bisection(tg, 60)
@@ -526,25 +527,81 @@ def test_bisection_decides_each_step_once_as_a_full_probe_would(monkeypatch,
                 == [(type(lo), lo, type(hi), hi) for lo, hi in want[:iterations]])
 
 
+@functools.lru_cache(maxsize=None)
+def _tenths(n, seed):
+    """(floats, lam): a random instance with costs times 0.1 as floats, and
+    its exact lam*, read off the same costs as Fractions."""
+    tg = random_timed(n, 0.3, -3, 9, seed)
+    costs = [(u, v, w * 0.1) for (u, v, w) in tg.base.edges]
+    lam = min_ratio_parametric(TimedDigraph(
+        Digraph(n, [(u, v, Fraction(w)) for (u, v, w) in costs]),
+        tg.times)).lambda_star
+    return TimedDigraph(Digraph(n, costs), tg.times), lam
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_float_bisection_stays_within_its_stated_tolerance(n):
-    # Costs times 0.1 as floats: near lam* the float64 decisions may round a
-    # near-zero cycle either way, so the final bracket need not hold the
-    # exact lam* (read off the same costs as Fractions).  It must lie within
-    # 2^-50 of the initial span of it, as the docstring states.
+    # Near lam* the float64 decisions may round a near-zero cycle either
+    # way, so the final bracket need not hold the exact lam*.  It must lie
+    # within 2^-50 of the initial span of it, as the docstring states.
     for seed in range(1, 9):
-        tg = random_timed(n, 0.3, -3, 9, seed)
-        costs = [(u, v, w * 0.1) for (u, v, w) in tg.base.edges]
-        floats = TimedDigraph(Digraph(n, costs), tg.times)
-        lam = min_ratio_parametric(TimedDigraph(
-            Digraph(n, [(u, v, Fraction(w)) for (u, v, w) in costs]),
-            tg.times)).lambda_star
+        floats, lam = _tenths(n, seed)
         lo, hi = min_ratio_binary_search(floats, 60)
         assert type(lo) is type(hi) is float
-        ratios = [w / t for (_, _, w), t in zip(costs, tg.times)]
+        costs = floats.base.edges
+        ratios = [w / t for (_, _, w), t in zip(costs, floats.times)]
         span = Fraction(max(ratios) - min(ratios))
         miss = max(0, Fraction(lo) - lam, lam - Fraction(hi))
         assert miss <= span / 2 ** 50, seed
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_float_evaluate_lambda_near_lambda_star_keeps_its_contract(n):
+    # A float probe is the zero row's decision, so near lam* a near-zero
+    # cycle may go either way; whichever it takes, a Feasible answer is a
+    # certificate to rounding and an Infeasible one a float negative cycle.
+    for seed in range(1, 9):
+        floats, lam = _tenths(n, seed)
+        f = float(lam)
+        up, down = (math.nextafter(math.nextafter(f, s), s)
+                    for s in (math.inf, -math.inf))
+        for x in (f, up, down, f + 1e-15, f - 1e-15):
+            out = evaluate_lambda(floats, x)
+            if isinstance(out, Feasible):
+                _check_certificate(floats, x, out.price, tol=1e-9)
+            else:
+                assert type(out.cycle.weight) is float
+                assert out.cycle.weight < 0, (seed, x)
+
+
+@pytest.mark.parametrize("name", ["random-24-3", "timed6", "triangle-timed",
+                                  "timed6-tenths"])
+def test_parametric_search_runs_the_hub_hierarchy_once(monkeypatch, name):
+    # The symbolic run is the search's one hierarchy run and its cycle the
+    # witness; the certificate at lam* is a zero row, and only a probe
+    # whose row moves runs the hierarchy, once.
+    tg = _bisection_instance(name)
+    runs, certificates = [], []
+    detect = parametric.shortest_negative_cycle
+    evaluate = parametric.evaluate_lambda
+
+    def spy_detect(g, **kw):
+        runs.append(kw.get("ops"))
+        return detect(g, **kw)
+
+    def spy_evaluate(*a):
+        certificates.append(a[1])
+        return evaluate(*a)
+
+    monkeypatch.setattr(parametric, "shortest_negative_cycle", spy_detect)
+    monkeypatch.setattr(parametric, "evaluate_lambda", spy_evaluate)
+    lam = min_ratio_parametric(tg).lambda_star
+    assert len(runs) == 1 and isinstance(runs[0], _Resolver)
+    assert certificates == [lam]
+    runs.clear()
+    assert isinstance(evaluate(tg, lam), Feasible) and runs == []
+    assert isinstance(evaluate(tg, lam - 1), Feasible) and runs == []
+    assert isinstance(evaluate(tg, lam + 1), Infeasible) and runs == [None]
 
 
 @pytest.mark.parametrize("name,calls,trace", [

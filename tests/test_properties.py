@@ -27,13 +27,13 @@ from hubapsp import bellman_ford, cli, parametric
 from hubapsp.bellman_ford import _label_run, bf_run_multi, bf_step, relax
 from hubapsp.fileio import parse_graph
 from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
-                           floyd_warshall_oracle)
+                           floyd_warshall_oracle, has_cycle)
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
-from hubapsp.parametric import (Feasible, TimedDigraph, _Resolver,
-                                _probe as _probe_exact, _scaled_reduced,
-                                build_timed_graph, evaluate_lambda,
-                                min_ratio_binary_search)
+from hubapsp.parametric import (Feasible, Infeasible, TimedDigraph,
+                                _Resolver, _scaled_reduced, build_timed_graph,
+                                evaluate_lambda, min_ratio_binary_search,
+                                min_ratio_parametric)
 from reference_greedy import greedy_hitting_set_sets
 from reference_step import best_in_edges_python, bf_step_python, edge_tables
 from reference_ratio import (fraction_bisection, fraction_interval_sign,
@@ -265,17 +265,35 @@ def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
         assert _scaled_reduced(tg, lam)[0]._in_arrays()[1].dtype == np.float64
     gl = fraction_reduced_graph(tg, lam)
     want = fraction_negative_cycle(gl, nonstrict)
-    got = _probe_exact(tg, lam, nonstrict)
-    assert repr(got) == repr(want)
     assert parametric._negative_cycle_at(tg, lam, nonstrict) == (want is not None)
-    if want is not None:
-        assert isinstance(got.weight, Fraction)
-        assert sum(gl.edges[e][2] for e in got.cycle.edges) == got.weight
-    if not nonstrict:
-        priced = _probe_exact(tg, lam, prices=True)
-        if want is None:
-            want = Feasible(fraction_prices(gl))
-        assert repr(priced) == repr(want)
+    if nonstrict:
+        return
+    got = evaluate_lambda(tg, lam)
+    if want is None:
+        assert repr(got) == repr(Feasible(fraction_prices(gl)))
+    else:
+        assert repr(got) == repr(Infeasible(want))
+        assert isinstance(got.cycle.weight, Fraction)
+        assert (sum(gl.edges[e][2] for e in got.cycle.cycle.edges)
+                == got.cycle.weight)
+
+
+@SETTINGS
+@given(timed_graphs().filter(lambda tg: has_cycle(tg.base)))
+def test_parametric_witness_is_the_fraction_engines_nonpositive_cycle(tg):
+    # The symbolic run's cycle is the hop-shortest nonpositive cycle at lam*
+    # that a concrete run on Fractions finds, vertex for vertex.  lam* is
+    # read exactly off the witness, as the search checks it; a float
+    # instance returns it rounded.
+    ans = min_ratio_parametric(tg)
+    lam = (sum(Fraction(tg.base.edges[e][2]) for e in ans.witness.edges)
+           / sum(Fraction(tg.times[e]) for e in ans.witness.edges))
+    assert ans.lambda_star == (lam if type(ans.lambda_star) is Fraction
+                               else float(lam))
+    want = fraction_negative_cycle(
+        fraction_reduced_graph(tg, lam), nonstrict=True).cycle
+    assert ans.witness.vertices == want.vertices
+    assert ans.witness.edges == want.edges
 
 
 def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
