@@ -265,7 +265,8 @@ def cmd_bench(args) -> Document:
     if not ds or any(not (1 <= d <= g.n) for d in ds):
         raise ValueError(f"every d must lie in 1..{g.n}")
     lines = ["command: bench", f"n: {g.n}", f"m: {g.m}"]
-    for d in map(_rounded_depth, ds):
+    # Each distinct rounded d runs once, in the order first listed.
+    for d in dict.fromkeys(map(_rounded_depth, ds)):
         t0 = time.perf_counter()
         res = apsp(g, d)
         elapsed = time.perf_counter() - t0

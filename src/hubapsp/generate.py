@@ -30,35 +30,36 @@ def _draw(rng: random.Random, n: int, p: float, lo: int, hi: int) -> Digraph:
     return build_graph(n, edges)
 
 
-def negative_cycle_free(n: int, p: float, lo: int, hi: int, seed: int,
-                        max_tries: int = 1000) -> Digraph:
-    """Rejection-sample until the Floyd-Warshall oracle accepts."""
+def _sample(n: int, p: float, lo: int, hi: int, seed: int, max_tries: int,
+            negative: bool) -> Digraph:
+    """Rejection-sample until whether the Floyd-Warshall oracle finds a
+    negative cycle equals ``negative``."""
     rng = random.Random(seed)
     for _ in range(max_tries):
         g = _draw(rng, n, p, lo, hi)
         try:
             floyd_warshall_oracle(g)
+            found = False
         except NegativeCycleDetected:
-            continue
-        return g
+            found = True
+        if found == negative:
+            return g
+    what = "negative-cycle" if negative else "negative-cycle-free"
     raise RuntimeError(
-        f"no negative-cycle-free draw in {max_tries} tries (n={n}, p={p}, "
+        f"no {what} draw in {max_tries} tries (n={n}, p={p}, "
         f"weights [{lo},{hi}])")
+
+
+def negative_cycle_free(n: int, p: float, lo: int, hi: int, seed: int,
+                        max_tries: int = 1000) -> Digraph:
+    """Rejection-sample until the Floyd-Warshall oracle accepts."""
+    return _sample(n, p, lo, hi, seed, max_tries, False)
 
 
 def with_negative_cycle(n: int, p: float, lo: int, hi: int, seed: int,
                         max_tries: int = 1000) -> Digraph:
     """Rejection-sample until a negative cycle exists; lo must be < 0."""
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        g = _draw(rng, n, p, lo, hi)
-        try:
-            floyd_warshall_oracle(g)
-        except NegativeCycleDetected:
-            return g
-    raise RuntimeError(
-        f"no negative-cycle draw in {max_tries} tries (n={n}, p={p}, "
-        f"weights [{lo},{hi}])")
+    return _sample(n, p, lo, hi, seed, max_tries, True)
 
 
 def ring_with_chords(n: int, chords: int, seed: int, *,

@@ -118,6 +118,8 @@ class Digraph:
         eidx), `seg_starts` marks each destination's segment for reduceat,
         `dst_with_in` lists destinations having at least one in-edge, and
         the in-edges of vertex v are the sorted positions in_ptr[v]:in_ptr[v+1].
+        ``w`` is `_weight_array` read at ``eidx``; the other six arrays are
+        `_in_layout`, which `_reweighted` graphs share.
 
         ``w`` sets the dtype of every engine that reads it.  Weights that
         are neither int nor float (Fractions) stay as they are on an object
@@ -135,11 +137,11 @@ class Digraph:
           at most n, its hub graph d+1 <= n+1 times and the ratio search's
           zero row (`parametric._zero_row`: every concrete decision, and
           a certificate's prices), relaxed from zeros on the probe graph
-          itself, n times: at most 2n*W.  The ratio search's symbolic run,
-          whose cycle is the witness, is such a run on
-          packed integer weights (`parametric._Resolver`); the difference
-          of two of its labels, which it unpacks to compare them, stays
-          below 3n*W.
+          itself n-1 times, then one kernel step: at most 2n*W.  The ratio
+          search's symbolic run, whose cycle is the witness, is such a run
+          on packed integer weights (`parametric._Resolver`); the
+          difference of two of its labels, which it unpacks to compare
+          them, stays below 3n*W.
         - the lift of level h seeds exact distances, at most (n-1)*W (to
           and from the level above, read off `apsp`'s forward and reverse
           matrices, and in a reverse row those the forward pass has just
@@ -171,27 +173,40 @@ class Digraph:
         """
         arrs = self._cache.get("in_arrays")
         if arrs is None:
-            m = self.m
-            if m == 0:
-                empty_i = np.empty(0, dtype=np.int64)
-                arrs = (empty_i, np.empty(0), empty_i, empty_i, empty_i,
-                        np.zeros(self.n + 1, dtype=np.int64), empty_i)
-            else:
-                src = self._edge_src()
-                dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
-                w = self._weight_array()
-                eidx = np.arange(m, dtype=np.int64)
-                order = np.lexsort((eidx, src, dst))
-                src, dst, w, eidx = src[order], dst[order], w[order], eidx[order]
-                boundary = np.empty(m, dtype=bool)
-                boundary[0] = True
-                boundary[1:] = dst[1:] != dst[:-1]
-                seg_starts = np.nonzero(boundary)[0]
-                dst_with_in = dst[seg_starts]
-                in_ptr = np.searchsorted(dst, np.arange(self.n + 1))
-                arrs = (src, w, eidx, seg_starts, dst_with_in, in_ptr, dst)
+            src, eidx, *rest = self._in_layout()
+            arrs = (src, self._weight_array()[eidx], eidx, *rest)
             self._cache["in_arrays"] = arrs
         return arrs
+
+    def _in_layout(self):
+        """`_in_arrays` without ``w``: the arrays that follow from the arcs
+        alone, so a graph whose weights are refused still has them."""
+        lay = self._cache.get("in_layout")
+        if lay is None:
+            m = self.m
+            src = self._edge_src()
+            dst = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
+            eidx = np.lexsort((np.arange(m), src, dst))
+            src, dst = src[eidx], dst[eidx]
+            seg_starts = np.flatnonzero(np.diff(dst, prepend=-1))
+            in_ptr = np.searchsorted(dst, np.arange(self.n + 1))
+            lay = (src, eidx, seg_starts, dst[seg_starts], in_ptr, dst)
+            self._cache["in_layout"] = lay
+        return lay
+
+    def _reweighted(self, weights) -> "Digraph":
+        """The same arcs, in edge order, with ``weights`` as their weights.
+
+        The new graph shares this one's `_edge_src` and `_in_layout`
+        arrays, which no engine writes, so its `_in_arrays` forms only its
+        weight array, by the same dtype rule, and refuses the weights that
+        rule refuses.
+        """
+        g = Digraph(self.n, ())
+        # The endpoints are this graph's, already read as ints.
+        g.edges = tuple([(u, v, w) for (u, v, _), w in zip(self.edges, weights)])
+        g._cache.update(edge_src=self._edge_src(), in_layout=self._in_layout())
+        return g
 
     def _in_slots(self):
         """The in-edges of `_in_arrays` laid out by slot: (slots, back).

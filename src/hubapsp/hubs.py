@@ -190,25 +190,25 @@ def _first_crossing(vals: np.ndarray, zero: np.ndarray, ops,
 def _sweep_cycle(run: LabelRun, ops, nonstrict) -> Optional[NegativeCycle]:
     """Smallest k (then smallest hub) whose k-hop closed-walk value crosses zero.
 
-    Strict mode reads the label diagonal d_k(z) < 0.  Nonstrict mode reads
-    the closed-walk candidates, whose entry at z is the best closed-walk
-    value over 1..k hops, and accepts <= 0; the empty walk never shadows
-    it.  `_first_crossing` compares the values with zero.  In both
-    modes the witness is `LabelRun.walk_back`'s closed walk: it ends with
-    the edge of the closed-walk candidate ``closed[k-1]`` at z, and the
-    walk back to that edge's tail is a chain of strict improvements because
-    k is minimal.
+    Both modes read the closed-walk candidates, whose entry at z is the
+    best closed-walk value over 1..k hops, and the empty walk never shadows
+    it; `_first_crossing` compares them with zero, strict mode asking < 0
+    and nonstrict <= 0.  The label diagonal d_k(z) is min(0, those values),
+    so in strict mode it would cross first at the same (k, z), with the
+    same value.  The witness is `LabelRun.walk_back`'s closed walk: it ends
+    with the edge of the closed-walk candidate ``closed[k-1]`` at z, and
+    the walk back to that edge's tail is a chain of strict improvements
+    because k is minimal.
     """
     src = np.asarray(run.sources, dtype=np.int64)
-    # Row 0 of the diagonal is the empty walk: the domain's zero.
-    diag = run.labels[:, np.arange(len(src)), src]
-    vals = run.closed if nonstrict else diag[1:]
-    found = _first_crossing(vals, diag[0], ops, nonstrict)
+    # The empty walk's label at each source: the domain's zero.
+    zero = run.labels[0, np.arange(len(src)), src]
+    found = _first_crossing(run.closed, zero, ops, nonstrict)
     if found is None:
         return None
     k, i = found
     verts, edges = run.walk_back(k, [i])
-    path = Path(tuple(verts[0].tolist()), vals[k - 1, i], k,
+    path = Path(tuple(verts[0].tolist()), run.closed[k - 1, i], k,
                 tuple(edges[0].tolist()))
     return NegativeCycle(path, k, path.length)
 

@@ -26,24 +26,26 @@ cycle.  Three routes to the optimum lam* are provided:
   every cost and time is a Fraction or an integral number (`_exact`, the
   one exactness rule, which Karp reads too), and as a float otherwise.
 
-Every concrete probe, at a rational or a float lam, runs on the graph
-`_probe_graph` builds.  At a rational lam, scaled by D, the lcm of D_c and
-of lam's denominator times D_t, the reduced weights D*(w - lam*t) are
-integers, formed from the same scaled form, and the label engine's numpy
-step decides them exactly, with the same tie-breaks as an exact rational
-run: on float64 while the integers are small enough to add exactly, and on
-Python ints in object arrays past that (late bisection probes, whose
-denominators reach 2^iterations, or float costs with long binary
-expansions); `Digraph._in_arrays` picks the dtype.  Every concrete probe
-decides one way, `_zero_row`: Bellman-Ford from a virtual source, one zero
-row relaxed on the probe graph.  A yes/no probe, every bisection step and
-every decision of the parametric search, is `_negative_cycle_at`, that row
-alone.  A certificate (`evaluate_lambda`) returns the settled row as its
-prices, and runs the hub hierarchy, for a hop-shortest cycle, only when the
-row moves.  The parametric search's witness is the cycle of its one
-symbolic run, whose comparisons `_Resolver.cmp_batch` signs; that run alone
-takes the engine's ops step, `_tournament`, so a parametric search runs the
-hub hierarchy once.
+Every weighting the search runs on, each concrete probe's and the symbolic
+run's, is `tg.base` reweighted (`Digraph._reweighted`): the arcs and their
+sorted in-edge layout are the instance's own, and only the weight array is
+new.  A concrete probe runs on `_probe_graph`'s.  At a rational lam, scaled
+by D, the lcm of D_c and of lam's denominator times D_t, the reduced weights
+D*(w - lam*t) are integers, formed from the scaled form, and the label
+engine's numpy step decides them exactly, with the same tie-breaks as an
+exact rational run: on float64 while the integers are small enough to add
+exactly, and on Python ints in object arrays past that (late bisection
+probes, whose denominators reach 2^iterations, or float costs with long
+binary expansions); `Digraph._in_arrays` picks the dtype.  Every concrete
+probe decides one way, `_zero_row`: Bellman-Ford from a virtual source, one
+zero row relaxed n-1 steps on the probe graph, then one kernel step.  A
+yes/no probe, every bisection step and every decision of the parametric
+search, is `_negative_cycle_at`, that row alone, on one graph.  A
+certificate (`evaluate_lambda`) returns the settled row as its prices, and
+runs the hub hierarchy, for a hop-shortest cycle, only when the row moves.
+The parametric search's witness is the cycle of its one symbolic run, whose
+comparisons `_Resolver.cmp_batch` signs; that run alone takes the engine's
+ops step, `_tournament`, so a parametric search runs the hub hierarchy once.
 """
 
 from __future__ import annotations
@@ -238,55 +240,47 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
     return lam, cycle
 
 
-def _reduced_graph(tg: TimedDigraph, lam: float) -> Digraph:
-    edges = tuple((u, v, w - lam * t)
-                  for (u, v, w), t in zip(tg.base.edges, tg.times))
-    return Digraph(tg.base.n, edges)
-
-
 def _zero_row(g: Digraph) -> Tuple[np.ndarray, bool]:
     """(row, settled): Bellman-Ford from a virtual super-source over
     zero-weight edges, and whether g has no negative cycle.
 
     That source's row is 0 everywhere after one step, so its labels are a
-    zero row relaxed n-1 steps on g itself.  One more step leaves the row
-    as it is, compared by value, exactly when no cycle of g is negative.
-    The int 0 keeps the row in the dtype `Digraph._in_arrays` picks for the
-    weights.
+    zero row relaxed n-1 steps on g itself.  One more kernel step finds no
+    candidate strictly below the row exactly when no cycle of g is
+    negative.  The int 0 keeps the row in the dtype `Digraph._in_arrays`
+    picks for the weights.
     """
     n = g.n
     row = relax(g, [[0] * n], max(n - 1, 0))
-    return row, not n or np.array_equal(relax(g, row, 1), row)
+    return row, not n or not (_min_in_edges(g, row) < row).any()
 
 
-def _scaled_reduced(tg: TimedDigraph, lam: Fraction) -> Tuple[Digraph, int]:
-    """(D*(w - lam*t) on integer weights, D).
-
-    With lam = p/q, D is the lcm of D_c and q*D_t, and the weights are
-    C*(D/D_c) - p*(D/(q*D_t))*T on the scaled instance (`_scale`).
-    """
-    c, t, d_c, d_t = tg._scaled
-    p, q = lam.numerator, lam.denominator
-    big_d = math.lcm(d_c, q * d_t)
-    scaled = c * (big_d // d_c) - t * (p * (big_d // (q * d_t)))
-    edges = tuple((u, v, x) for (u, v, _), x in zip(tg.base.edges, scaled))
-    return Digraph(tg.base.n, edges), big_d
-
-
-def _probe_graph(tg: TimedDigraph, lam: Real):
-    """(g, back): the graph a probe at lam runs on, and the map of its
-    numbers back to reduced weights w - lam*t.
+def _probe_graph(tg: TimedDigraph, lam: Real, nonstrict: bool = False):
+    """(g, back): `tg.base` reweighted for a probe at lam, and the map of
+    g's numbers back to reduced weights w - lam*t.
 
     lam is read by `graph._read_number`, so a numpy float32 or float16 is
-    widened to a Python float first.  A rational lam (`_exact`) gives
-    `_scaled_reduced`'s integer weights, mapped back over D to exact
-    Fractions; a float one gives `_reduced_graph`'s float64 weights.
+    widened to a Python float first.  A rational lam = p/q (`_exact`) gives
+    C*(D/D_c) - p*(D/(q*D_t))*T = D*(w - lam*t) on the scaled instance
+    (`_scale`), mapped back over D to Fractions; a float one gives w - lam*t.
+    `nonstrict`, for a yes/no decision alone, then puts (n+1)*x - 1 in place
+    of each integer x, as `_negative_cycle_at` explains.
     """
     lam = _read_number(lam, "lam")
     if _exact(lam):
-        g, big_d = _scaled_reduced(tg, Fraction(lam))
-        return g, lambda x: Fraction(int(x), big_d)
-    return _reduced_graph(tg, lam), float
+        c, t, d_c, d_t = tg._scaled
+        p, q = Fraction(lam).as_integer_ratio()
+        big_d = math.lcm(d_c, q * d_t)
+        ws = c * (big_d // d_c) - t * (p * (big_d // (q * d_t)))
+        if nonstrict:
+            ws = (tg.base.n + 1) * ws - 1
+        back = lambda x: Fraction(int(x), big_d)
+    elif nonstrict:
+        raise ValueError("a nonstrict decision needs a rational lam")
+    else:
+        ws = [w - lam * t for (_, _, w), t in zip(tg.base.edges, tg.times)]
+        back = float
+    return tg.base._reweighted(ws), back
 
 
 def _negative_cycle_at(tg: TimedDigraph, lam: Real,
@@ -294,17 +288,11 @@ def _negative_cycle_at(tg: TimedDigraph, lam: Real,
     """Whether some cycle's reduced weight w - lam*t is < 0 (<= 0 when
     `nonstrict`): one `_zero_row` on `_probe_graph`'s graph, no hierarchy.
 
-    `nonstrict` needs a rational lam.  It runs on the weights (n+1)*w - 1
-    of the scaled integers: a cycle of k <= n arcs and integer weight W
+    `nonstrict` needs a rational lam.  It runs on the weights (n+1)*x - 1
+    of the scaled integers x: a cycle of k <= n arcs and integer weight W
     weighs (n+1)*W - k there, which is < 0 exactly when W <= 0.
     """
-    g, _ = _probe_graph(tg, lam)
-    if nonstrict:
-        n = g.n
-        if not all(isinstance(w, int) for (_, _, w) in g.edges):
-            raise ValueError("a nonstrict decision needs a rational lam")
-        g = Digraph(n, tuple((u, v, (n + 1) * w - 1) for (u, v, w) in g.edges))
-    return not _zero_row(g)[1]
+    return not _zero_row(_probe_graph(tg, lam, nonstrict)[0])[1]
 
 
 def evaluate_lambda(tg: TimedDigraph, lam: Real):
@@ -397,28 +385,26 @@ class _Resolver:
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
     the candidates (both initial ends and every breakpoint the interval
-    ever left undecided), and two memoized concrete decisions on the
-    reduced graph at x: strict (is lam* < x) and nonpos (is lam* <= x).  A
-    batch of breakpoints x = num/den, den > 0, in two arrays of Python ints,
-    is decided against the interval by cross-multiplying with the ends'
-    numerators and denominators (`_interval_sign`); only the undecided ones
-    become Fractions.  Those are sorted and split by bisection on the strict
-    oracle, then at most one nonpos call separates "equal to lam*" from
-    "below", so a batch of p costs O(log p) decisions.  A decided
-    breakpoint lies outside the interval, which only ever shrinks, or on an
-    end that is already a candidate, so leaving it out of the candidates
-    changes nothing.  Each decision is a rational `_negative_cycle_at`
-    call: scaled integers on the numpy engine, in float64 or in Python
-    ints.  `oracle_calls` counts the distinct decisions.
+    ever left undecided), and the memoized concrete decisions on the
+    reduced graph at x (`decide`): strict (is lam* < x) and nonstrict (is
+    lam* <= x).  A batch of breakpoints x = num/den, den > 0, in two arrays
+    of Python ints, is decided against the interval by cross-multiplying
+    with the ends' numerators and denominators (`_interval_sign`); only the
+    undecided ones become Fractions.  Those are sorted and split by
+    bisection on strict decisions, then at most one nonstrict one separates
+    "equal to lam*" from "below", so a batch of p costs O(log p) decisions.
+    A decided breakpoint lies outside the interval, which only ever shrinks,
+    or on an end that is already a candidate, so leaving it out of the
+    candidates changes nothing.  Each decision is a rational
+    `_negative_cycle_at` call: scaled integers on the numpy engine, in
+    float64 or in Python ints.  `oracle_calls` counts the distinct decisions.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
         self.tg = tg
         c, t, self.d_c, self.d_t = tg._scaled
         self.radix = 8 * tg.base.n * max(map(abs, c), default=0) + 1
-        packed = t * self.radix + c
-        self.graph = Digraph(tg.base.n, tuple(
-            (u, v, x) for (u, v, _), x in zip(tg.base.edges, packed)))
+        self.graph = tg.base._reweighted(t * self.radix + c)
         ratios = _edge_ratios(tg, True)
         self.lo, self.hi = min(ratios), max(ratios)
         self.lo_excl = False
@@ -469,12 +455,6 @@ class _Resolver:
             self.oracle_calls += 1
         return self._decided[key]
 
-    def strict_at(self, x: Fraction) -> bool:
-        return self.decide(x, False)
-
-    def nonpos_at(self, x: Fraction) -> bool:
-        return self.decide(x, True)
-
     def _interval_sign(self, num: np.ndarray, den: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """(signs, undecided): the signs of num/den - lam*, den > 0, that the
@@ -506,14 +486,14 @@ class _Resolver:
     def _shrink(self, xs: List[Fraction]) -> None:
         # Least index whose strict test succeeds; everything at or past it
         # sits strictly above lam*.
-        i = bisect.bisect_left(xs, True, key=self.strict_at)
+        i = bisect.bisect_left(xs, True, key=lambda x: self.decide(x, False))
         if i < len(xs):
             self.hi = xs[i]
             self.hi_excl = True
         if i > 0:
             # Largest non-strict breakpoint: equal to lam* or strictly below.
             x = xs[i - 1]
-            if self.nonpos_at(x):
+            if self.decide(x, True):
                 self.lo = self.hi = x
                 self.lo_excl = self.hi_excl = False
             else:
@@ -550,14 +530,14 @@ def min_ratio_parametric(tg: TimedDigraph,
 
     cands = sorted(x for x in resolver.candidates
                    if resolver.lo <= x <= resolver.hi)
-    i = bisect.bisect_left(cands, True, key=resolver.nonpos_at)
+    i = bisect.bisect_left(cands, True, key=lambda x: resolver.decide(x, True))
     if i == len(cands):
         raise AssertionError("no candidate admits a nonpositive cycle")
     lam = cands[i]
     if lam != lam_sim:
         raise AssertionError("candidate selection disagrees with the simulation")
 
-    if not resolver.nonpos_at(lam):
+    if not resolver.decide(lam, True):
         raise AssertionError("nonpositive cycle vanished at the selected lam")
     # The packed graph keeps tg.base's edge ids, so the symbolic run's cycle
     # is the witness as it stands.

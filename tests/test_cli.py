@@ -206,6 +206,17 @@ def test_bench_lists_each_d(tmp_path):
     assert "wallclock" not in doc
 
 
+def test_bench_runs_each_rounded_d_once(tmp_path):
+    # 3 rounds down to 2; the list once printed "d 2: work=..." twice.
+    c23, d23 = run(tmp_path, ["bench", "--d-list", "2,3", RING8], name="d23.txt")
+    c2, d2 = run(tmp_path, ["bench", "--d-list", "2", RING8], name="d2.txt")
+    assert (c23, d23) == (c2, d2)
+    c, doc = run(tmp_path, ["bench", "--d-list", "4,1,5,2", RING8])
+    assert c == 0
+    assert [l.split(":")[0] for l in doc.splitlines() if l.startswith("d ")] == [
+        "d 4", "d 1", "d 2"]
+
+
 def test_bench_rejects_bad_list(tmp_path, capsys):
     assert main(["bench", "--d-list", "1,x", RING8]) == 2
     assert main(["bench", "--d-list", "99", RING8]) == 2

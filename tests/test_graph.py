@@ -7,6 +7,7 @@ import pytest
 from hubapsp.generate import ring_with_chords
 from hubapsp.graph import (
     INF,
+    Digraph,
     NegativeCycleDetected,
     build_graph,
     enumerate_simple_cycles,
@@ -31,6 +32,57 @@ def test_single_edge_adjacency():
     assert [src[s].tolist() for s in segments] == [[], [0]]
     assert [edge_dst[s].tolist() for s in segments] == [[], [1]]
     assert g.m == 1
+
+
+# A self loop at 0, parallel arcs 1 -> 0, and a vertex (3) with no in-arc.
+LOOPS = [(0, 0, 1), (1, 0, 2), (2, 1, 1), (1, 0, 5), (0, 2, 3), (3, 2, 0)]
+
+
+@pytest.mark.parametrize("n,edges,weights", [
+    (0, [], []),
+    (4, [], []),
+    (4, LOOPS, [0.5, -1.25, 2.0, -1.25, 0.0, 3.5]),
+    (4, LOOPS, [2 ** 60, -1, 3, 2 ** 60 + 1, 0, -(2 ** 61)]),
+    (4, LOOPS, [Fraction(1, 3), 2, Fraction(-5, 7), 2, 0, Fraction(9, 2)]),
+    # The base's own weights mix floats with integers past the bound, which
+    # no one dtype holds; its layout is still lent.
+    (2, [(0, 1, 0.5), (1, 0, 2 ** 60), (0, 1, 1)], [1, 2, 3]),
+], ids=["empty", "no-arcs", "float64", "big-ints", "fractions", "refused-base"])
+def test_reweighted_lays_out_as_a_fresh_graph(n, edges, weights):
+    # Same arcs, new weights: array for array, dtype included, what a fresh
+    # graph over the same arcs builds, on the base's shared layout.
+    base = Digraph(n, edges)
+    got = base._reweighted(weights)
+    fresh = Digraph(n, [(u, v, w) for (u, v, _), w in zip(edges, weights)])
+    assert got.edges == fresh.edges
+    arrs = got._in_arrays()
+    for x, y in zip(arrs, fresh._in_arrays(), strict=True):
+        assert x.dtype == y.dtype
+        assert [(type(a), a) for a in x.tolist()] == [(type(b), b) for b in y.tolist()]
+    # Read independently: in-edges sorted by (dst, src, edge id), each
+    # carrying its own new weight.
+    eidx = arrs[2].tolist()
+    assert eidx == sorted(range(len(edges)), key=lambda e: (edges[e][1], edges[e][0], e))
+    assert arrs[1].tolist() == [weights[e] for e in eidx]
+    layout = base._in_layout()
+    assert arrs[0] is layout[0] and all(a is b for a, b in zip(arrs[2:], layout[1:]))
+    assert got._edge_src() is base._edge_src()
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, 2 ** 60, 1, 1, 1, 1],
+    [0.5, Fraction(1, 3), 1, 1, 1, 1],
+    [1e308, 1, 1, 1, 1, 1],
+    [10 ** 400, 1, 1, 1, 1, 1],
+], ids=["float-beside-big-int", "float-beside-fraction", "float-range",
+        "int-range"])
+def test_reweighted_refuses_what_a_fresh_graph_refuses(weights):
+    base = build_graph(4, LOOPS)
+    with pytest.raises(ValueError) as fresh:
+        Digraph(4, [(u, v, w) for (u, v, _), w in zip(LOOPS, weights)])._in_arrays()
+    with pytest.raises(ValueError) as got:
+        base._reweighted(weights)._in_arrays()
+    assert str(got.value) == str(fresh.value)
 
 
 @pytest.mark.parametrize("n,edges,depth", [

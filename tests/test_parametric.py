@@ -24,7 +24,7 @@ from hubapsp.parametric import (
     min_ratio_binary_search,
     min_ratio_parametric,
     _Resolver,
-    _reduced_graph,
+    _probe_graph,
 )
 from reference_ratio import fraction_prices, probe_bisection
 from reference_step import edge_tables
@@ -252,12 +252,45 @@ def test_float_lambda_prices_match_the_augmented_reference():
         for lam in (float(lam_star) - 0.3, float(lam_star) - 2.75, -5.1):
             out = evaluate_lambda(half, lam)
             assert isinstance(out, Feasible), (seed, lam)
-            want = fraction_prices(_reduced_graph(half, lam))
+            want = fraction_prices(_probe_graph(half, lam)[0])
             assert all(type(p) is float for p in out.price)
             assert out.price == want, (seed, lam)
             _check_certificate(half, lam, out.price, tol=1e-9)
             checked += 1
     assert checked == 36
+
+
+def test_probes_share_the_base_layout_and_leave_it_alone():
+    # Every probe reweights tg.base's arcs on its sorted in-edge arrays,
+    # which no probe, decision or search writes.
+    tg = parse_graph(DATA / "timed6.gr")
+    base = tg.base._in_arrays()
+    before = [a.copy() for a in base]
+    for lam in (Fraction(-7, 3), 0.25, 2):
+        g, _ = _probe_graph(tg, lam)
+        assert g._in_arrays()[0] is base[0]
+    assert _Resolver(tg).graph._in_arrays()[0] is base[0]
+    min_ratio_binary_search(tg, 60)
+    min_ratio_parametric(tg)
+    after = tg.base._in_arrays()
+    assert all(a is b for a, b in zip(after, base))
+    for a, b in zip(after, before):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_probes_run_where_the_base_weights_are_refused():
+    # A float cost beside an integer cost past 2^53: no one dtype holds
+    # tg.base's own weights, yet every probe's weights fit one, and the
+    # probes still borrow the base's layout.
+    tg = build_timed_graph(3, [(0, 1, 0.5, 1), (1, 0, -2 ** 60, 1),
+                               (1, 2, 3, 2), (2, 1, -1, 1)])
+    with pytest.raises(ValueError, match="exact arithmetic"):
+        tg.base._in_arrays()
+    ans = min_ratio_parametric(tg)
+    assert ans.lambda_star == float((Fraction(1, 2) - 2 ** 60) / 2)
+    assert ans.witness.edges == (0, 1)
+    lo, hi = min_ratio_binary_search(tg, 8)
+    assert lo <= ans.lambda_star <= hi
 
 
 def test_numpy_float_lambda_is_read_as_float64():

@@ -31,7 +31,7 @@ from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
 from hubapsp.parametric import (Feasible, Infeasible, TimedDigraph,
-                                _Resolver, _scaled_reduced, build_timed_graph,
+                                _Resolver, _probe_graph, build_timed_graph,
                                 evaluate_lambda, min_ratio_binary_search,
                                 min_ratio_parametric)
 from reference_greedy import greedy_hitting_set_sets
@@ -262,7 +262,7 @@ def probe_lambdas(draw):
 def test_scaled_probe_matches_fraction_engine(tg, case, nonstrict):
     lam, small = case
     if small:
-        assert _scaled_reduced(tg, lam)[0]._in_arrays()[1].dtype == np.float64
+        assert _probe_graph(tg, lam)[0]._in_arrays()[1].dtype == np.float64
     gl = fraction_reduced_graph(tg, lam)
     want = fraction_negative_cycle(gl, nonstrict)
     assert parametric._negative_cycle_at(tg, lam, nonstrict) == (want is not None)
@@ -302,12 +302,12 @@ def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
     tg = parse_graph(str(Path(__file__).parent / "data" / "timed6.gr"))
     dtypes = []
 
-    def spy(tg_, lam):
-        out = _scaled_reduced(tg_, lam)
+    def spy(tg_, lam, nonstrict=False):
+        out = _probe_graph(tg_, lam, nonstrict)
         dtypes.append(out[0]._in_arrays()[1].dtype)
         return out
 
-    monkeypatch.setattr(parametric, "_scaled_reduced", spy)
+    monkeypatch.setattr(parametric, "_probe_graph", spy)
     trace = []
     min_ratio_binary_search(tg, 60, _trace=trace)
     assert len(dtypes) == 60
