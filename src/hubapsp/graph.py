@@ -136,8 +136,8 @@ class Digraph:
           depth is the least power of two >= max(2, n)), `apsp`'s hierarchy
           at most n, its hub graph d+1 <= n+1 times and the ratio search's
           zero row (`parametric._zero_row`: every concrete decision, and
-          a certificate's prices), relaxed from zeros on the probe graph
-          itself n-1 times, then one kernel step: at most 2n*W.  The ratio
+          a certificate's prices), stepped from zeros on the probe graph
+          itself until it settles, at most n times: at most 2n*W.  The ratio
           search's symbolic run, whose cycle is the witness, is such a run
           on packed integer weights (`parametric._Resolver`); the
           difference of two of its labels, which it unpacks to compare

@@ -21,10 +21,12 @@ cycle.  Three routes to the optimum lam* are provided:
   comparison's breakpoint is an integer pair (num, den), unpacked from a
   difference of two labels, and `_Resolver` decides a batch of them
   against the interval around lam* by cross-multiplication on whole
-  arrays; only the breakpoints the interval leaves undecided become
-  Fractions.  So lam* is exact, and it is returned as a Fraction whenever
-  every cost and time is a Fraction or an integral number (`_exact`, the
-  one exactness rule, which Karp reads too), and as a float otherwise.
+  arrays, of int64 below a bound on every product formed and of Python
+  ints past it; only the distinct breakpoints the interval leaves
+  undecided become Fractions.  So lam* is exact, and it is returned as a
+  Fraction whenever every cost and time is a Fraction or an integral
+  number (`_exact`, the one exactness rule, which Karp reads too), and as
+  a float otherwise.
 
 Every weighting the search runs on, each concrete probe's and the symbolic
 run's, is `tg.base` reweighted (`Digraph._reweighted`): the arcs and their
@@ -38,7 +40,7 @@ exactly, and on Python ints in object arrays past that (late bisection
 probes, whose denominators reach 2^iterations, or float costs with long
 binary expansions); `Digraph._in_arrays` picks the dtype.  Every concrete
 probe decides one way, `_zero_row`: Bellman-Ford from a virtual source, one
-zero row relaxed n-1 steps on the probe graph, then one kernel step.  A
+zero row on the probe graph, stepped until it settles, at most n steps.  A
 yes/no probe, every bisection step and every decision of the parametric
 search, is `_negative_cycle_at`, that row alone, on one graph.  A
 certificate (`evaluate_lambda`) returns the settled row as its prices, and
@@ -59,7 +61,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .bellman_ford import _attaining_edges, _min_in_edges, relax
+from .bellman_ford import _attaining_edges, _min_in_edges
 from .graph import INF, Digraph, Path, _read_number, build_graph, has_cycle
 from .hubs import NegativeCycle, shortest_negative_cycle
 
@@ -72,12 +74,17 @@ class AcyclicGraphError(ValueError):
 
 def _scale(tg: TimedDigraph) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """(C, T, D_c, D_t): C = D_c*cost and T = D_t*time as object arrays of
-    Python ints, D_c and D_t the lcms of the costs' and times' denominators."""
-    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
-    ts = [Fraction(t) for t in tg.times]
-    d_c = math.lcm(*(x.denominator for x in ws))
-    d_t = math.lcm(*(y.denominator for y in ts))
-    ints = lambda xs, d: np.array([int(x * d) for x in xs], dtype=object)
+    Python ints, D_c and D_t the lcms of the costs' and times' denominators.
+
+    Each number's ``as_integer_ratio`` gives its (numerator, denominator);
+    a cost is read by `graph._read_number` first, as a time already was,
+    so a numpy scalar a `Digraph` was built with gives Python ints too.
+    """
+    ws = [_read_number(w, "weight").as_integer_ratio() for (_, _, w) in tg.base.edges]
+    ts = [t.as_integer_ratio() for t in tg.times]
+    d_c = math.lcm(*(q for _, q in ws))
+    d_t = math.lcm(*(q for _, q in ts))
+    ints = lambda xs, d: np.array([p * (d // q) for p, q in xs], dtype=object)
     return ints(ws, d_c), ints(ts, d_t), d_c, d_t
 
 
@@ -245,14 +252,26 @@ def _zero_row(g: Digraph) -> Tuple[np.ndarray, bool]:
     zero-weight edges, and whether g has no negative cycle.
 
     That source's row is 0 everywhere after one step, so its labels are a
-    zero row relaxed n-1 steps on g itself.  One more kernel step finds no
-    candidate strictly below the row exactly when no cycle of g is
-    negative.  The int 0 keeps the row in the dtype `Digraph._in_arrays`
-    picks for the weights.
+    zero row stepped on g itself, in the dtype `Digraph._in_arrays` picks
+    for the weights (the int 0 on an object array).  Each step takes the
+    kernel's candidates (`_min_in_edges`) where they lie strictly below
+    the row.  The row settles at the first step with no such candidate,
+    which comes within n steps exactly when no cycle of g is negative; a
+    row that still moves at step n is returned as the n-1 steps left it.
+    A zero candidate is +0.0 and the row starts at +0.0, so a step that
+    finds nothing strictly below changes no bit, and on an object row no
+    tie replaces a value by an equal one of another type.
     """
     n = g.n
-    row = relax(g, [[0] * n], max(n - 1, 0))
-    return row, not n or not (_min_in_edges(g, row) < row).any()
+    row = np.zeros((1, n), dtype=g._in_arrays()[1].dtype)
+    for step in range(n):
+        new = _min_in_edges(g, row)
+        below = new < row
+        if not below.any():
+            return row, True
+        if step < n - 1:
+            row = np.where(below, new, row)
+    return row, not n
 
 
 def _probe_graph(tg: TimedDigraph, lam: Real, nonstrict: bool = False):
@@ -324,11 +343,26 @@ def evaluate_lambda(tg: TimedDigraph, lam: Real):
         Path(path.vertices, weight, path.hops, path.edges), cyc.hops, weight))
 
 
-def _edge_ratios(tg: TimedDigraph, exact: bool) -> List[Real]:
-    if exact:
-        c, t, d_c, d_t = tg._scaled
-        return list(map(Fraction, c * d_t, t * d_c))
-    return [w / t for (_, _, w), t in zip(tg.base.edges, tg.times)]
+def _ratio_bounds(tg: TimedDigraph, exact: bool) -> Tuple[Real, Real]:
+    """The least and the largest edge cost/time ratio.
+
+    On the scaled instance (`_scale`) every ratio is C_e*D_t / (T_e*D_c),
+    whose common factor D_t/D_c > 0 leaves the order of C_e/T_e, so the
+    extremes are found by integer cross products and only they become
+    Fractions.
+    """
+    if not exact:
+        ratios = [w / t for (_, _, w), t in zip(tg.base.edges, tg.times)]
+        return min(ratios), max(ratios)
+    c, t, d_c, d_t = tg._scaled
+    pairs = list(zip(c.tolist(), t.tolist()))
+    lo = hi = pairs[0]
+    for ce, te in pairs[1:]:
+        if ce * lo[1] < lo[0] * te:
+            lo = (ce, te)
+        if ce * hi[1] > hi[0] * te:
+            hi = (ce, te)
+    return Fraction(lo[0] * d_t, lo[1] * d_c), Fraction(hi[0] * d_t, hi[1] * d_c)
 
 
 def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
@@ -348,8 +382,7 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
         raise ValueError("iterations must be >= 1")
     if not has_cycle(tg.base):
         raise AcyclicGraphError("ratio search needs a directed cycle")
-    ratios = _edge_ratios(tg, _exact_instance(tg))
-    lo, hi = min(ratios), max(ratios)
+    lo, hi = _ratio_bounds(tg, _exact_instance(tg))
     for _ in range(iterations):
         mid = (lo + hi) / 2
         if _negative_cycle_at(tg, mid):
@@ -363,6 +396,9 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
 
 _to_int = np.frompyfunc(int, 1, 1)
 
+# Breakpoint arithmetic runs on int64 below this bound (`_Resolver`).
+_INT64_LIMIT = 2 ** 63
+
 
 class _Resolver:
     """The symbolic run's weight domain: packed affine values signed at lam*.
@@ -375,38 +411,59 @@ class _Resolver:
     bound, and the label engine adds, stores, equates and looks up its
     labels as it does distances.  Every value the run forms, compares or
     returns is a walk of at most 2n hops (`shortest_negative_cycle` steps
-    at most its depth, the least power of two >= max(2, n)), whose b lies
-    within 2n*max|C|, so a difference of two has |b| <= 4n*max|C| < M/2,
-    and `unpack` reads (a, b) back from it exactly; two values are equal
-    exactly when their pairs are.  On float64 such a difference stays below
-    3n times the largest weight, so it is exact too.  Only the order of the
-    labels goes through `cmp_batch`, which turns each comparison into a
-    breakpoint for `resolve`.
+    at most its depth, the least power of two >= max(2, n)), whose a lies
+    in 0..2n*max T and whose b lies within 2n*max|C|, so a difference of
+    two has |a| <= 2n*max T and |b| <= 4n*max|C| < M/2, and `unpack` reads
+    (a, b) back from it exactly; two values are equal exactly when their
+    pairs are.  On float64 such a difference stays below 3n times the
+    largest weight, so it is exact too.  Only the order of the labels goes
+    through `cmp_batch`, which turns each comparison into a breakpoint for
+    `resolve`.
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
     the candidates (both initial ends and every breakpoint the interval
     ever left undecided), and the memoized concrete decisions on the
     reduced graph at x (`decide`): strict (is lam* < x) and nonstrict (is
     lam* <= x).  A batch of breakpoints x = num/den, den > 0, in two arrays
-    of Python ints, is decided against the interval by cross-multiplying
+    of ``dtype``, is decided against the interval by cross-multiplying
     with the ends' numerators and denominators (`_interval_sign`); only the
-    undecided ones become Fractions.  Those are sorted and split by
-    bisection on strict decisions, then at most one nonstrict one separates
-    "equal to lam*" from "below", so a batch of p costs O(log p) decisions.
-    A decided breakpoint lies outside the interval, which only ever shrinks,
-    or on an end that is already a candidate, so leaving it out of the
-    candidates changes nothing.  Each decision is a rational
-    `_negative_cycle_at` call: scaled integers on the numpy engine, in
-    float64 or in Python ints.  `oracle_calls` counts the distinct decisions.
+    undecided ones are reduced, deduplicated and made Fractions.  Those
+    are sorted and split by bisection on strict decisions, then at most
+    one nonstrict one separates "equal to lam*" from "below", so a batch
+    of p costs O(log p) decisions.  A decided breakpoint lies outside the
+    interval, which only ever shrinks, or on an end that is already a
+    candidate, so leaving it out of the candidates changes nothing.  Each
+    decision is a rational `_negative_cycle_at` call: scaled integers on
+    the numpy engine, in float64 or in Python ints.  `oracle_calls` counts
+    the distinct decisions.
+
+    ``dtype``, chosen once per instance as `Digraph._in_arrays` chooses
+    float64 or object, is int64 when B = 16*n^2*max(max|C|, 1)*max T*D_t*D_c
+    is below 2^63, and object (Python ints) otherwise.  numpy's int64
+    arithmetic wraps silently on overflow, so B carries the correctness:
+    every integer formed on int64 arrays lies within B.
+
+    - A breakpoint is (db*D_t, da*D_c) up to sign, with |db| <= 4n*max|C|
+      and |da| <= 2n*max T as above, so |num| <= 4n*max|C|*D_t and
+      den <= 2n*max T*D_c.  Each is at most B, since max T, D_c and D_t
+      are at least 1 (max(max|C|, 1) covers den when every cost is 0).
+    - An end of the interval is an edge ratio C_e*D_t / (T_e*D_c) or a
+      breakpoint, as a reduced Fraction, so its numerator and denominator
+      obey the same two bounds.
+    - So each of num*end.denominator and den*end.numerator lies within
+      8n^2*max|C|*max T*D_t*D_c, and their difference within B.
     """
 
     def __init__(self, tg: TimedDigraph, trace: Optional[list] = None):
         self.tg = tg
         c, t, self.d_c, self.d_t = tg._scaled
-        self.radix = 8 * tg.base.n * max(map(abs, c), default=0) + 1
+        n = tg.base.n
+        big_c = max(map(abs, c), default=0)
+        self.radix = 8 * n * big_c + 1
+        bound = 16 * n * n * max(big_c, 1) * max(t, default=1) * self.d_t * self.d_c
+        self.dtype = np.dtype(np.int64 if bound < _INT64_LIMIT else object)
         self.graph = tg.base._reweighted(t * self.radix + c)
-        ratios = _edge_ratios(tg, True)
-        self.lo, self.hi = min(ratios), max(ratios)
+        self.lo, self.hi = _ratio_bounds(tg, True)
         self.lo_excl = False
         self.hi_excl = False
         self.candidates = {self.lo, self.hi}
@@ -421,17 +478,24 @@ class _Resolver:
             self.trace.append((self.lo, self.hi))
 
     def unpack(self, x):
-        """(a, b) with x = a*M + b and |b| < M/2, elementwise, as Python
-        ints: exact on Python ints, and on float64 integers below 2^53."""
+        """(a, b) with x = a*M + b and |b| < M/2, elementwise, in ``dtype``;
+        a scalar x gives Python ints.  Formed in x's own dtype: exact on
+        Python ints, and on float64 integers below 2^53, whose results
+        go to int64 as they are."""
         half = self.radix // 2
         b = (x + half) % self.radix - half
-        return _to_int((x - b) // self.radix), _to_int(b)
+        a = (x - b) // self.radix
+        if not isinstance(x, np.ndarray):
+            return int(a), int(b)
+        if self.dtype == object:
+            return _to_int(a), _to_int(b)
+        return a.astype(np.int64), b.astype(np.int64)
 
     def cmp_batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Signs at lam* of x - y, elementwise, for packed values; x is finite.
 
         An infinite y gives -1, and equal times the sign of the cost
-        difference.  Otherwise x - y unpacks to Python ints (da, db), and
+        difference.  Otherwise x - y unpacks to (da, db) in ``dtype``, and
         unscaled the two values differ by db/D_c - lam*da/D_t, which crosses
         zero at the breakpoint (db*D_t)/(da*D_c): kept with den > 0, the
         numerators and the denominators go to `resolve` as two arrays.  The
@@ -470,14 +534,16 @@ class _Resolver:
 
     def resolve(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Signs of x - lam* for the breakpoints x = num/den, den > 0, two
-        arrays of Python ints, shrinking the interval."""
+        arrays of ``dtype``, shrinking the interval."""
         self.breakpoints += len(num)
         signs, undecided = self._interval_sign(num, den)
         if undecided.any():
             num, den = num[undecided], den[undecided]
-            pending = set(map(Fraction, num, den))
+            g = np.gcd(num, den)
+            pending = sorted(Fraction(p, q) for p, q in
+                             set(zip((num // g).tolist(), (den // g).tolist())))
             self.candidates.update(pending)
-            self._shrink(sorted(pending))
+            self._shrink(pending)
             signs[undecided], still = self._interval_sign(num, den)
             if still.any():
                 raise AssertionError("interval failed to separate a breakpoint")

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -26,14 +27,19 @@ from hubapsp.parametric import (
     _Resolver,
     _probe_graph,
 )
-from reference_ratio import fraction_prices, probe_bisection
+from reference_ratio import (fraction_negative_cycle, fraction_prices,
+                             fraction_reduced_graph, probe_bisection)
 from reference_step import edge_tables
 
 
 def ratio_oracle(tg):
-    """Exact minimum cost-to-time ratio by exhaustive cycle enumeration."""
+    """Exact minimum cost-to-time ratio by exhaustive cycle enumeration.
+
+    The cycles are enumerated on the arcs alone, with zero weights, since
+    the float64 enumeration refuses weights too large for it."""
+    arcs = Digraph(tg.base.n, [(u, v, 0) for (u, v, _) in tg.base.edges])
     best = None
-    for cyc in enumerate_simple_cycles(tg.base):
+    for cyc in enumerate_simple_cycles(arcs):
         w = sum(tg.base.edges[e][2] for e in cyc.edges)
         t = sum(tg.times[e] for e in cyc.edges)
         r = Fraction(w) / Fraction(t)
@@ -95,6 +101,41 @@ def test_numpy_scalar_times_read_as_python_numbers(kind):
     assert got == want and list(map(type, got)) == list(map(type, want))
     for lam in (Fraction(1, 3), -0.75):
         assert repr(evaluate_lambda(tg, lam)) == repr(evaluate_lambda(plain, lam))
+
+
+def _scale_by_fractions(tg):
+    """`parametric._scale` as one Fraction per number computes it."""
+    ws = [Fraction(w) for (_, _, w) in tg.base.edges]
+    ts = [Fraction(t) for t in tg.times]
+    d_c = math.lcm(*(x.denominator for x in ws))
+    d_t = math.lcm(*(y.denominator for y in ts))
+    return [int(x * d_c) for x in ws], [int(y * d_t) for y in ts], d_c, d_t
+
+
+@pytest.mark.parametrize("costs,times", [
+    ([3, -7, 0], [1, 2, 5]),
+    ([Fraction(-3, 4), Fraction(5, 6), 2], [Fraction(1, 3), 2, Fraction(7, 2)]),
+    ([0.1, -0.1, 0.3], [0.1, 1, 3]),
+    ([1e300, -1e300, 1], [1e300, 1, 2]),
+    ([5e-324, -5e-324, 0.0], [5e-324, 1, 0.5]),
+    ([0.1, Fraction(1, 3), 7, 1e300, 5e-324, -2.5],
+     [Fraction(2, 7), 0.1, 3, 5e-324, 1e300, 0.75]),
+    ([np.int64(-3), np.float64(0.1), 2], [1, 2, 3]),
+])
+def test_scale_reads_the_numbers_as_fractions_would(costs, times):
+    # Integer ratios of ints, Fractions and floats down to the least
+    # subnormal and up to 1e300, alone and mixed, and numpy scalars a
+    # Digraph was built with: the same Python ints and the same (D_c, D_t)
+    # as a Fraction per number.
+    n = len(costs)
+    tg = TimedDigraph(Digraph(n, [(e, (e + 1) % n, w) for e, w in enumerate(costs)]),
+                      times)
+    c, t, d_c, d_t = parametric._scale(tg)
+    want_c, want_t, want_dc, want_dt = _scale_by_fractions(tg)
+    assert c.dtype == t.dtype == object
+    assert [(type(x), x) for x in c] == [(int, x) for x in want_c]
+    assert [(type(x), x) for x in t] == [(int, x) for x in want_t]
+    assert (type(d_c), d_c, type(d_t), d_t) == (int, want_dc, int, want_dt)
 
 
 def test_each_search_scales_the_instance_once(monkeypatch):
@@ -730,17 +771,93 @@ def test_symbolic_run_table_dtypes(name, dtype, pinned):
     # The packed symbolic graph takes float64 below the `_in_arrays` bound
     # and exact Python ints past it; the results were recorded before the
     # affine values were packed.
-    if name == "big":
-        tg = random_timed(8, 0.4, -9, 9, seed=8000)
-        tg = TimedDigraph(Digraph(tg.base.n, [(u, v, w * (2 ** 50 + 1))
-                                              for (u, v, w) in tg.base.edges]),
-                          tg.times)
-    else:
-        tg = parse_graph(DATA / f"{name}.gr")
+    tg = _dtype_instance(name)
     assert _Resolver(tg).graph._in_arrays()[1].dtype == dtype
     if pinned is not None:
         ans = min_ratio_parametric(tg)
         assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == pinned
+
+
+def _dtype_instance(name):
+    if name != "big":
+        return parse_graph(DATA / f"{name}.gr")
+    tg = random_timed(8, 0.4, -9, 9, seed=8000)
+    return TimedDigraph(Digraph(tg.base.n, [(u, v, w * (2 ** 50 + 1))
+                                            for (u, v, w) in tg.base.edges]),
+                        tg.times)
+
+
+@pytest.mark.parametrize("name,table,breakpoints", [
+    ("timed6", np.float64, np.int64),
+    ("timed6-tenths", object, object),
+    ("big", object, object),
+    # Dyadic costs down to 2^-27: D_c*max|C| is small enough for float64,
+    # while D_c^2 takes the breakpoint bound past 2^63.
+    ("timed4-dyadic", np.float64, object),
+])
+def test_breakpoint_dtypes(name, table, breakpoints):
+    # The breakpoints take int64 below `_Resolver`'s bound and Python ints
+    # past it, whichever dtype the packed symbolic graph takes.
+    resolver = _Resolver(_dtype_instance(name))
+    assert resolver.graph._in_arrays()[1].dtype == table
+    assert resolver.dtype == breakpoints
+
+
+def _at_the_int64_bound(seed, above):
+    """A random_timed draw with costs scaled so that `_Resolver`'s bound
+    16*n^2*max|C|*max T (integer costs and times: D_c = D_t = 1) is just
+    below 2^63, or, ``above``, just at or past it."""
+    tg = random_timed(6, 0.5, -9, 9, seed)
+    n, t_max = tg.base.n, max(tg.times)
+    c_max = (2 ** 63 - 1) // (16 * n * n * t_max) + above
+    rng = random.Random(seed)
+    costs = [w * (c_max // 10) + rng.randint(-99, 99) for (_, _, w) in tg.base.edges]
+    costs[0] = c_max if costs[0] >= 0 else -c_max
+    return TimedDigraph(Digraph(n, [(u, v, w) for (u, v, _), w
+                                    in zip(tg.base.edges, costs)]), tg.times)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_search_either_side_of_the_int64_bound(above):
+    # Just below the bound the breakpoints are int64 while the packed run
+    # holds Python ints; at it they are Python ints.  Either way lam* is
+    # the enumerated minimum, and the witness and the certificate are the
+    # Fraction engine's nonpositive cycle and super-source prices at lam*.
+    for seed in range(4):
+        tg = _at_the_int64_bound(5100 + seed, above)
+        resolver = _Resolver(tg)
+        assert resolver.graph._in_arrays()[1].dtype == object
+        assert resolver.dtype == (object if above else np.int64)
+        ans = min_ratio_parametric(tg)
+        assert ans.lambda_star == ratio_oracle(tg)
+        reduced = fraction_reduced_graph(tg, ans.lambda_star)
+        want = fraction_negative_cycle(reduced, nonstrict=True).cycle
+        assert (ans.witness.vertices, ans.witness.edges) == (want.vertices, want.edges)
+        assert ans.certificate == fraction_prices(reduced)
+
+
+def test_object_breakpoints_repeat_the_int64_search(monkeypatch):
+    # Instances whose breakpoints are int64, searched again with every
+    # breakpoint on Python ints, as past the bound: the same answer, counts
+    # and interval trace, in values and types.
+    big = random_timed(24, 0.3, -3, 9, seed=6)
+    instances = [parse_graph(DATA / "timed6.gr"), parse_graph(DATA / "triangle-timed.gr"),
+                 *(random_timed(9, 0.4, -4, 8, seed=3300 + s) for s in range(6)),
+                 TimedDigraph(Digraph(big.base.n, [(u, v, w * (2 ** 40 + 1))
+                                                   for (u, v, w) in big.base.edges]),
+                              big.times),
+                 _at_the_int64_bound(5100, False)]
+    searches = []
+    for tg in instances:
+        assert _Resolver(tg).dtype == np.int64
+        trace = []
+        searches.append((tg, repr(min_ratio_parametric(tg, _trace=trace)), repr(trace)))
+    monkeypatch.setattr(parametric, "_INT64_LIMIT", 0)
+    for tg, answer, trace in searches:
+        assert _Resolver(tg).dtype == object
+        seen = []
+        assert repr(min_ratio_parametric(tg, _trace=seen)) == answer
+        assert repr(seen) == trace
 
 
 def test_parametric_builds_no_edge_table():

@@ -373,6 +373,59 @@ def test_integer_interval_rule_matches_fractions(case):
 
 
 @st.composite
+def interval_at_the_int64_bound(draw):
+    # An instance whose breakpoint bound B = 16*n^2*max|C|*max T*D_t*D_c
+    # lies near 2^63, on either side, and breakpoints and interval ends as
+    # large as B lets them be: |db| <= 4n*max|C|, 0 < |da| <= 2n*max T,
+    # extremes drawn often.  Two self-loops at vertex 0 carry the scaled
+    # costs 1 and max|C| over D_c, and the scaled times 1 and max T over D_t.
+    n = draw(st.integers(1, 64))
+    t_max = draw(st.one_of(st.integers(1, 3), st.integers(1, 2 ** 30)))
+    d_t = draw(st.one_of(st.integers(1, 12), st.integers(1, 2 ** 30)))
+    d_c = draw(st.one_of(st.integers(1, 12), st.integers(1, 2 ** 30)))
+    rest = 16 * n * n * t_max * d_t * d_c
+    target = draw(st.sampled_from([2 ** 61, 2 ** 63, 2 ** 64, 2 ** 65]))
+    c_max = max(1, target // rest + draw(st.integers(-1, 1)))
+    tg = build_timed_graph(n, [(0, 0, Fraction(1, d_c), Fraction(1, d_t)),
+                               (0, 0, Fraction(c_max, d_c), Fraction(t_max, d_t))])
+
+    def extreme(lim):
+        return draw(st.one_of(st.sampled_from([lim, lim - 1, -lim, 1 - lim]),
+                              st.integers(-lim, lim)))
+
+    def breakpoint():
+        da = extreme(2 * n * t_max) or 1
+        db = extreme(4 * n * c_max)
+        return (db * d_t, da * d_c) if da > 0 else (-db * d_t, -da * d_c)
+
+    pairs = [breakpoint() for _ in range(draw(st.integers(1, 12)))]
+    ends = sorted(Fraction(*draw(st.sampled_from(pairs)))
+                  if draw(st.booleans()) else
+                  Fraction(extreme(c_max) * d_t, draw(st.integers(1, t_max)) * d_c)
+                  for _ in range(2))
+    if draw(st.booleans()):
+        ends[1] = ends[0]
+    return tg, ends, draw(st.booleans()), draw(st.booleans()), pairs
+
+
+@settings(SETTINGS, max_examples=400)
+@given(interval_at_the_int64_bound())
+def test_interval_rule_in_the_breakpoint_dtype(case):
+    # The rule on arrays of the dtype `_Resolver` picks for the instance:
+    # int64, which wraps silently on overflow, below its bound, so the
+    # largest breakpoints and ends that bound allows must still be signed
+    # as on Fractions; Python ints past it.
+    tg, (lo, hi), lo_excl, hi_excl, pairs = case
+    res = _Resolver(tg)
+    res.lo, res.hi, res.lo_excl, res.hi_excl = lo, hi, lo_excl, hi_excl
+    num, den = (np.array(col, dtype=res.dtype) for col in zip(*pairs))
+    signs, undecided = res._interval_sign(num, den)
+    for (a, b), s, u in zip(pairs, signs.tolist(), undecided.tolist()):
+        want = fraction_interval_sign(Fraction(a, b), lo, hi, lo_excl, hi_excl)
+        assert (None if u else s) == want
+
+
+@st.composite
 def packed_pairs(draw):
     # The symbolic run's values: a >= 0 a walk's scaled time, and |b| within
     # 2n*max|C|, a walk of at most 2n hops.  Half the cases are small enough

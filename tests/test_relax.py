@@ -11,7 +11,8 @@ paths, forced by its budget, and so do the in-place label-run cases, which
 compare `_label_run` with the plain-loop reference engine and with itself
 from scratch, once more with `np.empty` poisoned (`conftest.poisoned_empty`)
 so that an entry read before it is written shows.
-The freeze tests count the rows `relax` hands to `_min_in_edges`.
+The freeze tests count the rows `relax` hands to `_min_in_edges`, and the
+ratio search's zero row (`parametric._zero_row`) is checked against `relax`.
 """
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hubapsp.bellman_ford import NumberOps, _label_run, relax
 from hubapsp.generate import random_digraph, ring_with_chords
 from hubapsp.graph import INF, Digraph, build_graph, floyd_warshall_oracle
 from hubapsp.hubs import build_hub_hierarchy
-from hubapsp import minplus
+from hubapsp import minplus, parametric
 from hubapsp.minplus import lift_level
 from reference_engine import _run_multi_generic
 from reference_step import assert_same_bytes, min_in_edges_reference, relax_reference
@@ -125,6 +126,43 @@ def test_empty_cases():
     _check(g, [[0.0, -0.0, INF, 3.0]], 0)
     _check(Digraph(4, []), [[0.0, -0.0, INF, 3.0], [INF] * 4], 5)
     assert relax(g, np.empty((0, 4)), 5).shape == (0, 4)
+
+
+def _zero_row_by_relax(g):
+    """The zero row as `relax` steps it: n-1 steps from zeros, then one
+    kernel step decides whether it has settled."""
+    row = relax(g, [[0] * g.n], max(g.n - 1, 0))
+    return row, not g.n or not (bellman_ford._min_in_edges(g, row) < row).any()
+
+
+def test_zero_row_matches_relax_then_one_step(kernel_path):
+    # `_zero_row` steps one row until no candidate lies strictly below it:
+    # the same row, bit for bit (on object rows, value and type), and the
+    # same decision as n-1 `relax` steps and one more kernel step, on
+    # float64 with signed zeros, on Python ints past 2^53 and on Fractions
+    # beside ints, with self-loops and parallel arcs, for n = 0 and 1 too.
+    rng = random.Random(43)
+    weights = {
+        "float": lambda: rng.choice([0.0, -0.0, 1, 2.5, -1, -0.5]),
+        "big": lambda: rng.randint(-3, 9) * 2 ** 60 + rng.randint(0, 3),
+        "fraction": lambda: rng.choice([0, 1, -1, Fraction(rng.randint(-3, 9),
+                                                           rng.randint(1, 4))]),
+    }
+    graphs = [Digraph(0, []), build_graph(1, []), build_graph(1, [(0, 0, -0.0)]),
+              build_graph(1, [(0, 0, -1)]), build_graph(1, [(0, 0, Fraction(0))])]
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        draw = weights[rng.choice(sorted(weights))]
+        graphs.append(build_graph(n, [(rng.randrange(n), rng.randrange(n), draw())
+                                      for _ in range(rng.randint(0, 3 * n))]))
+    settled = 0
+    for g in graphs:
+        row, ok = parametric._zero_row(g)
+        want, want_ok = _zero_row_by_relax(g)
+        assert_same_bytes(row, want)
+        assert ok == want_ok
+        settled += ok
+    assert 100 < settled < len(graphs) - 100
 
 
 def _spy(monkeypatch):
