@@ -79,7 +79,8 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
 
     ``paths`` is any sequence of vertex collections: sets, tuples, or the
     rows of a 2-D integer array such as `collect_minimal_paths` returns.
-    Repeated vertices within one member count once.  The members become a
+    Repeated vertices within one member count once, and every vertex must
+    lie in 0..n-1, as `Digraph._vertex_set` requires.  The members become a
     deduplicated (path, vertex) incidence with a CSR index by vertex, built
     by one stable sort of the vertex ids held in the narrowest signed
     integer type that fits them: 8 or 16 bits up to 2^15 ids, which numpy
@@ -109,6 +110,12 @@ def greedy_hitting_set(paths: Sequence[Collection[int]], n: int) -> set:
         rows = np.array([list(p) + [pad] * (width - len(p)) for p in paths],
                         dtype=np.int64).reshape(k, width)
     rows.sort(axis=1)
+    # A sorted row starts with its least id, and the pad id is one past the
+    # largest, so one column and one number bound every id.
+    least = int(rows[:, :1].min(initial=0))
+    if least < 0 or pad > n:
+        bad = least if least < 0 else pad - 1
+        raise ValueError(f"vertex {bad} out of range 0..{n - 1}")
     # One row per path, sorted, repeats replaced by the pad id, so every
     # real entry is one (path, vertex) incidence.
     dup = rows[:, 1:] == rows[:, :-1]
@@ -220,17 +227,22 @@ def collect_minimal_paths(g: Digraph, H: Iterable[int], h: int,
     Row i holds the vertices of one path, from its source hub to its
     target.  There is one row per improving pair (s, t) in sorted(H) x V,
     where the h-hop label of t strictly beats the (h-1)-hop one, in
-    (source, target) order; each row is `extract_minimal_path`'s walk.  The
-    two label rows are compared through `_less`, so an ops run signs all
-    pairs in one `cmp_batch`, and all rows walk back h steps at once
-    (`LabelRun.walk_back`), one `LabelRun.edges` lookup per hop.
-    ``_labels``, a `LabelRun` of at least h steps such as `extend_hubs`
-    makes, stands in for a run over H.
+    (source, target) order; each row is `extract_minimal_path`'s walk, and
+    all rows walk back h steps at once (`LabelRun.walk_back`), one
+    `LabelRun.edges` lookup per hop.  ``_labels``, a `LabelRun` of at
+    least h steps such as `extend_hubs` makes, stands in for a run over H
+    in the domain of ``ops``.
+
+    A pair improved exactly where its label changed from the row before,
+    so the two rows are compared with ``!=`` and nothing is signed: an ops
+    run is asked no comparison.  On a number run ``np.minimum`` keeps the
+    old label, the same object, on a tie, and no label is -0.0; on an ops
+    run a label changes only where `_less` signed a strict decrease.
     """
     if h < 1:
         raise ValueError("hop count must be at least 1")
     run = _labels if _labels is not None else _label_run(g, H, h, ops)
-    improving = _less(ops, run.labels[h], run.labels[h - 1])
+    improving = run.labels[h] != run.labels[h - 1]
     return run.walk_back(h, *np.nonzero(improving))[0]
 
 
@@ -310,7 +322,7 @@ def extend_hubs(g: Digraph, H: Iterable[int], h: int, *, ops=None,
     run, cyc = _sweep_level(g, H, h, ops, meter, nonstrict, _carry or _Carry())
     if cyc is not None:
         return cyc
-    paths = collect_minimal_paths(g, run.sources, h, ops=ops, _labels=run)
+    paths = collect_minimal_paths(g, run.sources, h, _labels=run)
     if meter is not None:
         meter.add(len(paths) * h, h if len(paths) else 0)
     level = greedy_hitting_set(paths, g.n)

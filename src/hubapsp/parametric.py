@@ -111,10 +111,20 @@ class TimedDigraph:
 
 
 def build_timed_graph(n: int, items) -> TimedDigraph:
-    """Build from (u, v, cost, time) tuples, validating as build_graph does."""
-    items = list(items)
-    base = build_graph(n, [(u, v, w) for (u, v, w, _) in items])
-    return TimedDigraph(base, tuple(t for (_, _, _, t) in items))
+    """Build from (u, v, cost, time) tuples, validating as build_graph does.
+
+    :raises ValueError: on an item that is not four values, and on
+        anything `build_graph` or `TimedDigraph` refuses.
+    """
+    quads = []
+    for i, item in enumerate(items):
+        try:
+            u, v, w, t = item
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {i}: expected (u, v, cost, time), got {item!r}") from None
+        quads.append((u, v, w, t))
+    base = build_graph(n, [q[:3] for q in quads])
+    return TimedDigraph(base, tuple(q[3] for q in quads))
 
 
 @dataclass(frozen=True)
@@ -134,8 +144,10 @@ class RatioAnswer:
     """lam*, a cycle attaining it, and prices proving no cycle does better.
 
     `oracle_calls` counts the distinct concrete decisions the search made,
-    plus the final certificate; `breakpoints` counts the comparisons of the
-    symbolic run that had to be signed at lam*.  Both are deterministic.
+    plus the final certificate; `breakpoints` counts the comparisons the
+    search signed at lam*, its symbolic run's steps and sweeps.  Path
+    collection signs none: it reads its improved pairs off the label rows
+    (`hubs.collect_minimal_paths`).  Both are deterministic.
     """
 
     lambda_star: Real
@@ -421,21 +433,27 @@ class _Resolver:
     `resolve`.
 
     Holds an interval known to contain lam* with per-end exclusivity flags,
-    the candidates (both initial ends and every breakpoint the interval
-    ever left undecided), and the memoized concrete decisions on the
-    reduced graph at x (`decide`): strict (is lam* < x) and nonstrict (is
-    lam* <= x).  A batch of breakpoints x = num/den, den > 0, in two arrays
-    of ``dtype``, is decided against the interval by cross-multiplying
-    with the ends' numerators and denominators (`_interval_sign`); only the
-    undecided ones are reduced, deduplicated and made Fractions.  Those
-    are sorted and split by bisection on strict decisions, then at most
-    one nonstrict one separates "equal to lam*" from "below", so a batch
-    of p costs O(log p) decisions.  A decided breakpoint lies outside the
-    interval, which only ever shrinks, or on an end that is already a
-    candidate, so leaving it out of the candidates changes nothing.  Each
-    decision is a rational `_negative_cycle_at` call: scaled integers on
-    the numpy engine, in float64 or in Python ints.  `oracle_calls` counts
-    the distinct decisions.
+    and the memoized concrete decisions on the reduced graph at x
+    (`decide`): strict (is lam* < x) and nonstrict (is lam* <= x).  A batch
+    of breakpoints x = num/den, den > 0, in two arrays of ``dtype``, is
+    decided against the interval by cross-multiplying with the ends'
+    numerators and denominators (`_interval_sign`); only the undecided
+    ones are reduced, deduplicated and made Fractions.  Those are sorted
+    and split by bisection on strict decisions, then at most one nonstrict
+    one separates "equal to lam*" from "below", so a batch of p costs
+    O(log p) decisions.  Each decision is a rational `_negative_cycle_at`
+    call: scaled integers on the numpy engine, in float64 or in Python
+    ints.  `oracle_calls` counts the distinct decisions, and `breakpoints`
+    the comparisons `resolve` signed.
+
+    No breakpoint outlives its batch: of all the points a search meets,
+    the two initial edge ratios and every breakpoint, only the interval's
+    ends can lie in it.  A decided breakpoint lies outside the interval or
+    on one of its ends.  Every undecided one lies in [lo, hi], and
+    `_shrink` then moves hi to the least of them above lam*, and lo to the
+    greatest at or below lam*, or closes the interval on that one.  So
+    each ends outside the new interval or on one of its ends, and the
+    interval only shrinks after that.
 
     ``dtype``, chosen once per instance as `Digraph._in_arrays` chooses
     float64 or object, is int64 when B = 16*n^2*max(max|C|, 1)*max T*D_t*D_c
@@ -466,7 +484,6 @@ class _Resolver:
         self.lo, self.hi = _ratio_bounds(tg, True)
         self.lo_excl = False
         self.hi_excl = False
-        self.candidates = {self.lo, self.hi}
         self._decided: Dict[Tuple[Fraction, bool], bool] = {}
         self.oracle_calls = 0
         self.breakpoints = 0
@@ -542,7 +559,6 @@ class _Resolver:
             g = np.gcd(num, den)
             pending = sorted(Fraction(p, q) for p, q in
                              set(zip((num // g).tolist(), (den // g).tolist())))
-            self.candidates.update(pending)
             self._shrink(pending)
             signs[undecided], still = self._interval_sign(num, den)
             if still.any():
@@ -576,9 +592,11 @@ def min_ratio_parametric(tg: TimedDigraph,
     a `_Resolver`, which signs its comparisons at lam*.
     At lam* every cycle's reduced weight is >= 0 and the optimal cycle's is
     exactly 0, so the nonstrict run must surface a cycle, and the comparison
-    of its closed-walk value against zero has breakpoint exactly lam*: the
-    candidate set provably contains the answer.  lam* is then selected as
-    the least candidate in the final interval whose reduced graph has a
+    of its closed-walk value against zero has breakpoint exactly lam*.  So
+    lam* is a point of the run in the final interval, which holds no such
+    point but its two ends (`_Resolver`); in practice the interval closes
+    on lam*, since that last comparison puts its breakpoint exactly there.
+    lam* is then selected as the lesser end whose reduced graph has a
     nonpositive cycle, and cross-checked from both sides: the witness, the
     symbolic run's own cycle, has ratio equal to the selected value
     (pinning lam* from above), and the Feasible certificate at it proves no
@@ -594,8 +612,7 @@ def min_ratio_parametric(tg: TimedDigraph,
     a, b = resolver.unpack(sim.cycle.length)
     lam_sim = Fraction(b * resolver.d_t, a * resolver.d_c)
 
-    cands = sorted(x for x in resolver.candidates
-                   if resolver.lo <= x <= resolver.hi)
+    cands = sorted({resolver.lo, resolver.hi})
     i = bisect.bisect_left(cands, True, key=lambda x: resolver.decide(x, True))
     if i == len(cands):
         raise AssertionError("no candidate admits a nonpositive cycle")

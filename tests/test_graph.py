@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hubapsp.generate import ring_with_chords
+from hubapsp.generate import random_timed, ring_with_chords
 from hubapsp.graph import (
     INF,
     Digraph,
@@ -18,7 +18,8 @@ from hubapsp.graph import (
 )
 from hubapsp.hubs import shortest_negative_cycle, verify_hub_property
 from hubapsp.minplus import apsp
-from hubapsp.parametric import TimedDigraph, evaluate_lambda, min_mean_cycle_karp
+from hubapsp.parametric import (TimedDigraph, evaluate_lambda, min_mean_cycle_karp,
+                                min_ratio_parametric)
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 
@@ -333,3 +334,30 @@ def test_ring_with_chords_needs_three_vertices_for_chords():
     g = ring_with_chords(3, 4, seed=0)
     assert g.m == 7
     assert all(v != (u + 1) % 3 and v != u for (u, v, _) in g.edges[3:])
+
+
+@pytest.mark.parametrize("kind,scale", [(np.int64, 1), (np.int64, 2 ** 50),
+                                        (np.float64, 0.1)])
+def test_hand_built_numpy_scalar_weights_read_as_python_numbers(kind, scale):
+    # `Digraph` takes its weights as given; `_weight_array` reads a numpy
+    # scalar as the number it holds, as `build_graph` reads every weight.
+    # Costs times 2^50 pass the float64 bound and go to an object array.
+    tg = random_timed(8, 0.4, -3, 9, seed=5)
+    for shift in (0, 3):  # with a negative cycle, and with none
+        edges = [(u, v, kind((w + shift) * scale)) for (u, v, w) in tg.base.edges]
+        g = Digraph(tg.base.n, edges)
+        ref = build_graph(tg.base.n, [(u, v, w.item()) for (u, v, w) in edges])
+        got, want = g._in_arrays()[1], ref._in_arrays()[1]
+        assert got.dtype == want.dtype == (object if scale == 2 ** 50 else np.float64)
+        assert got.tolist() == want.tolist()
+        assert list(map(type, got.tolist())) == list(map(type, want.tolist()))
+        assert shortest_negative_cycle(g) == shortest_negative_cycle(ref)
+        res, res_ref = apsp(g, 4), apsp(ref, 4)
+        assert type(res) is type(res_ref)
+        if shift:
+            assert res.dist.values.dtype == res_ref.dist.values.dtype
+            assert res.dist.values.tolist() == res_ref.dist.values.tolist()
+        else:
+            assert res == res_ref
+        assert (min_ratio_parametric(TimedDigraph(g, tg.times))
+                == min_ratio_parametric(TimedDigraph(ref, tg.times)))

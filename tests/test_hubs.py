@@ -1,12 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hubapsp.bellman_ford import (LabelRun, NumberOps, _label_run, bf_run_multi,
-                                  extract_minimal_path)
-from hubapsp.generate import (negative_cycle_free, random_digraph,
+from hubapsp.bellman_ford import (LabelRun, NumberOps, _label_run, _less,
+                                  bf_run_multi, extract_minimal_path)
+from hubapsp.generate import (negative_cycle_free, random_digraph, random_timed,
                               ring_with_chords, with_negative_cycle)
 from hubapsp.graph import (INF, Digraph, build_graph, hop_limited_oracle,
                            negative_cycle_hops_oracle)
@@ -23,7 +24,9 @@ from hubapsp.hubs import (
     verify_hub_property,
 )
 from hubapsp.meter import CostMeter
+from hubapsp.parametric import TimedDigraph, _Resolver
 from reference_engine import _run_multi_generic
+from test_bellman_ford import _Recording
 
 TRIANGLE = [(0, 1, 1), (1, 2, 1), (2, 0, -3)]
 RING3 = [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
@@ -74,6 +77,16 @@ def test_greedy_disjoint_sets_need_one_each():
 def test_greedy_rejects_empty_member():
     with pytest.raises(ValueError):
         greedy_hitting_set([{1}, set()], 3)
+
+
+@pytest.mark.parametrize("rows,bad", [
+    ([[5]], 5), ([[0, 7]], 7), ([[-1, 2]], -1), ([[1], [2, -4, 9]], -4)])
+@pytest.mark.parametrize("kind", ["sets", "array"])
+def test_greedy_rejects_out_of_range_vertices(rows, bad, kind):
+    paths = ([set(r) for r in rows] if kind == "sets"
+             else np.array([r + r[:1] * (3 - len(r)) for r in rows]))
+    with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 0\.\.2$"):
+        greedy_hitting_set(paths, 3)
 
 
 def test_greedy_hits_and_respects_bound():
@@ -179,6 +192,47 @@ def test_collect_rows_are_extracted_paths(hub_corpus, ops):
             assert [tuple(r) for r in rows.tolist()] == want, (idx, h)
             checked += len(want)
     assert checked >= 1000
+
+
+def _ops_runs():
+    """(graph, make_ops) pairs: Fraction weights under `NumberOps`, and the
+    ratio search's packed affine weights under a `_Resolver`, on float64
+    tables and, with costs times 2^40+1, on object ones."""
+    for i in range(4):
+        g = negative_cycle_free(10, 0.3, -4, 12, seed=44100 + i)
+        yield Digraph(g.n, [(u, v, Fraction(w)) for (u, v, w) in g.edges]), NumberOps
+    for seed, scale in itertools.product(range(4), (1, 2 ** 40 + 1)):
+        tg = random_timed(8, 0.4, -4, 8, seed=3300 + seed)
+        tg = TimedDigraph(Digraph(tg.base.n, [(u, v, w * scale)
+                                              for (u, v, w) in tg.base.edges]),
+                          tg.times)
+        yield _Resolver(tg).graph, lambda tg=tg: _Resolver(tg)
+
+
+def test_collect_on_an_ops_run_asks_no_comparison():
+    # The improved pairs are the changed ones, so path collection signs
+    # nothing: neither the rounds nor the resolver's breakpoints move, and
+    # the rows are the walks of the pairs a fresh domain signs improved.
+    checked = 0
+    for g, make_ops in _ops_runs():
+        sources = list(range(g.n))
+        for h in range(1, 5):
+            ops = _Recording(make_ops())
+            run = _label_run(g, sources, h, ops)
+            before = len(ops.rounds), getattr(ops.ops, "breakpoints", None)
+            rows = collect_minimal_paths(g, sources, h, ops=ops, _labels=run)
+            assert (len(ops.rounds), getattr(ops.ops, "breakpoints", None)) == before
+            improved = _less(make_ops(), run.labels[h], run.labels[h - 1])
+            want = [extract_minimal_path(run[run.sources[i]], t, h).vertices
+                    for i, t in zip(*np.nonzero(improved))]
+            assert [tuple(r) for r in rows.tolist()] == want
+            checked += len(want)
+            # Collecting over its own run asks that run's rounds alone.
+            own = _Recording(make_ops())
+            assert np.array_equal(
+                collect_minimal_paths(g, sources, h, ops=own), rows)
+            assert len(own.rounds) == before[0]
+    assert checked >= 500
 
 
 def test_walk_back_looks_up_each_entry_once(monkeypatch):

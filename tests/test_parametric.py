@@ -84,6 +84,13 @@ def test_timed_graph_validates_times():
             TimedDigraph(g, (1, bad))
 
 
+@pytest.mark.parametrize("item", [(0, 1, 1), 5, (0, 1, 1, 1, 1), None])
+def test_build_timed_graph_refuses_items_that_are_not_four_values(item):
+    with pytest.raises(ValueError) as exc:
+        build_timed_graph(2, [(1, 0, 2, 1), item])
+    assert str(exc.value) == f"edge 1: expected (u, v, cost, time), got {item!r}"
+
+
 @pytest.mark.parametrize("kind", [np.float32, np.int64, np.float64])
 def test_numpy_scalar_times_read_as_python_numbers(kind):
     # A float32 time once reached Fraction() and raised TypeError, or gave
@@ -727,7 +734,7 @@ F = Fraction
 
 @pytest.mark.parametrize("variant,lam,calls,breakpoints,trace", [
     # Costs times 0.1 as floats: the cost denominators' lcm is 2^55.
-    ("tenth", 0.07857142857142858, 18, 369, [
+    ("tenth", 0.07857142857142858, 18, 365, [
         (F(-3602879701896397, 2 ** 55), F(8106479329266893, 2 ** 53)),
         (F(-1801439850948197, 2 ** 55), F(1801439850948199, 2 ** 54)),
         (F(-1801439850948197, 2 ** 55), F(9007199254740993, 10 * 2 ** 53)),
@@ -738,7 +745,7 @@ F = Fraction
         (F(3602879701896397, 3 * 2 ** 54), F(16212958658533787, 10 * 2 ** 54)),
         (F(2476979795053773, 7 * 2 ** 52), F(2476979795053773, 7 * 2 ** 52))]),
     # Fraction times t / (1 + e % 3): the time denominators' lcm is 6.
-    ("fraction-times", F(6, 5), 13, 394, [
+    ("fraction-times", F(6, 5), 13, 390, [
         (-2, F(27, 2)), (F(2, 7), 2), (1, F(9, 7)), (F(54, 49), F(9, 7)),
         (F(6, 5), F(6, 5))]),
 ])
@@ -758,6 +765,27 @@ def test_non_integral_instances_search_cost_is_pinned(variant, lam, calls,
     ans = min_ratio_parametric(tg, _trace=seen)
     assert (ans.lambda_star, ans.oracle_calls, ans.breakpoints) == (lam, calls, breakpoints)
     assert seen == trace
+
+
+@pytest.mark.parametrize("variant", ["integer", "tenth", "fraction-times", "big"])
+def test_every_search_ends_on_a_point(variant):
+    # The sweep's last comparison puts its breakpoint at lam*, so the
+    # interval closes there; lam* is chosen from its two ends alone.
+    for seed in range(12):
+        tg = random_timed(3 + seed % 6, 0.4, -5, 9, seed=9000 + seed)
+        edges, times = tg.base.edges, tg.times
+        if variant == "tenth":
+            edges = [(u, v, w * 0.1) for (u, v, w) in edges]
+        elif variant == "fraction-times":
+            times = [F(t, 1 + e % 3) for e, t in enumerate(times)]
+        elif variant == "big":
+            edges = [(u, v, w * (2 ** 40 + 1)) for (u, v, w) in edges]
+        tg = TimedDigraph(Digraph(tg.base.n, edges), times)
+        seen = []
+        ans = min_ratio_parametric(tg, _trace=seen)
+        lo, hi = seen[-1]
+        assert lo == hi, (variant, seed)
+        assert ans.lambda_star == (float(lo) if variant == "tenth" else lo)
 
 
 @pytest.mark.parametrize("name,dtype,pinned", [
