@@ -54,16 +54,22 @@ class Digraph:
     one adjacency.
     """
 
-    __slots__ = ("n", "edges", "_cache")
+    __slots__ = ("n", "m", "_edges", "_cache")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int, object]]):
         self.n = n
-        self.edges = tuple([(int(u), int(v), w) for (u, v, w) in edges])
+        self._edges = tuple([(int(u), int(v), w) for (u, v, w) in edges])
+        self.m = len(self._edges)
         self._cache: dict = {}
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> Tuple[Tuple[int, int, object], ...]:
+        """The (u, v, w) triples in edge order.  A `_reweighted` graph
+        forms them from its weight list on first read."""
+        if self._edges is None:
+            self._edges = tuple([(u, v, w) for (u, v, _), w in zip(
+                self._cache["arcs"], self._cache["weights"])])
+        return self._edges
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,15 +203,19 @@ class Digraph:
     def _reweighted(self, weights) -> "Digraph":
         """The same arcs, in edge order, with ``weights`` as their weights.
 
-        The new graph shares this one's `_edge_src` and `_in_layout`
-        arrays, which no engine writes, so its `_in_arrays` forms only its
-        weight array, by the same dtype rule, and refuses the weights that
-        rule refuses.
+        ``weights`` holds one weight per edge: a sequence, or a numpy array,
+        kept as the list of its elements.  The new graph shares this one's
+        `_edge_src` and `_in_layout` arrays, which no engine writes, so its
+        `_in_arrays` forms only its weight array, from that list by the
+        same dtype rule, and refuses the weights that rule refuses.  Its
+        `edges` are formed only if something reads them.
         """
         g = Digraph(self.n, ())
+        g._edges, g.m = None, self.m
+        ws = weights.tolist() if isinstance(weights, np.ndarray) else list(weights)
         # The endpoints are this graph's, already read as ints.
-        g.edges = tuple([(u, v, w) for (u, v, _), w in zip(self.edges, weights)])
-        g._cache.update(edge_src=self._edge_src(), in_layout=self._in_layout())
+        g._cache.update(arcs=self.edges, weights=ws,
+                        edge_src=self._edge_src(), in_layout=self._in_layout())
         return g
 
     def _in_slots(self):
@@ -233,8 +243,11 @@ class Digraph:
         return lay
 
     def _weight_array(self) -> np.ndarray:
-        """Edge weights in edge order, in the dtype `_in_arrays` documents."""
-        ws = [w for (_, _, w) in self.edges]
+        """Edge weights in edge order, in the dtype `_in_arrays` documents:
+        the weights `_reweighted` was given, or those of `edges`."""
+        ws = self._cache.get("weights")
+        if ws is None:
+            ws = [w for (_, _, w) in self.edges]
         kinds = set(map(type, ws))
         if any(issubclass(t, np.generic) for t in kinds):
             ws = [w.item() if isinstance(w, np.generic) else w for w in ws]

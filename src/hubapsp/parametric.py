@@ -9,7 +9,8 @@ cycle.  Three routes to the optimum lam* are provided:
 - `min_mean_cycle_karp`: Karp's rotation formula for unit times, used as an
   independent oracle.
 - `min_ratio_binary_search`: bisection on lam, each step a yes/no
-  `_negative_cycle_at`.
+  `_negative_cycle_at` until the bracket pins an exact lam* by its
+  denominator bound.
 - `min_ratio_parametric`: runs the negative-cycle detector generically over
   affine weight functions lam -> b - lam * a, resolving each batch of
   comparisons at the still-unknown lam* through breakpoint bisection with
@@ -36,13 +37,14 @@ by D, the lcm of D_c and of lam's denominator times D_t, the reduced weights
 D*(w - lam*t) are integers, formed from the scaled form, and the label
 engine's numpy step decides them exactly, with the same tie-breaks as an
 exact rational run: on float64 while the integers are small enough to add
-exactly, and on Python ints in object arrays past that (late bisection
-probes, whose denominators reach 2^iterations, or float costs with long
-binary expansions); `Digraph._in_arrays` picks the dtype.  Every concrete
-probe decides one way, `_zero_row`: Bellman-Ford from a virtual source, one
-zero row on the probe graph, stepped until it settles, at most n steps.  A
-yes/no probe, every bisection step and every decision of the parametric
-search, is `_negative_cycle_at`, that row alone, on one graph.  A
+exactly, and on Python ints in object arrays past that (bisection
+probes on large costs, whose denominators double with every step, or
+float costs with long binary expansions); `Digraph._in_arrays` picks the
+dtype.  Every concrete probe decides one way, `_zero_row`: Bellman-Ford
+from a virtual source, one zero row on the probe graph, stepped until it
+settles, at most n steps.  A yes/no probe, every bisection step before
+an exact lam* is pinned and every decision of the parametric search, is
+`_negative_cycle_at`, that row alone, on one graph.  A
 certificate (`evaluate_lambda`) returns the settled row as its prices, and
 runs the hub hierarchy, for a hop-shortest cycle, only when the row moves.
 The parametric search's witness is the cycle of its one symbolic run, whose
@@ -53,6 +55,7 @@ ops step, `_tournament`, so a parametric search runs the hub hierarchy once.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,7 +238,7 @@ def min_mean_cycle_karp(g: Digraph) -> Tuple[Real, Path]:
 
     prefix = [0] * (n + 1)
     for i, e in enumerate(walk_e):
-        prefix[i + 1] = prefix[i] + g.edges[e][2]
+        prefix[i + 1] = prefix[i] + _read_number(g.edges[e][2], "weight")
 
     seen: Dict[int, List[int]] = {}
     best_key = None
@@ -383,21 +386,45 @@ def min_ratio_binary_search(tg: TimedDigraph, iterations: int,
 
     The initial interval spans the edge cost/time ratios; any cycle ratio is
     a time-weighted mean of its edge ratios, so lam* starts inside.  Each
-    step asks `_negative_cycle_at` whether some cycle beats the midpoint;
-    if one does, lam* lies left of it.  Exact instances (`_exact_instance`)
-    bisect over exact Fractions, and the bracket holds lam*.  Other
-    instances bisect in float64, where a cycle whose reduced weight is
-    within rounding of zero may be decided either way: the final bracket
+    step asks whether some cycle beats the midpoint, that is whether
+    lam* < mid; if one does, lam* lies left of it.
+
+    Exact instances (`_exact_instance`) bisect over exact Fractions, and
+    the bracket holds lam*.  On the scaled instance (`_scale`) lam* is
+    (D_t/D_c)*C/T for a simple cycle of total scaled cost C and time
+    0 < T <= Tbar, the sum of the n largest scaled times.  Two distinct
+    fractions with denominators at most Tbar lie at least 1/Tbar^2 apart,
+    so once the scaled bracket (D_c/D_t)*[lo, hi] is narrower than that,
+    lam* is the one such fraction in it, and the nearest one to the
+    midpoint: `Fraction.limit_denominator(Tbar)` of the scaled midpoint,
+    scaled back (C. H. Papadimitriou, "Efficient search for rationals",
+    IPL 1979).  Steps up to that one each ask `_negative_cycle_at`; every
+    later step compares the pinned lam* with its midpoint, so the bracket
+    after each step is the one a probe would give.
+
+    Other instances bisect in float64 and probe every step, since a float
+    has no denominator bound.  A cycle whose reduced weight is within
+    rounding of zero may be decided either way there: the final bracket
     then lies within 2^-50 times the initial span of lam*.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not has_cycle(tg.base):
         raise AcyclicGraphError("ratio search needs a directed cycle")
-    lo, hi = _ratio_bounds(tg, _exact_instance(tg))
+    exact = _exact_instance(tg)
+    lo, hi = _ratio_bounds(tg, exact)
+    gap = lam = None
+    if exact:
+        _, t, d_c, d_t = tg._scaled
+        t_bar = sum(heapq.nlargest(tg.base.n, t.tolist()))
+        gap = Fraction(d_t, d_c * t_bar * t_bar)
     for _ in range(iterations):
         mid = (lo + hi) / 2
-        if _negative_cycle_at(tg, mid):
+        if lam is None and gap is not None and hi - lo < gap:
+            lam = (mid * d_c / d_t).limit_denominator(t_bar) * d_t / d_c
+            if not lo <= lam <= hi:
+                raise AssertionError("the pinned lam* lies outside the bracket")
+        if _negative_cycle_at(tg, mid) if lam is None else lam < mid:
             hi = mid
         else:
             lo = mid
@@ -625,12 +652,14 @@ def min_ratio_parametric(tg: TimedDigraph,
     # The packed graph keeps tg.base's edge ids, so the symbolic run's cycle
     # is the witness as it stands.
     cyc = sim.cycle
-    wsum = sum(g.edges[e][2] for e in cyc.edges)
+    # Each cost read as `_scale` reads it: a numpy scalar a hand-built
+    # `Digraph` holds sums to a Python number.
+    costs = [_read_number(g.edges[e][2], "weight") for e in cyc.edges]
     # Summed per edge as Fractions: a float sum would round before the check.
-    if (sum(Fraction(g.edges[e][2]) for e in cyc.edges)
+    if (sum(map(Fraction, costs))
             / sum(Fraction(tg.times[e]) for e in cyc.edges)) != lam:
         raise AssertionError("witness ratio does not equal lam*")
-    witness = Path(cyc.vertices, wsum, cyc.hops, cyc.edges)
+    witness = Path(cyc.vertices, sum(costs), cyc.hops, cyc.edges)
 
     cert = evaluate_lambda(tg, lam)
     if not isinstance(cert, Feasible):

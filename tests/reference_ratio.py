@@ -2,6 +2,7 @@
 `hubapsp.parametric` are checked against: exact rationals for the
 scaled-integer probes, and the same super-source prices on floats for the
 float64 ones."""
+import math
 from fractions import Fraction
 
 from hubapsp.bellman_ford import NumberOps
@@ -57,6 +58,28 @@ def fraction_bisection(tg, iterations):
             lo = mid
         trace.append((lo, hi))
     return trace
+
+
+def bisection_stop_step(tg):
+    """How many steps `min_ratio_binary_search` probes before its bracket
+    pins lam*, read off the instance on its own: the least k with
+    span/2^k < D_t/(D_c*Tbar^2), where span is the initial bracket's
+    width, D_c and D_t the lcms of the costs' and the times' denominators,
+    and Tbar the sum of the n largest times scaled by D_t.  None on a
+    float instance, which probes every step."""
+    if not _exact_instance(tg):
+        return None
+    costs = [Fraction(w) for (_, _, w) in tg.base.edges]
+    times = [Fraction(t) for t in tg.times]
+    d_c = math.lcm(*(c.denominator for c in costs))
+    d_t = math.lcm(*(t.denominator for t in times))
+    t_bar = sum(sorted(t * d_t for t in times)[-tg.base.n:])
+    gap = Fraction(d_t, d_c) / t_bar ** 2
+    ratios = [c / t for c, t in zip(costs, times)]
+    width, k = max(ratios) - min(ratios), 0
+    while width >= gap:
+        width, k = width / 2, k + 1
+    return k
 
 
 def probe_bisection(tg, iterations):

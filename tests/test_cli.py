@@ -319,7 +319,7 @@ GOLDEN = DATA / "golden"
 
 @pytest.mark.parametrize("method", ["parametric", "binary"])
 @pytest.mark.parametrize("name", ["timed6", "triangle-timed", "timed6-tenths",
-                                  "timed4-dyadic"])
+                                  "timed4-dyadic", "timed6-wide"])
 def test_minratio_matches_golden_document(tmp_path, method, name):
     # Written by the all-Fraction ratio search; every later engine must
     # reproduce it byte for byte.  timed6-tenths is timed6 with every cost
@@ -327,6 +327,9 @@ def test_minratio_matches_golden_document(tmp_path, method, name):
     # timed4-dyadic's costs reach down to 2^-27, so its symbolic run stays
     # in float64 while its breakpoints pass the int64 bound; its documents
     # were written by the search that signed every breakpoint on Python ints.
+    # timed6-wide is timed6 with every cost times 2^40 + 1, so bisection
+    # probes on object arrays before its bracket pins lam*; its documents
+    # were written by the bisection that probed all 60 steps.
     code, doc = run(tmp_path, ["minratio", "--method", method,
                                str(DATA / f"{name}.gr")])
     assert code == 0

@@ -27,7 +27,8 @@ from hubapsp.parametric import (
     _Resolver,
     _probe_graph,
 )
-from reference_ratio import (fraction_negative_cycle, fraction_prices,
+from reference_ratio import (bisection_stop_step, fraction_bisection,
+                             fraction_negative_cycle, fraction_prices,
                              fraction_reduced_graph, probe_bisection)
 from reference_step import edge_tables
 
@@ -576,19 +577,31 @@ def _bisection_instance(name):
     return parse_graph(DATA / f"{name}.gr")
 
 
+def _typed(trace):
+    return [(type(lo), lo, type(hi), hi) for lo, hi in trace]
+
+
 # The bisect benchmark's instances (n=16), the minratio benchmark's (n=24)
-# and the golden ones, timed6-tenths a float instance.
-@pytest.mark.parametrize("name", [
-    "random-16-1", "random-16-3", "random-24-3", "random-24-6", "random-24-4",
-    "timed6", "triangle-timed", "timed6-tenths"])
+# and the golden ones, timed6-tenths a float instance, with the steps each
+# probes before its bracket pins lam*: triangle-timed's one edge ratio pins
+# it before the first.
+STOP_STEPS = {"random-16-1": 15, "random-16-3": 15, "random-24-3": 16,
+              "random-24-6": 16, "random-24-4": 16, "timed6": 12,
+              "triangle-timed": 0, "timed6-tenths": None}
+
+
+@pytest.mark.parametrize("name", STOP_STEPS)
 def test_bisection_decides_each_step_once_as_a_full_probe_would(monkeypatch,
                                                                 name):
-    # Each step makes exactly one yes/no decision and runs neither the hub
-    # hierarchy nor a certificate, and the bracket after every step is the
-    # one a full hub hierarchy probe at every step gives, in values and
-    # types.
+    # Each step before an exact lam* is pinned (`bisection_stop_step`)
+    # makes exactly one yes/no decision, and runs neither the hub hierarchy
+    # nor a certificate; a float instance decides every step.  The bracket
+    # after every step is the one a full hub hierarchy probe at every step
+    # gives, in values and types.
     tg = _bisection_instance(name)
     want = probe_bisection(tg, 60)
+    stop = bisection_stop_step(tg)
+    assert stop == STOP_STEPS[name]
     decisions = []
     decide = parametric._negative_cycle_at
     monkeypatch.setattr(parametric, "_negative_cycle_at",
@@ -603,9 +616,48 @@ def test_bisection_decides_each_step_once_as_a_full_probe_would(monkeypatch,
         decisions.clear()
         trace = []
         min_ratio_binary_search(tg, iterations, _trace=trace)
-        assert len(decisions) == iterations
-        assert ([(type(lo), lo, type(hi), hi) for lo, hi in trace]
-                == [(type(lo), lo, type(hi), hi) for lo, hi in want[:iterations]])
+        assert len(decisions) == (iterations if stop is None
+                                  else min(stop, iterations))
+        assert _typed(trace) == _typed(want[:iterations])
+
+
+# Costs times 1/7, times over 5 and costs times 2^40 + 1 (probes on object
+# arrays before the stop) beside the plain integer draws, and float costs.
+BISECTION_VARIANTS = {
+    "integer": lambda w, t: (w, t),
+    "fraction-costs": lambda w, t: (Fraction(w, 7), t),
+    "fraction-times": lambda w, t: (w, Fraction(t, 5)),
+    "2^40+1": lambda w, t: (w * (2 ** 40 + 1), t),
+    "tenths": lambda w, t: (w * 0.1, t),
+}
+
+
+@pytest.mark.parametrize("variant", BISECTION_VARIANTS)
+@pytest.mark.parametrize("n,seed", [(5, 1), (7, 2), (9, 3)])
+def test_bisection_probes_until_lam_is_pinned(monkeypatch, variant, n, seed):
+    # On an exact instance `_negative_cycle_at` runs once per step before
+    # the stop and never after it, and the trace equals the Fraction
+    # engine's probe-every-step bisection in values and types.  A float
+    # instance (costs times 0.1) has no stop: one call per step, whose
+    # trace the tolerance test checks.
+    drawn = random_timed(n, 0.4, -3, 9, seed)
+    tg = build_timed_graph(n, [
+        (u, v, *BISECTION_VARIANTS[variant](w, t))
+        for (u, v, w), t in zip(drawn.base.edges, drawn.times)])
+    trace, steps = [], []
+    decide = parametric._negative_cycle_at
+    monkeypatch.setattr(parametric, "_negative_cycle_at",
+                        lambda *a: steps.append(len(trace)) or decide(*a))
+    min_ratio_binary_search(tg, 60, _trace=trace)
+    stop = bisection_stop_step(tg)
+    if variant == "tenths":
+        assert stop is None
+        assert steps == list(range(60))
+        return
+    # Every draw stops inside the 60 steps, so some steps go unprobed.
+    assert 0 < stop < 60
+    assert steps == list(range(stop))
+    assert _typed(trace) == _typed(fraction_bisection(tg, 60))
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hubapsp import bellman_ford, cli, parametric
 from hubapsp.bellman_ford import _label_run, bf_run_multi, bf_step, relax
-from hubapsp.fileio import parse_graph
-from hubapsp.graph import (INF, NegativeCycleDetected, build_graph,
+from hubapsp.generate import random_timed
+from hubapsp.graph import (INF, Digraph, NegativeCycleDetected, build_graph,
                            floyd_warshall_oracle, has_cycle)
 from hubapsp.hubs import NegativeCycle, greedy_hitting_set, shortest_negative_cycle
 from hubapsp.minplus import ApspResult, apsp
@@ -36,9 +36,9 @@ from hubapsp.parametric import (Feasible, Infeasible, TimedDigraph,
                                 min_ratio_parametric)
 from reference_greedy import greedy_hitting_set_sets
 from reference_step import best_in_edges_python, bf_step_python, edge_tables
-from reference_ratio import (fraction_bisection, fraction_interval_sign,
-                             fraction_negative_cycle, fraction_prices,
-                             fraction_reduced_graph)
+from reference_ratio import (bisection_stop_step, fraction_bisection,
+                             fraction_interval_sign, fraction_negative_cycle,
+                             fraction_prices, fraction_reduced_graph)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -297,9 +297,14 @@ def test_parametric_witness_is_the_fraction_engines_nonpositive_cycle(tg):
 
 
 def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
-    # Early probes fit float64; the last, with denominators near 2^60, run on
-    # Python ints, and the trace still equals the Fraction engine's.
-    tg = parse_graph(str(Path(__file__).parent / "data" / "timed6.gr"))
+    # Early probes fit float64.  With costs times 2^40 + 1 the scaled probe
+    # weights pass the float64 bound from the 6th probe on, which run on
+    # Python ints, long before the bracket pins lam* after 56 probes; the
+    # trace still equals the Fraction engine's.
+    drawn = random_timed(24, 0.3, -3, 9, 6)
+    tg = TimedDigraph(Digraph(24, [(u, v, w * (2 ** 40 + 1))
+                                   for (u, v, w) in drawn.base.edges]),
+                      drawn.times)
     dtypes = []
 
     def spy(tg_, lam, nonstrict=False):
@@ -310,8 +315,9 @@ def test_bisection_runs_object_ints_past_the_guard(monkeypatch):
     monkeypatch.setattr(parametric, "_probe_graph", spy)
     trace = []
     min_ratio_binary_search(tg, 60, _trace=trace)
-    assert len(dtypes) == 60
+    assert len(dtypes) == bisection_stop_step(tg) == 56
     assert dtypes[0] == np.float64 and dtypes[-1] == object
+    assert dtypes.index(np.dtype(object)) == 5
     assert trace == fraction_bisection(tg, 60)
 
 
