@@ -36,7 +36,9 @@ forward-pass start rows, within the README's bound.
 
 Every matrix and row here takes the dtype of the graph's weight array
 (`Digraph._in_arrays`), so integer weights too large for float64 give
-exact Python-int distances on object arrays.
+exact Python-int distances on object arrays.  One exception stays inside
+`minplus_closure`: it squares an integer-valued float64 matrix in float32
+while a bound keeps every sum exact there, and returns float64.
 """
 from __future__ import annotations
 
@@ -123,9 +125,11 @@ def minplus_product(A: DistMatrix, B: DistMatrix,
 def _aligned_empty(size: int, dtype) -> np.ndarray:
     """An uninitialised 1-D array of ``size`` items starting on a 64-byte boundary.
 
-    Both dtypes here, float64 and object, have 8-byte items.
+    It over-allocates by 64 bytes' worth of items, so the aligned slice
+    is full length for any item size that divides 64: 8 bytes for float64
+    and object, 4 for the float32 closure (`minplus_closure`).
     """
-    raw = np.empty(size + 8, dtype=dtype)
+    raw = np.empty(size + 64 // np.dtype(dtype).itemsize, dtype=dtype)
     skip = (-raw.ctypes.data % 64) // raw.itemsize
     return raw[skip:skip + size]
 
@@ -236,6 +240,20 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
     minimum, not the values, picks the sign of a zero result; without one
     no product can form -0.0.  Every product is still one `minplus_product`
     call, charged the dense cost.
+
+    A float64 matrix squares in float32, and the closed matrix comes back
+    as float64, when every finite entry is an integer, no entry is -0.0,
+    and 2*b*M <= 2^24, M the largest finite |entry| after the clamp
+    (`_squares_in_float32`).  The values are then bit for bit those of
+    float64 squaring.  The clamped diagonal is exactly 0, so after p
+    products every finite entry is the value of a walk of at most 2^p
+    edges of the hub graph, an integer of magnitude at most 2^p*M.  At
+    most ceil(log2 b) products run, so every sum a product forms is an
+    integer of magnitude below 2*b*M <= 2^24, and float32 holds every
+    such integer exactly; infinities stay infinite.  Narrower rows halve
+    the memory traffic of the products, which is what limits them.
+    Matrices holding NaN, -inf, a non-integral entry or -0.0, and object
+    matrices, square in their own dtype.
     """
     b = len(A.index)
     values = A.values.copy()
@@ -253,6 +271,9 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
 
     check(cur)
     semi = not np.signbit(values[values == 0].astype(np.float64)).any()
+    if semi and _squares_in_float32(values):
+        values = values.astype(np.float32)
+        cur = DistMatrix(A.index, values)
     changed = values != INF
     for _ in range(max(0, math.ceil(math.log2(b)))):
         nxt = minplus_product(cur, cur, meter, _changed=changed if semi else None)
@@ -261,7 +282,21 @@ def minplus_closure(A: DistMatrix, meter: Optional[CostMeter] = None) -> DistMat
         if not changed.any():
             break
         cur = nxt
-    return cur
+    return DistMatrix(A.index, cur.values.astype(A.values.dtype, copy=False))
+
+
+def _squares_in_float32(values: np.ndarray) -> bool:
+    """Whether the clamped ``values`` square exactly in float32 (`minplus_closure`).
+
+    True on float64 when every entry but +inf is an integer and 2*b*M <=
+    2^24, M the largest magnitude among them.  NaN fails the integer test,
+    and -inf the bound.
+    """
+    if values.dtype != np.float64:
+        return False
+    rest = values[values != INF]
+    return bool((np.trunc(rest) == rest).all()
+                and 2 * len(values) * np.abs(rest).max(initial=0.0) <= 2 ** 24)
 
 
 def build_hub_graph(g: Digraph, H_d: Iterable[int], d: int,

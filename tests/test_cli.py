@@ -384,6 +384,16 @@ def test_deeper_apsp_prints_the_pinned_distances(tmp_path, d):
     assert block(doc) == block((GOLDEN / "apsp-ring64.txt").read_text())
 
 
+@pytest.mark.parametrize("name", ["ring64", "ring64-wide"])
+def test_top_level_apsp_matches_golden_document(tmp_path, name):
+    # At d=1 every vertex is a hub, so the closure squares the whole 64 x 64
+    # matrix: in float32 on ring64, and in float64 on ring64-wide (every
+    # weight times 2^20), past the bound under which float32 is exact.
+    code, doc = run(tmp_path, ["apsp", "--d", "1", str(DATA / f"{name}.gr")])
+    assert code == 0
+    assert doc == (GOLDEN / f"apsp-{name}-d1.txt").read_text()
+
+
 def test_multi_level_apsp_matches_golden_document(tmp_path):
     # At d=16 apsp lifts through five hub levels, which are not nested;
     # the meter report pins every level's lift, not only the distances.

@@ -4,7 +4,8 @@ Each case runs `minplus_closure` and `reference_closure` on one hub matrix
 and compares the closed matrix byte for byte (on object matrices, each
 value and its type), the number of `minplus_product` calls, the meter's
 report, and on a negative cycle the product and vertex at which
-`NegativeDiagonal` is raised.
+`NegativeDiagonal` is raised.  The last cases pin which matrices square
+in float32 (`minplus._squares_in_float32`) and which in their own dtype.
 """
 import math
 import random
@@ -171,3 +172,90 @@ def test_semi_naive_product_squares_one_matrix():
     with pytest.raises(ValueError):
         minplus_product(a, DistMatrix(a.index, a.values.copy()),
                         _changed=np.ones((2, 2), dtype=bool))
+
+
+def _recording_dtypes():
+    """Patch `minplus_product` to record the dtype of each product's operands."""
+    dtypes = []
+    real = minplus.minplus_product
+
+    def recording(A, B, *args, **kwargs):
+        dtypes.append(A.values.dtype)
+        return real(A, B, *args, **kwargs)
+
+    return dtypes, mock.patch.object(minplus, "minplus_product", recording)
+
+
+def _chain(b, M, seed):
+    """An integer matrix whose largest |entry| is M, with long shortest walks.
+
+    The arcs i -> i+1 weigh M or a little less, and the arcs back weigh
+    up to M, so walks along the chain reach about b*M, the size the
+    float32 bound allows for.
+    """
+    rng = np.random.default_rng(seed)
+    vals = np.full((b, b), INF)
+    vals[np.arange(b - 1), np.arange(1, b)] = M - rng.integers(0, 8, b - 1)
+    vals[0, 1] = M
+    i, j = rng.integers(0, b, size=(2, 2 * b))
+    back = i > j
+    vals[i[back], j[back]] = rng.integers(0, M + 1, np.count_nonzero(back))
+    return vals
+
+
+@pytest.mark.parametrize("b", [5, 64, 200])
+def test_integer_matrices_on_both_sides_of_the_float32_bound(b):
+    # At b = 64, 2*b*M is exactly 2^24 at the bound.
+    at = 2 ** 24 // (2 * b)
+    for M, squared_in in ((at, np.float32), (at + 1, np.float64)):
+        A = DistMatrix(tuple(range(b)), _chain(b, M, seed=b))
+        assert np.abs(A.values[A.values != INF]).max() == M
+        dtypes, recording = _recording_dtypes()
+        with recording:
+            products, _ = _check(A)
+        assert products and set(dtypes) == {np.dtype(squared_in)}
+        assert minplus_closure(A).values.dtype == np.float64
+
+
+def test_float32_squaring_rounds_far_past_the_bound():
+    # Walks along the chain pass 2^24 with odd values, so float32 would round them.
+    vals = _chain(64, 300_001, seed=3)
+    want = reference_closure(vals)[0]
+    assert not np.array_equal(reference_closure(vals.astype(np.float32))[0], want)
+    dtypes, recording = _recording_dtypes()
+    with recording:
+        _check(DistMatrix(tuple(range(64)), vals))
+    assert set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_matrices_float32_cannot_hold_square_in_their_own_dtype():
+    rng = np.random.default_rng(17)
+    base = rng.integers(0, 30, size=(12, 12)).astype(float)
+    index = tuple(range(12))
+    for value in (-0.0, 2.5, np.nan):
+        vals = np.where(rng.random((12, 12)) > 0.5, INF, base)
+        vals[3, 4] = value
+        dtypes, recording = _recording_dtypes()
+        with recording:
+            if np.isnan(value):
+                minplus_closure(DistMatrix(index, vals))
+            else:
+                _check(DistMatrix(index, vals))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, value
+    # -inf beside +inf would form NaN, so this matrix is all finite.
+    vals = base.copy()
+    vals[3, 4] = -INF
+    dtypes, recording = _recording_dtypes()
+    with recording, pytest.raises(NegativeDiagonal):
+        minplus_closure(DistMatrix(index, vals))
+    assert dtypes == [np.dtype(np.float64)]
+
+
+def test_object_matrices_square_on_object_arrays():
+    rng = np.random.default_rng(19)
+    vals = np.array(rng.integers(0, 30, size=(12, 12)).tolist(), dtype=object)
+    vals[rng.random((12, 12)) > 0.4] = INF
+    dtypes, recording = _recording_dtypes()
+    with recording:
+        _check(DistMatrix(tuple(range(12)), vals))
+    assert dtypes and set(dtypes) == {np.dtype(object)}

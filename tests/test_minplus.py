@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hubapsp.graph import (
     hop_limited_oracle,
 )
 from hubapsp.bellman_ford import relax
+from hubapsp.fileio import parse_graph_text
 from hubapsp.hubs import NegativeCycle, build_hub_hierarchy
 from hubapsp import minplus
 from hubapsp.meter import CostMeter
@@ -61,9 +63,11 @@ def test_product_scalar():
     assert out.values[0, 0] == -2
 
 
-@pytest.mark.parametrize("dtype", [np.float64, object])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, object])
 def test_product_scratch_starts_on_a_cache_line(dtype):
-    for size in (1, 7, 256 * 256):
+    # Up to 60 bytes are skipped to reach the boundary: 15 float32 items,
+    # 7 of 8 bytes.  Many sizes put the raw buffer at many offsets.
+    for size in [*range(1, 400), 256 * 256]:
         buf = minplus._aligned_empty(size, dtype)
         assert buf.shape == (size,) and buf.dtype == dtype
         assert buf.ctypes.data % 64 == 0
@@ -379,6 +383,19 @@ def test_apsp_matches_oracle_across_d():
             outs.append(res.dist.values)
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+
+
+def test_wide_ring_distances_scale_exactly_at_every_d():
+    # ring64-wide is ring64 with every weight times 2^20.  At d=1 the
+    # closure squares ring64's hub matrix in float32 and ring64-wide's in
+    # float64 (2*b*M passes 2^24); both stay exact, far below 3n*W < 2^53.
+    data = Path(__file__).parent / "data"
+    ring, wide = (parse_graph_text((data / f"{name}.gr").read_text())
+                  for name in ("ring64", "ring64-wide"))
+    for d in (1, 2, 4, 8, 16, 32, 64):
+        got = apsp(wide, d).dist.values
+        assert got.dtype == np.float64
+        assert np.array_equal(got, apsp(ring, d).dist.values * 2 ** 20), d
 
 
 def test_apsp_float_weights_within_rounding_bound_at_every_d():
